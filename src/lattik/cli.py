@@ -297,7 +297,13 @@ def _fuzz_bases():
     ]
 
 
+def _check_fuzz(args):
+    if args.fuzz < 0:
+        raise InputError(f"--fuzz must be nonnegative, got {args.fuzz}")
+
+
 def cmd_tensor_lemma(args):
+    _check_fuzz(args)
     if args.fuzz:
         certs = []
         for t in tensormod.fuzz_tensor_lattices(_fuzz_bases(), args.seed, args.fuzz):
@@ -316,6 +322,7 @@ def cmd_tensor_lemma(args):
 
 
 def cmd_classify(args):
+    _check_fuzz(args)
     if args.fuzz:
         count = 0
         for t in tensormod.fuzz_tensor_lattices(_fuzz_bases(), args.seed, args.fuzz):

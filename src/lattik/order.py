@@ -240,16 +240,6 @@ def is_distributive(l):
     return True
 
 
-def distributivity_witness(l):
-    """A violating triple (a, b, c) of element names, or None."""
-    for a in range(l.n):
-        for b in range(l.n):
-            for c in range(l.n):
-                if l.meet[a][l.join[b][c]] != l.join[l.meet[a][b]][l.meet[a][c]]:
-                    return (l.elements[a], l.elements[b], l.elements[c])
-    return None
-
-
 def two():
     """The two-element lattice with 0 < 1."""
     return as_bounded_lattice(build_poset(["0", "1"], [("0", "1")]))
@@ -318,76 +308,105 @@ def is_morphism(src, tgt, mapping, kind):
     return True
 
 
-def enumerate_morphisms(src, tgt, kind, guard=None):
-    """All morphisms src -> tgt of the given kind, sorted by image tuple.
+def scheduled_search(order, width, start, pairs, triples, bound=None):
+    """All assignments of values 0..width-1 to the variables 0..n-1.
 
-    DFS assigns images in a linear extension of src, pruning as soon as an
-    already-determined equation (bounds, binary joins/meets, monotonicity)
-    is violated.  Raises SizeGuardExceeded when the number of attempted
-    partial extensions passes the guard.
+    ``order`` is a permutation of range(n): the variables are assigned one
+    per depth in that order, and each result is a tuple indexed by variable.
+    Every constraint is attached to the depth s where its last participant
+    ``order[s]`` is assigned, and narrows the candidate mask of that variable
+    from ``start[s]``:
+
+    - ``(p, table)`` in ``pairs[s]`` keeps the values in ``table[img[p]]``;
+    - ``(p, q, table)`` in ``triples[s]`` keeps those in ``table[img[p]][img[q]]``.
+
+    Candidates are tried in ascending value order, so results come out in
+    lexicographic order of the assignment sequence.  With a ``bound`` (the
+    morphism search's size guard), every expanded node counts ``width``
+    attempts, one per value as a try-every-value search would, and
+    SizeGuardExceeded is raised once the count passes the bound.
     """
-    if kind not in MORPHISM_KINDS:
-        raise ValueError(f"unknown morphism kind {kind!r}")
-    bound = size_guard(guard)
-    order = src.linear_extension()
-    pos = [0] * src.n
-    for s, e in enumerate(order):
-        pos[e] = s
-    need_meet = kind in ("blat", "frame")
-    img = [0] * src.n
-    assigned = [False] * src.n
+    n = len(order)
+    img = [0] * n
     results = []
     attempts = 0
 
-    def consistent(e):
-        fe = img[e]
-        if e == src.bottom and fe != tgt.bottom:
-            return False
-        if need_meet and e == src.top and fe != tgt.top:
-            return False
-        for k in range(src.n):
-            if not assigned[k]:
-                continue
-            if src.leq(k, e) and not tgt.leq(img[k], fe):
-                return False
-            if src.leq(e, k) and not tgt.leq(fe, img[k]):
-                return False
-        # every join/meet equation whose three participants are now assigned
-        # and that mentions e
-        for a in range(src.n):
-            if not assigned[a]:
-                continue
-            for b in range(a, src.n):
-                if not assigned[b]:
-                    continue
-                j = src.join[a][b]
-                if (e in (a, b, j)) and assigned[j] and img[j] != tgt.join[img[a]][img[b]]:
-                    return False
-                if need_meet:
-                    m = src.meet[a][b]
-                    if (e in (a, b, m)) and assigned[m] and img[m] != tgt.meet[img[a]][img[b]]:
-                        return False
-        return True
-
     def dfs(s):
         nonlocal attempts
-        if s == src.n:
+        if s == n:
             results.append(tuple(img))
             return
-        e = order[s]
-        for v in range(tgt.n):
-            attempts += 1
+        if bound is not None:
+            attempts += width
             if attempts > bound:
                 raise SizeGuardExceeded(
                     f"morphism search exceeded {bound} candidate extensions"
                 )
+        cand = start[s]
+        for p, table in pairs[s]:
+            cand &= table[img[p]]
+        for p, q, table in triples[s]:
+            cand &= table[img[p]][img[q]]
+        e = order[s]
+        for v in bits(cand):
             img[e] = v
-            assigned[e] = True
-            if consistent(e):
-                dfs(s + 1)
-            assigned[e] = False
+            dfs(s + 1)
 
     dfs(0)
+    return results
+
+
+def enumerate_morphisms(src, tgt, kind, guard=None):
+    """All morphisms src -> tgt of the given kind, sorted by image tuple.
+
+    A scheduled_search assigns images in a linear extension of src.  Each
+    preservation law is tested once, at the depth where its last
+    participant is assigned:
+
+    - the bottom (and, for blat/frame, the top) at its own depth;
+    - monotonicity along each cover a < b at b's depth (the prefixes of a
+      linear extension are down-sets, so covers imply every pair);
+    - the join of an incomparable pair a, b at the depth of a ∨ b;
+    - for blat/frame, the meet of an incomparable pair at the later of a, b.
+
+    For a comparable pair the join and meet equations say no more than
+    monotonicity.  The search therefore prunes exactly the partial
+    extensions on which some already-determined equation fails.  Raises
+    SizeGuardExceeded when the attempted partial extensions, tgt.n per
+    expanded node, pass the guard.
+    """
+    if kind not in MORPHISM_KINDS:
+        raise ValueError(f"unknown morphism kind {kind!r}")
+    bound = size_guard(guard)
+    need_meet = kind in ("blat", "frame")
+    order = src.linear_extension()
+    pos = [0] * src.n
+    for s, e in enumerate(order):
+        pos[e] = s
+    values = range(tgt.n)
+    join_to = tuple(tuple(1 << tgt.join[x][y] for y in values) for x in values)
+    meet_to = tuple(
+        tuple(sum(1 << v for v in values if tgt.meet[x][v] == y) for y in values)
+        for x in values
+    )
+    start = [(1 << tgt.n) - 1] * src.n
+    start[pos[src.bottom]] &= 1 << tgt.bottom
+    if need_meet:
+        start[pos[src.top]] &= 1 << tgt.top
+    pairs = [[] for _ in order]
+    triples = [[] for _ in order]
+    for a in range(src.n):
+        for c in bits(src.covers(a)):
+            pairs[pos[c]].append((a, tgt.up))
+        for b in range(a + 1, src.n):
+            if src.leq(a, b) or src.leq(b, a):
+                continue
+            j = src.join[a][b]
+            triples[pos[j]].append((a, b, join_to))
+            if need_meet:
+                first, last = (a, b) if pos[a] < pos[b] else (b, a)
+                triples[pos[last]].append((first, src.meet[a][b], meet_to))
+    results = scheduled_search(order, tgt.n, start, pairs, triples, bound)
     results.sort()
     morphisms = [LatticeMorphism(src, tgt, m, kind) for m in results]
     if kind == "frame":

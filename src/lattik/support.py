@@ -85,7 +85,7 @@ def validate_support_datum(d):
     if sigma[l.bottom] != 0:
         return ValidationReport(False, "empty", l.elements[l.bottom])
     for a in range(l.n):
-        for b in range(l.n):
+        for b in range(a + 1, l.n):
             if sigma[l.join[a][b]] != sigma[a] | sigma[b]:
                 return ValidationReport(
                     False, "join", (l.elements[a], l.elements[b])
@@ -94,7 +94,7 @@ def validate_support_datum(d):
         if sigma[l.top] != x.full:
             return ValidationReport(False, "full", l.elements[l.top])
         for a in range(l.n):
-            for b in range(l.n):
+            for b in range(a + 1, l.n):
                 if sigma[l.meet[a][b]] != sigma[a] & sigma[b]:
                     return ValidationReport(
                         False, "meet", (l.elements[a], l.elements[b])
@@ -219,10 +219,11 @@ def check_adjunction(l, x, flavor, guard=None):
     data = enumerate_support_data(l, x, flavor, guard)
     matching = []
     seen = set()
+    known = set(data)
     ok = len(maps) == len(data)
     for f in maps:
         d = sigma_of_map(f, x, spectrum)
-        if validate_support_datum(d).ok and d in data and d.sigma not in seen:
+        if validate_support_datum(d).ok and d in known and d.sigma not in seen:
             seen.add(d.sigma)
         else:
             ok = False

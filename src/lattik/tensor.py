@@ -221,7 +221,10 @@ def check_classification(t, guard=None):
     """
     from .frames import id_vs_omega_dual
 
-    lattice, projection, class_masks = quotient_lattice(t, guard)
+    try:
+        lattice, projection, class_masks = quotient_lattice(t, guard)
+    except ValueError as exc:
+        return TensorCertificate(False, {"reason": str(exc)})
     if not is_distributive(lattice):
         return TensorCertificate(False, {"reason": "quotient is not distributive"})
     radical_masks, radical_lattice = all_radical_tensor_ideals(t, guard)

@@ -2,10 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import product
-
 from .errors import NotT0, SizeGuardExceeded
-from .order import Poset, as_bounded_lattice, bits, size_guard
+from .order import Poset, as_bounded_lattice, bits, scheduled_search, size_guard
 from .ideals import all_ideals, ideal_label, prime_ideals
 
 
@@ -37,14 +35,15 @@ class FiniteSpace:
         self.n = n
         self.full = full
         self.opens = tuple(family)
-
-    def is_open(self, mask):
-        return mask in set(self.opens)
+        self._closed = None
 
     def closed_sets(self):
-        return tuple(
-            sorted((self.full & ~u for u in self.opens), key=lambda m: (bin(m).count("1"), m))
-        )
+        """The closed sets, by size then mask; computed on first use."""
+        if self._closed is None:
+            self._closed = tuple(
+                sorted((self.full & ~u for u in self.opens), key=lambda m: (bin(m).count("1"), m))
+            )
+        return self._closed
 
     def closure(self, mask):
         """Smallest closed superset of mask."""
@@ -317,8 +316,24 @@ def is_continuous(f, x, y):
     return True
 
 
+def _minimal_opens(x):
+    """U_i for each point i: the intersection of the opens containing i."""
+    out = [x.full] * x.n
+    for u in x.opens:
+        for i in bits(u):
+            out[i] &= u
+    return out
+
+
 def enumerate_continuous(x, y, guard=None):
-    """All continuous maps x -> y as image tuples, in lexicographic order."""
+    """All continuous maps x -> y as image tuples, in lexicographic order.
+
+    Alexandrov's criterion: a map of finite spaces is continuous iff j in
+    U_i implies f(j) in U_f(i), for the minimal open neighbourhoods U.  A
+    scheduled_search assigns the points 0..n-1 in index order and tests each
+    pair (i, j) once, at the later of the two depths.  The guard bounds the
+    y.n ** x.n candidate maps up front, and only there.
+    """
     bound = size_guard(guard)
     if x.n == 0:
         return [()]
@@ -326,7 +341,19 @@ def enumerate_continuous(x, y, guard=None):
         return []  # no maps into the empty space from a nonempty one
     if y.n ** x.n > bound:
         raise SizeGuardExceeded("continuous-map enumeration exceeds the size guard")
-    return [f for f in product(range(y.n), repeat=x.n) if is_continuous(f, x, y)]
+    x_min = _minimal_opens(x)
+    y_min = _minimal_opens(y)
+    # y_within[w]: the values v whose U_v contains w
+    y_within = [sum(1 << v for v in range(y.n) if y_min[v] >> w & 1) for w in range(y.n)]
+    pairs = [[] for _ in range(x.n)]
+    for i in range(x.n):
+        for j in bits(x_min[i] & ~(1 << i)):
+            if i < j:
+                pairs[j].append((i, y_min))
+            else:
+                pairs[i].append((j, y_within))
+    start = [y.full] * x.n
+    return scheduled_search(range(x.n), y.n, start, pairs, [[]] * x.n)
 
 
 def _point_invariant(x):

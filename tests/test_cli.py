@@ -1,5 +1,6 @@
 """The command-line interface, exercised in-process through main()."""
 
+import hashlib
 import json
 
 import pytest
@@ -258,6 +259,21 @@ class TestTensorVerbs:
         code2, out2, _ = run(capsys, "--seed", "5", "classify", "--fuzz", "10")
         assert code1 == code2 == 0 and out1 == out2
 
+    def test_fuzz_classify_quotient_failure_is_a_witness(self, capsys):
+        # the first 2789 draws of seed 16 include a non-associative structure
+        # whose quotient meet formula fails
+        code, out, err = run(capsys, "--seed", "16", "classify", "--fuzz", "2789")
+        assert code == 1 and "Traceback" not in err
+        data = json.loads(out)
+        assert data["ok"] is False
+        assert data["witness"]["reason"] == "quotient meet formula fails"
+
+    @pytest.mark.parametrize("verb", ["tensor-lemma", "classify"])
+    def test_negative_fuzz_is_input_error(self, capsys, verb):
+        code, out, err = run(capsys, verb, "--fuzz", "-3")
+        assert code == 2 and out == ""
+        assert "--fuzz" in err
+
 
 class TestCorpusVerb:
     def test_counts(self, capsys):
@@ -296,3 +312,13 @@ class TestDeterminism:
         _, serial, _ = run(capsys, "adjunction", b2_file, sierp_file)
         _, parallel, _ = run(capsys, "--jobs", "2", "adjunction", b2_file, sierp_file)
         assert serial == parallel
+
+    def test_adjunction_corpus_output_is_pinned(self, capsys):
+        # sha256 of the stdout of `lattik adjunction --corpus-max-n 4 --space-points 3`
+        code, out, _ = run(
+            capsys, "adjunction", "--corpus-max-n", "4", "--space-points", "3"
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "44741b9742f669505981d70dc8ba38b867ba89fdab2a414543577b8d22805303"
+        )

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
-from lattik.corpus import b2, chain, m3, n5
+from lattik.corpus import b2, b3, chain, m3, n5, space_corpus
 from lattik.errors import (
     DuplicateName,
     NoBottom,
@@ -27,6 +27,10 @@ from lattik.order import (
     is_morphism,
     two,
 )
+from lattik.topology import cl_lattice, discrete_space, omega_lattice
+
+# Cl of the discrete 3-point space: the 8-element Boolean lattice of subsets
+CL_D3 = cl_lattice(discrete_space(["a", "b", "c"])).lattice
 
 
 def brute_lub(p, i, j):
@@ -215,16 +219,36 @@ class TestMorphisms:
         assert images == {(1, 0), (0, 1)}
 
     def test_agrees_with_unpruned_brute_force(self, corpus4):
+        targets = list(corpus4)
+        for x in space_corpus(2):
+            targets += [cl_lattice(x).lattice, omega_lattice(x).lattice]
         for src in corpus4:
-            for tgt in corpus4:
+            for tgt in targets:
                 for kind in ("jsl", "blat", "frame"):
-                    fast = {m.mapping for m in enumerate_morphisms(src, tgt, kind)}
-                    slow = {
+                    fast = [m.mapping for m in enumerate_morphisms(src, tgt, kind)]
+                    slow = [
                         f
                         for f in product(range(tgt.n), repeat=src.n)
                         if is_morphism(src, tgt, f, kind)
-                    }
+                    ]
                     assert fast == slow
+
+    @pytest.mark.parametrize(
+        "src, tgt, kind, smallest",
+        [
+            (b3(), CL_D3, "blat", 2344),
+            (b3(), CL_D3, "jsl", 16976),
+            (chain(4), CL_D3, "jsl", 296),
+            (m3(), b2(), "jsl", 344),
+            (n5(), two(), "frame", 22),
+        ],
+        ids=["b3-cl3-blat", "b3-cl3-jsl", "c4-cl3-jsl", "m3-b2-jsl", "n5-two-frame"],
+    )
+    def test_smallest_guard_is_pinned(self, src, tgt, kind, smallest):
+        # the guard counts tgt.n attempts per expanded node of the search
+        enumerate_morphisms(src, tgt, kind, guard=smallest)
+        with pytest.raises(SizeGuardExceeded):
+            enumerate_morphisms(src, tgt, kind, guard=smallest - 1)
 
     def test_lexicographic_order(self, corpus4):
         for src in corpus4:

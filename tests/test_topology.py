@@ -1,9 +1,11 @@
 """Finite spaces, the spectra, specialization order, and continuity."""
 
+from itertools import product
+
 import pytest
 
 from lattik.corpus import b2, chain, m3, n5
-from lattik.errors import NotT0
+from lattik.errors import NotT0, SizeGuardExceeded
 from lattik.ideals import all_ideals, compact_elements
 from lattik.order import dual, is_isomorphic, two
 from lattik.topology import (
@@ -259,16 +261,24 @@ class TestContinuity:
         maps = enumerate_continuous(sierpinski(), spec.space)
         assert len(maps) == 3  # of the 4 point maps exactly one is discontinuous
 
-    def test_enumeration_is_exhaustive_filter(self):
-        x, y = sierpinski(), discrete_space(["u", "v"])
-        from itertools import product
+    def test_enumeration_is_exhaustive_filter(self, spaces3):
+        pairs = [(sierpinski(), discrete_space(["u", "v"]))]
+        pairs += [(x, y) for x in spaces3 for y in spaces3]
+        for x, y in pairs:
+            expected = [
+                f
+                for f in product(range(y.n), repeat=x.n)
+                if is_continuous(f, x, y)
+            ]
+            assert enumerate_continuous(x, y) == expected
 
-        expected = [
-            f
-            for f in product(range(y.n), repeat=x.n)
-            if is_continuous(f, x, y)
-        ]
-        assert enumerate_continuous(x, y) == expected
+    def test_guard_bounds_candidate_maps_only(self):
+        # the search expands 1 + 3 + 9 nodes of 3 values each, 39 > 27 attempts,
+        # yet only the 27 candidate maps count against the guard
+        x = y = discrete_space(["a", "b", "c"])
+        assert len(enumerate_continuous(x, y, guard=27)) == 27
+        with pytest.raises(SizeGuardExceeded):
+            enumerate_continuous(x, y, guard=26)
 
 
 class TestHomeomorphism:
