@@ -5,6 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import BoundExceeded
+from .ideals import _downset_masks
 from .order import (
     Poset,
     as_bounded_lattice,
@@ -15,11 +16,14 @@ from .order import (
 )
 from .topology import FiniteSpace
 
-MAX_CORPUS_N = 8
+MAX_CORPUS_N = 10
 
-# Number of bounded lattices on n elements up to isomorphism, n = 1..8.
-# Re-derived by all_lattices() below; frozen here as the expectation table.
-LATTICE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222}
+# Number of bounded lattices on n elements up to isomorphism, n = 1..10
+# (OEIS A006966).  Re-derived by all_lattices() below; frozen here as the
+# expectation table.
+LATTICE_COUNTS = {
+    1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15, 7: 53, 8: 222, 9: 1078, 10: 5994,
+}
 
 
 def chain(n):
@@ -84,19 +88,29 @@ def standard_lattices():
     }
 
 
-def _downsets(p):
-    """All down-set masks of p (one per antichain)."""
-    out = []
+def _grow(max_n, downsets):
+    """Levels 1..max_n of posets grown one new maximal element at a time.
 
-    def extend(start, chosen, downset):
-        out.append(downset)
-        for i in range(start, p.n):
-            if chosen & (p.up[i] | p.down[i]):
-                continue
-            extend(i + 1, chosen | 1 << i, downset | p.down[i])
-
-    extend(0, 0, 0)
-    return out
+    Level n extends every poset p of level n-1, in level order, by a new
+    maximal element whose down-set is each mask of ``downsets(p, n == max_n)``
+    in turn.  The first extension seen of each isomorphism class is its
+    representative; a level is sorted by canonical key.
+    """
+    one = Poset(["e0"], [1])
+    levels = [[one]]
+    for n in range(2, max_n + 1):
+        seen = {}
+        names = [f"e{i}" for i in range(n)]
+        for p in levels[-1]:
+            for d in downsets(p, n == max_n):
+                up = [p.up[i] | ((1 << (n - 1)) if d >> i & 1 else 0) for i in range(p.n)]
+                up.append(1 << (n - 1))
+                q = Poset(names, up)
+                key = canonical_key(q)
+                if key not in seen:
+                    seen[key] = q
+        levels.append([seen[k] for k in sorted(seen)])
+    return levels
 
 
 def all_posets(max_n):
@@ -106,21 +120,20 @@ def all_posets(max_n):
     maximal element whose down-set is any down-set of the smaller poset.
     Canonical keys deduplicate at each level.
     """
-    one = Poset(["e0"], [1])
-    levels = [[one]]
-    for n in range(2, max_n + 1):
-        seen = {}
-        names = [f"e{i}" for i in range(n)]
-        for p in levels[-1]:
-            for d in _downsets(p):
-                up = [p.up[i] | ((1 << (n - 1)) if d >> i & 1 else 0) for i in range(p.n)]
-                up.append(1 << (n - 1))
-                q = Poset(names, up)
-                key = canonical_key(q)
-                if key not in seen:
-                    seen[key] = q
-        levels.append([seen[k] for k in sorted(seen)])
-    return levels
+    return _grow(max_n, lambda p, last: _downset_masks(p))
+
+
+def _meet_downsets(p, last):
+    """Down-sets d of the meet-semilattice p whose extension is one as well.
+
+    The new element m has glb(m, x) for every x iff d ∩ ↓x is a principal
+    down-set ↓k.  At the last level only d = p.full is kept: m is then a top,
+    and only an extension by a top can be a lattice.
+    """
+    if last:
+        return [p.full]
+    principal = set(p.down)
+    return [d for d in _downset_masks(p) if all(d & dx in principal for dx in p.down)]
 
 
 def _is_lattice_poset(p):
@@ -142,15 +155,32 @@ def all_lattices(max_n):
 
     Returns a list of lists, index n-1 holding the lattices of size n in a
     deterministic canonical order.
+
+    The extension of ``all_posets`` is run over meet-semilattices only, with
+    the same level order and down-set order, and gives the same
+    representatives, labels and order:
+
+    - A lattice's top is its only maximal element, so the poset extension
+      can build an n-element lattice L only from the representative of
+      L - top with d = full, and L - top is a meet-semilattice.
+    - A meet-semilattice minus a maximal element is again a
+      meet-semilattice, so every (p, d) that ``all_posets`` extends to a
+      meet-semilattice has p a meet-semilattice, and ``_meet_downsets``
+      keeps exactly those d.
+    - By induction on n, each level here is the subsequence of
+      meet-semilattices of the poset level, with the same representatives:
+      the pairs (p, d) visited here are the poset pairs that yield
+      meet-semilattices, in the same relative order, so every class is
+      first seen at the same pair.
     """
-    if max_n > MAX_CORPUS_N:
-        raise BoundExceeded(f"corpus generation is bounded at n <= {MAX_CORPUS_N}")
-    out = []
-    for level in all_posets(max_n):
-        out.append(
-            [as_bounded_lattice(p) for p in level if _is_lattice_poset(p)]
+    if not 1 <= max_n <= MAX_CORPUS_N:
+        raise BoundExceeded(
+            f"corpus generation is bounded at 1 <= n <= {MAX_CORPUS_N}"
         )
-    return out
+    return [
+        [as_bounded_lattice(p) for p in level if _is_lattice_poset(p)]
+        for level in _grow(max_n, _meet_downsets)
+    ]
 
 
 def lattice_corpus(max_n):

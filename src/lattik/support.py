@@ -143,9 +143,18 @@ def map_of_sigma(d, spectrum):
     For the closed lattice flavor the value set is a prime ideal; for the open
     flavor it is likewise prime, which is how the datum lands in Spc(L)^v.
     """
+    _require_valid(d)
+    return _point_map(d, spectrum)
+
+
+def _require_valid(d):
     report = validate_support_datum(d)
     if not report.ok:
         raise InvalidDatum(f"axiom {report.axiom} fails at {report.witness}")
+
+
+def _point_map(d, spectrum):
+    """map_of_sigma on a datum already validated."""
     l = d.lattice
     f = []
     for p in range(d.space.n):
@@ -223,11 +232,12 @@ def check_adjunction(l, x, flavor, guard=None):
     ok = len(maps) == len(data)
     for f in maps:
         d = sigma_of_map(f, x, spectrum)
-        if validate_support_datum(d).ok and d in known and d.sigma not in seen:
+        _require_valid(d)
+        if d in known and d.sigma not in seen:
             seen.add(d.sigma)
         else:
             ok = False
-        if map_of_sigma(d, spectrum) != f:
+        if _point_map(d, spectrum) != f:
             ok = False
         matching.append((f, d.sigma))
     for d in data:

@@ -148,11 +148,21 @@ def all_radical_tensor_ideals(t, guard=None):
     return masks, lattice
 
 
+class QuotientFormulaError(ValueError):
+    """[a]∨[b] ≠ [a∨b] (formula "join") or [a]∧[b] ≠ [a⊗b] ("meet") at a pair."""
+
+    def __init__(self, formula, a, b):
+        self.reason = f"quotient {formula} formula fails"
+        self.pair = (a, b)
+        super().__init__(f"{self.reason} at ({a}, {b})")
+
+
 def quotient_lattice(t, guard=None):
     """L(⊗): the distinct generated ideals ⟨a⟩ ordered by inclusion.
 
     Returns (lattice, projection, class_masks) where projection[a] is the
-    quotient index of ⟨a⟩.  Certifies [a]∨[b] = [a∨b] and [a]∧[b] = [a⊗b].
+    quotient index of ⟨a⟩.  Certifies [a]∨[b] = [a∨b] and [a]∧[b] = [a⊗b];
+    raises QuotientFormulaError at the first pair (a, b) where one fails.
     """
     gen = [generated_ideal(t, a) for a in range(t.n)]
     class_masks = sorted(set(gen), key=lambda m: (bin(m).count("1"), m))
@@ -175,9 +185,9 @@ def quotient_lattice(t, guard=None):
             ja = projection[a]
             jb = projection[b]
             if lattice.join[ja][jb] != projection[t.base.join[a][b]]:
-                raise ValueError("quotient join formula fails")
+                raise QuotientFormulaError("join", t.base.elements[a], t.base.elements[b])
             if lattice.meet[ja][jb] != projection[t.product[a][b]]:
-                raise ValueError("quotient meet formula fails")
+                raise QuotientFormulaError("meet", t.base.elements[a], t.base.elements[b])
     return lattice, tuple(projection), tuple(class_masks)
 
 
@@ -223,8 +233,8 @@ def check_classification(t, guard=None):
 
     try:
         lattice, projection, class_masks = quotient_lattice(t, guard)
-    except ValueError as exc:
-        return TensorCertificate(False, {"reason": str(exc)})
+    except QuotientFormulaError as exc:
+        return TensorCertificate(False, {"reason": exc.reason, "pair": list(exc.pair)})
     if not is_distributive(lattice):
         return TensorCertificate(False, {"reason": "quotient is not distributive"})
     radical_masks, radical_lattice = all_radical_tensor_ideals(t, guard)

@@ -267,6 +267,7 @@ class TestTensorVerbs:
         data = json.loads(out)
         assert data["ok"] is False
         assert data["witness"]["reason"] == "quotient meet formula fails"
+        assert data["witness"]["pair"] == ["e2", "e1"]
 
     @pytest.mark.parametrize("verb", ["tensor-lemma", "classify"])
     def test_negative_fuzz_is_input_error(self, capsys, verb):
@@ -286,6 +287,20 @@ class TestCorpusVerb:
         code, out, _ = run(capsys, "corpus", "--max-n", "4", "--dump")
         data = json.loads(out)
         assert code == 0 and len(data["lattices"]) == 5
+
+    def test_dump_output_is_pinned(self, capsys):
+        # sha256 of the stdout of `lattik corpus --max-n 8 --dump`
+        code, out, _ = run(capsys, "corpus", "--max-n", "8", "--dump")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7c94e4df54d47a9cd745a5d0910020387ba76d39bcdce5016ba0c22be9c90e88"
+        )
+
+    @pytest.mark.parametrize("max_n", ["0", "-1"])
+    def test_max_n_below_one_is_input_error(self, capsys, max_n):
+        code, out, err = run(capsys, "corpus", "--max-n", max_n)
+        assert code == 2 and out == ""
+        assert "bounded" in err
 
 
 class TestDotVerb:

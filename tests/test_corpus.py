@@ -4,6 +4,7 @@ import pytest
 
 from lattik.corpus import (
     LATTICE_COUNTS,
+    _is_lattice_poset,
     all_lattices,
     all_posets,
     all_topologies,
@@ -25,6 +26,20 @@ class TestLatticeCounts:
     def test_counts_up_to_seven(self):
         assert len(all_lattices(7)[-1]) == LATTICE_COUNTS[7]
 
+    def test_count_nine(self):
+        assert len(all_lattices(9)[-1]) == LATTICE_COUNTS[9]
+
+    def test_same_lattices_as_the_poset_extension(self):
+        # all_lattices keeps the representatives and order of filtering all_posets
+        posets = all_posets(7)
+        for n in range(1, 8):
+            expected = [
+                [(p.elements, p.up) for p in level if _is_lattice_poset(p)]
+                for level in posets[:n]
+            ]
+            got = [[(l.elements, l.up) for l in level] for level in all_lattices(n)]
+            assert got == expected, n
+
     def test_no_two_isomorphic(self, corpus5):
         for i, a in enumerate(corpus5):
             for b in corpus5[i + 1 :]:
@@ -39,7 +54,12 @@ class TestLatticeCounts:
 
     def test_bound(self):
         with pytest.raises(BoundExceeded):
-            all_lattices(9)
+            all_lattices(11)
+
+    @pytest.mark.parametrize("max_n", [0, -1])
+    def test_bound_below_one(self, max_n):
+        with pytest.raises(BoundExceeded):
+            all_lattices(max_n)
 
 
 class TestPosetCounts:
