@@ -27,7 +27,7 @@ from .jsonio import (
     space_to_json,
     tensor_from_json,
 )
-from .order import as_bounded_lattice, is_distributive
+from .order import LatticeMorphism, is_distributive, is_morphism
 
 
 class CheckFailure(LattikError):
@@ -213,11 +213,20 @@ def cmd_extend(args):
     _, lattice = lattice_from_json(obj["lattice"])
     _, frame_lattice = lattice_from_json(obj["frame"])
     frame = framesmod.as_frame(frame_lattice, args.size_guard)
-    from .order import LatticeMorphism
-
-    mapping = tuple(
-        frame_lattice.index(obj["map"][e]) for e in lattice.elements
-    )
+    images = obj["map"]
+    if not isinstance(images, dict):
+        raise InputError("map must be an object from lattice to frame elements")
+    for e in lattice.elements:
+        if e not in images:
+            raise InputError(f"map has no image for {e!r}")
+    mapping = tuple(frame_lattice.index(images[e]) for e in lattice.elements)
+    if not is_morphism(lattice, frame_lattice, mapping, "blat"):
+        raise CheckFailure(
+            {
+                "reason": "map is not a bounded-lattice morphism",
+                "map": {e: images[e] for e in lattice.elements},
+            }
+        )
     phi = LatticeMorphism(lattice, frame_lattice, mapping, "blat")
     psi = framesmod.extend_morphism(lattice, frame, phi, args.size_guard)
     return {
@@ -279,7 +288,10 @@ def cmd_radicals(args):
 
 def cmd_quotient(args):
     name, t = _load_tensor(args)
-    lattice, projection, class_masks = tensormod.quotient_lattice(t, args.size_guard)
+    try:
+        lattice, projection, class_masks = tensormod.quotient_lattice(t, args.size_guard)
+    except tensormod.QuotientFormulaError as exc:
+        raise CheckFailure({"reason": exc.reason, "pair": list(exc.pair)}) from exc
     return {
         "name": name,
         "quotient": lattice_to_json(lattice),
@@ -378,7 +390,6 @@ def build_parser():
         prog="lattik",
         description="Finite lattice spectra, support data, frames, and tensor ideals",
     )
-    parser.add_argument("--format", choices=["json", "dot"], default=None)
     parser.add_argument("--jobs", type=int, default=1, metavar="N")
     parser.add_argument("--size-guard", type=int, default=None, metavar="N")
     parser.add_argument("--seed", type=int, default=0, metavar="N")

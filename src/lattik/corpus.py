@@ -120,6 +120,8 @@ def all_posets(max_n):
     maximal element whose down-set is any down-set of the smaller poset.
     Canonical keys deduplicate at each level.
     """
+    if max_n < 1:
+        raise BoundExceeded(f"poset generation needs max_n >= 1, got {max_n}")
     return _grow(max_n, lambda p, last: _downset_masks(p))
 
 

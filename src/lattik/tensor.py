@@ -10,7 +10,7 @@ from .errors import (
     UnitLawFails,
     ZeroLawFails,
 )
-from .ideals import all_ideals, ideal_masks, is_ideal
+from .ideals import all_ideals, ideal_masks, is_ideal, join_irreducibles
 from .order import Poset, as_bounded_lattice, bits, is_distributive, size_guard
 
 
@@ -296,15 +296,6 @@ def is_associative(t):
     return True
 
 
-def _join_irreducible_indices(base):
-    out = []
-    for a in range(base.n):
-        strict = base.down[a] & ~(1 << a)
-        if base.join_of_mask(strict) != a:
-            out.append(a)
-    return out
-
-
 def random_tensor_lattice(base, rng):
     """Draw a candidate tensor structure on the given semilattice, or None.
 
@@ -313,7 +304,7 @@ def random_tensor_lattice(base, rng):
     on any failure.  The bias keeps the acceptance rate workable.
     """
     n = base.n
-    ji = _join_irreducible_indices(base)
+    ji = join_irreducibles(base)
     unit = rng.randrange(n)
     t = {}
     for i in ji:

@@ -36,6 +36,8 @@ class FiniteSpace:
         self.full = full
         self.opens = tuple(family)
         self._closed = None
+        self._cl = None
+        self._omega = None
 
     def closed_sets(self):
         """The closed sets, by size then mask; computed on first use."""
@@ -76,19 +78,8 @@ class FiniteSpace:
 def _union_closure(masks):
     """All unions of subfamilies, including the empty union."""
     out = {0}
-    frontier = list(masks)
-    for m in frontier:
+    for m in masks:
         out |= {m | x for x in out}
-    # unions of unions add nothing new beyond pairwise closure iterated
-    changed = True
-    while changed:
-        changed = False
-        cur = list(out)
-        for a in cur:
-            for b in cur:
-                if a | b not in out:
-                    out.add(a | b)
-                    changed = True
     return out
 
 
@@ -96,15 +87,6 @@ def _intersection_closure(masks, full):
     out = {full}
     for m in masks:
         out |= {m & x for x in out}
-    changed = True
-    while changed:
-        changed = False
-        cur = list(out)
-        for a in cur:
-            for b in cur:
-                if a & b not in out:
-                    out.add(a & b)
-                    changed = True
     return out
 
 
@@ -156,13 +138,20 @@ class SetLattice:
 
 
 def omega_lattice(x):
-    """Ω(X): the open sets ordered by inclusion (join = union, meet = intersection)."""
-    return SetLattice(x.points, x.opens)
+    """Ω(X): the open sets ordered by inclusion (join = union, meet = intersection).
+
+    Kept on the space on first use.
+    """
+    if x._omega is None:
+        x._omega = SetLattice(x.points, x.opens)
+    return x._omega
 
 
 def cl_lattice(x):
-    """Cl(X): the closed sets ordered by inclusion."""
-    return SetLattice(x.points, x.closed_sets())
+    """Cl(X): the closed sets ordered by inclusion; kept on the space on first use."""
+    if x._cl is None:
+        x._cl = SetLattice(x.points, x.closed_sets())
+    return x._cl
 
 
 class SupportBasis:

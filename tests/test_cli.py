@@ -192,6 +192,39 @@ class TestFrameVerbs:
         ext = json.loads(out)["extension"]
         assert len(ext) == 3  # Id(C3) has three ideals
 
+    def extend_file(self, tmp_path, mapping):
+        return write(
+            tmp_path,
+            "extend.json",
+            {
+                "lattice": lattice_to_json(chain(2)),
+                "frame": lattice_to_json(chain(2)),
+                "map": mapping,
+            },
+        )
+
+    @pytest.mark.parametrize(
+        "mapping, message",
+        [({"0": "0"}, "no image for '1'"), (["0", "1"], "map must be an object")],
+    )
+    def test_extend_malformed_map_is_input_error(self, capsys, tmp_path, mapping, message):
+        path = self.extend_file(tmp_path, mapping)
+        code, out, err = run(capsys, "extend", path)
+        assert code == 2 and out == ""
+        assert message in err
+
+    def test_extend_non_morphism_is_a_witness(self, capsys, tmp_path):
+        # sends the bottom to the top, so it is not a bounded-lattice morphism
+        path = self.extend_file(tmp_path, {"0": "1", "1": "1"})
+        code, out, _ = run(capsys, "extend", path)
+        assert code == 1
+        data = json.loads(out)
+        assert data["ok"] is False
+        assert data["witness"] == {
+            "reason": "map is not a bounded-lattice morphism",
+            "map": {"0": "1", "1": "1"},
+        }
+
 
 class TestNaturalityVerb:
     def test_ok(self, capsys, tmp_path):
@@ -268,6 +301,35 @@ class TestTensorVerbs:
         assert data["ok"] is False
         assert data["witness"]["reason"] == "quotient meet formula fails"
         assert data["witness"]["pair"] == ["e2", "e1"]
+
+    def test_quotient_formula_failure_is_a_witness(self, capsys, tmp_path):
+        # draw 2789 of `lattik --seed 16 classify --fuzz 2789`: non-associative
+        names = ["e0", "e1", "e2", "e3", "e4"]
+        table = [
+            [0, 0, 0, 0, 0],
+            [0, 1, 2, 1, 4],
+            [0, 0, 4, 2, 4],
+            [0, 1, 2, 3, 4],
+            [0, 1, 4, 4, 4],
+        ]
+        obj = {
+            "name": "",
+            "elements": names,
+            "leq": [["e0", "e1"], ["e0", "e2"], ["e1", "e3"], ["e2", "e4"], ["e3", "e4"]],
+            "tensor": {
+                "unit": "e3",
+                "table": [[names[v] for v in row] for row in table],
+            },
+        }
+        path = write(tmp_path, "quotient_fails.json", obj)
+        code, out, err = run(capsys, "quotient", path)
+        assert code == 1 and "Traceback" not in err
+        data = json.loads(out)
+        assert data["ok"] is False
+        assert data["witness"] == {
+            "reason": "quotient meet formula fails",
+            "pair": ["e2", "e1"],
+        }
 
     @pytest.mark.parametrize("verb", ["tensor-lemma", "classify"])
     def test_negative_fuzz_is_input_error(self, capsys, verb):

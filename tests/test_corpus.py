@@ -68,6 +68,11 @@ class TestPosetCounts:
         levels = all_posets(5)
         assert [len(level) for level in levels] == [1, 2, 5, 16, 63]
 
+    @pytest.mark.parametrize("max_n", [0, -2])
+    def test_bound_below_one(self, max_n):
+        with pytest.raises(BoundExceeded):
+            all_posets(max_n)
+
 
 class TestTopologies:
     def test_labeled_counts(self):

@@ -4,8 +4,9 @@ from itertools import product
 
 import pytest
 
+from lattik import support
 from lattik.corpus import b2, chain, m3, n5
-from lattik.errors import InvalidDatum, NotContinuous
+from lattik.errors import InvalidDatum, NotContinuous, SizeGuardExceeded
 from lattik.ideals import is_prime
 from lattik.order import dual, two
 from lattik.support import (
@@ -215,6 +216,19 @@ class TestTranslation:
             open_closed_translate(d)
 
 
+@pytest.fixture
+def backward_roundtrips(monkeypatch):
+    """The data that check_adjunction sends through the literal map_of_sigma."""
+    calls = []
+
+    def counting(d, spectrum):
+        calls.append(d.sigma)
+        return map_of_sigma(d, spectrum)
+
+    monkeypatch.setattr(support, "map_of_sigma", counting)
+    return calls
+
+
 class TestAdjunction:
     def test_two_sierpinski_semilattice(self):
         cert = check_adjunction(two(), sierpinski(), "semilattice-closed")
@@ -258,6 +272,47 @@ class TestAdjunction:
             for x in spaces3[:12]:
                 for flavor in FLAVORS:
                     assert check_adjunction(l, x, flavor).bijection
+
+    def test_reached_data_skip_the_literal_backward_roundtrip(self, backward_roundtrips):
+        cert = check_adjunction(chain(3), discrete_space(["p", "q"]), "semilattice-closed")
+        assert cert.bijection and cert.datum_count == 9
+        assert backward_roundtrips == []
+
+    def test_dropped_map_fails_through_the_literal_backward_roundtrip(
+        self, monkeypatch, backward_roundtrips
+    ):
+        monkeypatch.setattr(
+            support,
+            "enumerate_continuous",
+            lambda x, y, guard=None: enumerate_continuous(x, y, guard)[1:],
+        )
+        cert = check_adjunction(chain(3), discrete_space(["p", "q"]), "semilattice-closed")
+        assert cert.bijection is False
+        assert cert.map_count == 8 and cert.datum_count == 9
+        assert len(backward_roundtrips) == 1
+
+    def test_duplicated_map_fails(self, monkeypatch):
+        def duplicating(x, y, guard=None):
+            maps = enumerate_continuous(x, y, guard)
+            return maps + maps[:1]
+
+        monkeypatch.setattr(support, "enumerate_continuous", duplicating)
+        cert = check_adjunction(chain(3), discrete_space(["p", "q"]), "semilattice-closed")
+        assert cert.bijection is False and cert.map_count == 10
+
+
+class TestSpectrumFor:
+    def test_repeated_call_returns_the_same_spectrum(self):
+        l = b2()
+        for flavor in FLAVORS:
+            assert spectrum_for(l, flavor) is spectrum_for(l, flavor)
+
+    def test_smaller_guard_still_raises_after_a_cached_call(self, corpus6):
+        l = corpus6[-1]
+        assert l.n == 6
+        spectrum_for(l, "semilattice-closed")
+        with pytest.raises(SizeGuardExceeded):
+            spectrum_for(l, "semilattice-closed", guard=1)
 
 
 class TestFinality:

@@ -110,6 +110,11 @@ class TestSetLattices:
             assert comp == set(cl.masks)
             assert is_isomorphic(cl.lattice, d)
 
+    def test_set_lattices_are_kept_on_the_space(self):
+        x = sierpinski()
+        assert cl_lattice(x) is cl_lattice(x)
+        assert omega_lattice(x) is omega_lattice(x)
+
 
 class TestSpSpace:
     def test_sp_two(self):
