@@ -54,15 +54,28 @@ def _load_lattice(path):
     return lattice_from_json(_load_json(path))
 
 
-def _spectrum_json(spec):
-    return {
-        "space": space_to_json(spec.space),
-        "points": list(spec.space.points),
-        "supp": {
-            e: spec.space.subset_names(m)
-            for e, m in zip(spec.lattice.elements, spec.supp.assignment)
-        },
-    }
+def _fields(obj, *names):
+    """The values of the named fields of a JSON object; InputError if one is missing."""
+    if not isinstance(obj, dict):
+        raise InputError("input JSON must be an object")
+    for field in names:
+        if field not in obj:
+            raise InputError(f"missing field {field!r}")
+    return [obj[field] for field in names]
+
+
+def _map_from_json(images, source, target, what):
+    """Index in ``target`` of the image of each name in ``source``, read from a JSON map."""
+    if not isinstance(images, dict):
+        raise InputError(f"map must be an object from {what}")
+    mapping = []
+    for e in source:
+        if e not in images:
+            raise InputError(f"map has no image for {e!r}")
+        if images[e] not in target:
+            raise InputError(f"image {images[e]!r} of {e!r} is unknown")
+        mapping.append(target.index(images[e]))
+    return tuple(mapping)
 
 
 def cmd_validate(args):
@@ -95,25 +108,26 @@ def cmd_primes(args):
     }
 
 
-def cmd_sp(args):
-    name, lattice = _load_lattice(args.file)
-    out = _spectrum_json(topomod.sp_space(lattice, args.size_guard))
-    out["name"] = name
-    return out
+SPECTRUM_VERBS = {
+    "sp": topomod.sp_space,
+    "spectrum": topomod.spc_space,
+    "hochster": topomod.hochster_dual,
+}
 
 
 def cmd_spectrum(args):
+    """The verbs of SPECTRUM_VERBS: the space, its points and supp of each element."""
     name, lattice = _load_lattice(args.file)
-    out = _spectrum_json(topomod.spc_space(lattice, args.size_guard))
-    out["name"] = name
-    return out
-
-
-def cmd_hochster(args):
-    name, lattice = _load_lattice(args.file)
-    out = _spectrum_json(topomod.hochster_dual(lattice, args.size_guard))
-    out["name"] = name
-    return out
+    spec = SPECTRUM_VERBS[args.verb](lattice, args.size_guard)
+    return {
+        "space": space_to_json(spec.space),
+        "points": list(spec.space.points),
+        "supp": {
+            e: spec.space.subset_names(m)
+            for e, m in zip(lattice.elements, spec.supp.assignment)
+        },
+        "name": name,
+    }
 
 
 def cmd_support_check(args):
@@ -161,17 +175,16 @@ def cmd_adjunction(args):
 
 
 def cmd_naturality(args):
-    obj = _load_json(args.file)
-    for field in ("lattice", "space_x", "space_y", "map", "flavor"):
-        if field not in obj:
-            raise InputError(f"missing field {field!r}")
-    _, lattice = lattice_from_json(obj["lattice"])
-    x = space_from_json(obj["space_x"])
-    y = space_from_json(obj["space_y"])
-    g = tuple(y.point_index(obj["map"][p]) for p in x.points)
-    cert = supportmod.check_naturality(
-        lattice, g, x, y, obj["flavor"], args.size_guard
+    lattice_obj, x_obj, y_obj, images, flavor = _fields(
+        _load_json(args.file), "lattice", "space_x", "space_y", "map", "flavor"
     )
+    _, lattice = lattice_from_json(lattice_obj)
+    x = space_from_json(x_obj)
+    y = space_from_json(y_obj)
+    g = _map_from_json(images, x.points, y.points, "points of space_x to points of space_y")
+    if flavor not in supportmod.FLAVORS:
+        raise InputError(f"unknown flavor {flavor!r}")
+    cert = supportmod.check_naturality(lattice, g, x, y, flavor, args.size_guard)
     if not cert.ok:
         raise CheckFailure(cert.to_json())
     return cert.to_json()
@@ -206,20 +219,13 @@ def cmd_spatial(args):
 
 
 def cmd_extend(args):
-    obj = _load_json(args.file)
-    for field in ("lattice", "frame", "map"):
-        if field not in obj:
-            raise InputError(f"missing field {field!r}")
-    _, lattice = lattice_from_json(obj["lattice"])
-    _, frame_lattice = lattice_from_json(obj["frame"])
+    lattice_obj, frame_obj, images = _fields(_load_json(args.file), "lattice", "frame", "map")
+    _, lattice = lattice_from_json(lattice_obj)
+    _, frame_lattice = lattice_from_json(frame_obj)
     frame = framesmod.as_frame(frame_lattice, args.size_guard)
-    images = obj["map"]
-    if not isinstance(images, dict):
-        raise InputError("map must be an object from lattice to frame elements")
-    for e in lattice.elements:
-        if e not in images:
-            raise InputError(f"map has no image for {e!r}")
-    mapping = tuple(frame_lattice.index(images[e]) for e in lattice.elements)
+    mapping = _map_from_json(
+        images, lattice.elements, frame_lattice.elements, "lattice to frame elements"
+    )
     if not is_morphism(lattice, frame_lattice, mapping, "blat"):
         raise CheckFailure(
             {
@@ -302,13 +308,6 @@ def cmd_quotient(args):
     }
 
 
-def _fuzz_bases():
-    return [
-        lat
-        for lat in corpusmod.lattice_corpus(5)
-    ]
-
-
 def _check_fuzz(args):
     if args.fuzz < 0:
         raise InputError(f"--fuzz must be nonnegative, got {args.fuzz}")
@@ -318,7 +317,9 @@ def cmd_tensor_lemma(args):
     _check_fuzz(args)
     if args.fuzz:
         certs = []
-        for t in tensormod.fuzz_tensor_lattices(_fuzz_bases(), args.seed, args.fuzz):
+        for t in tensormod.fuzz_tensor_lattices(
+            corpusmod.lattice_corpus(5), args.seed, args.fuzz
+        ):
             cert = tensormod.check_tensor_lemma(t)
             if not cert.ok:
                 raise CheckFailure(cert.to_json())
@@ -337,7 +338,9 @@ def cmd_classify(args):
     _check_fuzz(args)
     if args.fuzz:
         count = 0
-        for t in tensormod.fuzz_tensor_lattices(_fuzz_bases(), args.seed, args.fuzz):
+        for t in tensormod.fuzz_tensor_lattices(
+            corpusmod.lattice_corpus(5), args.seed, args.fuzz
+        ):
             cert = tensormod.check_classification(t, args.size_guard)
             if not cert.ok:
                 raise CheckFailure(cert.to_json())
@@ -377,7 +380,7 @@ def cmd_corpus(args):
 
 def cmd_dot(args):
     obj = _load_json(args.file)
-    if "points" in obj:
+    if isinstance(obj, dict) and "points" in obj:
         space = space_from_json(obj)
         poset = topomod.specialization_order(space)
         return poset_to_dot(poset, name="specialization")
@@ -404,9 +407,7 @@ def build_parser():
         ("validate", cmd_validate),
         ("ideals", cmd_ideals),
         ("primes", cmd_primes),
-        ("sp", cmd_sp),
-        ("spectrum", cmd_spectrum),
-        ("hochster", cmd_hochster),
+        *((verb, cmd_spectrum) for verb in SPECTRUM_VERBS),
         ("support-check", cmd_support_check),
         ("naturality", cmd_naturality),
         ("frame-points", cmd_frame_points),

@@ -6,14 +6,7 @@ from itertools import combinations
 
 from .errors import BoundExceeded
 from .ideals import _downset_masks
-from .order import (
-    Poset,
-    as_bounded_lattice,
-    bits,
-    build_poset,
-    canonical_key,
-    two,
-)
+from .order import Poset, as_bounded_lattice, build_poset, canonical_key, two
 from .topology import FiniteSpace
 
 MAX_CORPUS_N = 10

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from .errors import NotAFrame, NotDistributive, SizeGuardExceeded
-from .ideals import all_ideals, compact_elements, principal_ideal
+from .errors import NotAFrame, NotDistributive
+from .ideals import all_ideals, compact_elements
 from .order import (
     LatticeMorphism,
     bits,
@@ -13,14 +13,7 @@ from .order import (
     size_guard,
     two,
 )
-from .topology import (
-    FiniteSpace,
-    SetLattice,
-    find_homeomorphism,
-    hochster_dual,
-    is_continuous,
-    omega_lattice,
-)
+from .topology import FiniteSpace, hochster_dual, is_continuous, omega_lattice
 
 
 class Frame:

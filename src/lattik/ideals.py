@@ -3,15 +3,7 @@
 from __future__ import annotations
 
 from .errors import KindMismatch, SizeGuardExceeded
-from .order import (
-    BoundedLattice,
-    LatticeMorphism,
-    Poset,
-    as_bounded_lattice,
-    bits,
-    size_guard,
-    two,
-)
+from .order import LatticeMorphism, SetLattice, bits, size_guard, two
 
 
 class Ideal:
@@ -94,39 +86,18 @@ def ideal_masks(l, guard=None):
     return masks
 
 
-class IdealLattice:
+class IdealLattice(SetLattice):
     """All ideals of a (semi)lattice, assembled into a bounded lattice by inclusion."""
 
-    def __init__(self, base, ideals, lattice):
+    def __init__(self, base, masks):
+        super().__init__(masks, lambda m: ideal_label(base, m))
         self.base = base
-        self.ideals = ideals  # canonical list of Ideal
-        self.lattice = lattice  # BoundedLattice over ideal labels
-
-    def index_of_mask(self, members):
-        for k, ideal in enumerate(self.ideals):
-            if ideal.members == members:
-                return k
-        raise ValueError(f"no ideal with members {members:b}")
-
-    def __len__(self):
-        return len(self.ideals)
+        self.ideals = [Ideal(base, m) for m in self.masks]
 
 
 def all_ideals(l, guard=None):
     """The ideal lattice Id(l): meet is intersection, join is the least ideal above."""
-    masks = ideal_masks(l, guard)
-    ideals = [Ideal(l, m) for m in masks]
-    labels = [i.label() for i in ideals]
-    n = len(masks)
-    up = []
-    for i in range(n):
-        m = 0
-        for j in range(n):
-            if masks[i] & ~masks[j] == 0:
-                m |= 1 << j
-        up.append(m)
-    lattice = as_bounded_lattice(Poset(labels, up))
-    return IdealLattice(l, ideals, lattice)
+    return IdealLattice(l, ideal_masks(l, guard))
 
 
 def principal_ideal(l, a):
@@ -150,9 +121,14 @@ def is_prime(l, mask):
     return True
 
 
+def prime_masks(l, guard=None):
+    """Masks of the prime ideals of a bounded lattice, in ideal_masks order."""
+    return [m for m in ideal_masks(l, guard) if is_prime(l, m)]
+
+
 def prime_ideals(l, guard=None):
     """All prime ideals of a bounded lattice, canonically sorted."""
-    return [Ideal(l, m) for m in ideal_masks(l, guard) if is_prime(l, m)]
+    return [Ideal(l, m) for m in prime_masks(l, guard)]
 
 
 def ideal_of_morphism(phi):
@@ -226,26 +202,14 @@ def compact_elements(idl, guard=None):
     if (1 << idl.lattice.n) ** 2 > bound:
         raise SizeGuardExceeded("compactness check exceeds the size guard")
     compact = [k for k in range(len(idl)) if _compact_in(idl, k)]
-    labels = [idl.ideals[k].label() for k in compact]
-    up = []
-    for a in compact:
-        m = 0
-        for bpos, b in enumerate(compact):
-            if idl.lattice.leq(a, b):
-                m |= 1 << bpos
-        up.append(m)
-    sub = as_bounded_lattice(Poset(labels, up))
     base = idl.base
-    witness = []
-    for a in range(base.n):
-        members = base.down[a]
-        k = idl.index_of_mask(members)
-        witness.append(compact.index(k))
+    sub = SetLattice([idl.masks[k] for k in compact], lambda m: ideal_label(base, m))
+    witness = [sub.index_of_mask(base.down[a]) for a in range(base.n)]
     # The witness must be an order isomorphism base -> compact sub-lattice.
-    if sorted(witness) != list(range(sub.n)):
+    if sorted(witness) != list(range(len(sub))):
         raise ValueError("principal ideals do not exhaust the compact elements")
     for a in range(base.n):
         for b in range(base.n):
-            if base.leq(a, b) != sub.leq(witness[a], witness[b]):
+            if base.leq(a, b) != sub.lattice.leq(witness[a], witness[b]):
                 raise ValueError("principal-ideal map is not an order isomorphism")
-    return sub, tuple(witness)
+    return sub.lattice, tuple(witness)

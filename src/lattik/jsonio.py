@@ -9,23 +9,27 @@ from .tensor import TensorLattice
 from .topology import FiniteSpace
 
 
+def _strings(value, what):
+    """value, if it is a list of strings; else an InputError naming what."""
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise InputError(f"{what} must be a list of strings")
+    return value
+
+
 def poset_from_json(obj):
     """Parse the lattice JSON carrier: name, elements, leq pairs."""
     if not isinstance(obj, dict):
         raise InputError("lattice JSON must be an object")
-    try:
-        elements = obj["elements"]
-        leq = obj.get("leq", [])
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"missing lattice field: {exc}") from exc
-    if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
-        raise InputError("elements must be a list of strings")
-    pairs = []
-    for pair in leq:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise InputError("leq must be a list of [a, b] pairs")
-        pairs.append((pair[0], pair[1]))
-    return obj.get("name", ""), build_poset(elements, pairs)
+    if "elements" not in obj:
+        raise InputError("missing lattice field: 'elements'")
+    elements = _strings(obj["elements"], "elements")
+    leq = obj.get("leq", [])
+    if not isinstance(leq, list) or any(len(_strings(p, "each leq pair")) != 2 for p in leq):
+        raise InputError("leq must be a list of [a, b] pairs")
+    name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise InputError("name must be a string")
+    return name, build_poset(elements, [tuple(p) for p in leq])
 
 
 def lattice_from_json(obj):
@@ -38,14 +42,16 @@ def tensor_from_json(obj):
     name, poset = poset_from_json(obj)
     jsl = as_join_semilattice(poset)
     section = obj.get("tensor")
-    if section is None:
+    if not isinstance(section, dict):
         raise InputError("lattice JSON has no tensor section")
     try:
         unit = jsl.index(section["unit"])
         table = section["table"]
     except KeyError as exc:
         raise InputError(f"missing tensor field: {exc}") from exc
-    if len(table) != jsl.n or any(len(row) != jsl.n for row in table):
+    if not isinstance(table, list) or len(table) != jsl.n or any(
+        len(_strings(row, "each tensor table row")) != jsl.n for row in table
+    ):
         raise InputError("tensor table must be square over the carrier")
     product = [[jsl.index(cell) for cell in row] for row in table]
     return name, TensorLattice(jsl, product, unit)
@@ -76,15 +82,17 @@ def space_from_json(obj):
     if not isinstance(obj, dict):
         raise InputError("space JSON must be an object")
     try:
-        points = obj["points"]
+        points = _strings(obj["points"], "points")
         opens = obj["opens"]
-    except (TypeError, KeyError) as exc:
+    except KeyError as exc:
         raise InputError(f"missing space field: {exc}") from exc
+    if not isinstance(opens, list):
+        raise InputError("opens must be a list")
     idx = {p: i for i, p in enumerate(points)}
     masks = []
     for u in opens:
         m = 0
-        for p in u:
+        for p in _strings(u, "each open"):
             if p not in idx:
                 raise UnknownName(f"unknown point {p!r}")
             m |= 1 << idx[p]
@@ -114,13 +122,15 @@ def datum_from_json(obj):
     flavor = obj["flavor"]
     if flavor not in FLAVORS:
         raise InputError(f"unknown flavor {flavor!r}")
+    if not isinstance(obj["sigma"], dict):
+        raise InputError("sigma must be an object from elements to lists of points")
     sigma = []
     idx = {p: i for i, p in enumerate(space.points)}
     for e in lattice.elements:
         if e not in obj["sigma"]:
             raise InputError(f"sigma missing element {e!r}")
         m = 0
-        for p in obj["sigma"][e]:
+        for p in _strings(obj["sigma"][e], "each sigma value"):
             if p not in idx:
                 raise UnknownName(f"unknown point {p!r}")
             m |= 1 << idx[p]

@@ -147,11 +147,10 @@ def _lub(p, i, j):
 
 def _glb(p, i, j):
     lb = p.down[i] & p.down[j]
-    best = None
     for k in bits(lb):
         if not lb & ~p.down[k]:
             return k
-    return best
+    return None
 
 
 class JoinSemilattice(Poset):
@@ -186,8 +185,8 @@ class BoundedLattice(JoinSemilattice):
         return acc
 
 
-def as_join_semilattice(p):
-    """Compute the join table and bottom of p, or raise NoJoin/NoBottom."""
+def _bottom_and_joins(p):
+    """The bottom index and join table of p, or raise NoBottom/NoJoin."""
     bottom = None
     for i in range(p.n):
         if p.up[i] == p.full:
@@ -202,12 +201,17 @@ def as_join_semilattice(p):
             if k is None:
                 raise NoJoin(p.elements[i], p.elements[j])
             join[i][j] = join[j][i] = k
-    return JoinSemilattice(p.elements, p.up, bottom, join)
+    return bottom, join
+
+
+def as_join_semilattice(p):
+    """Compute the join table and bottom of p, or raise NoJoin/NoBottom."""
+    return JoinSemilattice(p.elements, p.up, *_bottom_and_joins(p))
 
 
 def as_bounded_lattice(p):
     """Compute join and meet tables plus 0 and 1, or raise the missing-piece error."""
-    jsl = as_join_semilattice(p)
+    bottom, join = _bottom_and_joins(p)
     top = None
     for i in range(p.n):
         if p.down[i] == p.full:
@@ -222,7 +226,38 @@ def as_bounded_lattice(p):
             if k is None:
                 raise NoMeet(p.elements[i], p.elements[j])
             meet[i][j] = meet[j][i] = k
-    return BoundedLattice(p.elements, p.up, jsl.bottom, jsl.join, top, meet)
+    return BoundedLattice(p.elements, p.up, bottom, join, top, meet)
+
+
+class SetLattice:
+    """A bounded lattice of subsets (int masks) ordered by inclusion.
+
+    The masks are sorted by (size, mask); element k of ``lattice`` is
+    ``masks[k]``, named ``label(masks[k])``.  The poset is checked to be a
+    lattice literally, by as_bounded_lattice.
+    """
+
+    def __init__(self, masks, label):
+        masks = sorted(masks, key=lambda m: (bin(m).count("1"), m))
+        up = []
+        for a in masks:
+            above = 0
+            for j, b in enumerate(masks):
+                if not a & ~b:
+                    above |= 1 << j
+            up.append(above)
+        self.masks = tuple(masks)
+        self._index = {m: k for k, m in enumerate(masks)}
+        self.lattice = as_bounded_lattice(Poset([label(m) for m in masks], up))
+
+    def index_of_mask(self, mask):
+        try:
+            return self._index[mask]
+        except KeyError:
+            raise ValueError(f"no element with mask {mask:b}") from None
+
+    def __len__(self):
+        return len(self.masks)
 
 
 def dual(l):

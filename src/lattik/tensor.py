@@ -10,8 +10,8 @@ from .errors import (
     UnitLawFails,
     ZeroLawFails,
 )
-from .ideals import all_ideals, ideal_masks, is_ideal, join_irreducibles
-from .order import Poset, as_bounded_lattice, bits, is_distributive, size_guard
+from .ideals import all_ideals, ideal_label, ideal_masks, is_ideal, join_irreducibles
+from .order import SetLattice, bits, is_distributive
 
 
 class TensorLattice:
@@ -136,16 +136,7 @@ def all_radical_tensor_ideals(t, guard=None):
     to be the least radical tensor ideal above both).
     """
     masks = [m for m in ideal_masks(t.base, guard) if is_radical_tensor_ideal(t, m)]
-    labels = ["{" + ",".join(t.base.subset_names(m)) + "}" for m in masks]
-    up = []
-    for a in masks:
-        bm = 0
-        for j, b in enumerate(masks):
-            if not a & ~b:
-                bm |= 1 << j
-        up.append(bm)
-    lattice = as_bounded_lattice(Poset(labels, up))
-    return masks, lattice
+    return masks, SetLattice(masks, lambda m: ideal_label(t.base, m)).lattice
 
 
 class QuotientFormulaError(ValueError):
@@ -165,20 +156,13 @@ def quotient_lattice(t, guard=None):
     raises QuotientFormulaError at the first pair (a, b) where one fails.
     """
     gen = [generated_ideal(t, a) for a in range(t.n)]
-    class_masks = sorted(set(gen), key=lambda m: (bin(m).count("1"), m))
-    projection = [class_masks.index(g) for g in gen]
-    labels = []
-    for m in class_masks:
-        reps = [t.base.elements[a] for a in range(t.n) if gen[a] == m]
-        labels.append("[" + "=".join(reps) + "]")
-    up = []
-    for a in class_masks:
-        bm = 0
-        for j, b in enumerate(class_masks):
-            if not a & ~b:
-                bm |= 1 << j
-        up.append(bm)
-    lattice = as_bounded_lattice(Poset(labels, up))
+
+    def label(m):
+        return "[" + "=".join(t.base.elements[a] for a in range(t.n) if gen[a] == m) + "]"
+
+    classes = SetLattice(set(gen), label)
+    lattice = classes.lattice
+    projection = [classes.index_of_mask(g) for g in gen]
     # join and meet of classes are realized by ∨ and ⊗ on representatives
     for a in range(t.n):
         for b in range(t.n):
@@ -188,7 +172,7 @@ def quotient_lattice(t, guard=None):
                 raise QuotientFormulaError("join", t.base.elements[a], t.base.elements[b])
             if lattice.meet[ja][jb] != projection[t.product[a][b]]:
                 raise QuotientFormulaError("meet", t.base.elements[a], t.base.elements[b])
-    return lattice, tuple(projection), tuple(class_masks)
+    return lattice, tuple(projection), classes.masks
 
 
 class TensorCertificate:

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from .errors import NotT0, SizeGuardExceeded
-from .order import Poset, as_bounded_lattice, bits, scheduled_search, size_guard
-from .ideals import all_ideals, ideal_label, prime_ideals
+from .order import Poset, SetLattice, bits, scheduled_search, size_guard
+from .ideals import ideal_label, ideal_masks, prime_masks
 
 
 class FiniteSpace:
@@ -117,40 +117,20 @@ def set_label(points, mask):
     return "{" + ",".join(points[i] for i in bits(mask)) + "}"
 
 
-class SetLattice:
-    """A bounded lattice of subsets, keeping the mask of each element."""
-
-    def __init__(self, points, masks):
-        masks = sorted(masks, key=lambda m: (bin(m).count("1"), m))
-        labels = [set_label(points, m) for m in masks]
-        up = []
-        for a in masks:
-            bitsmask = 0
-            for j, b in enumerate(masks):
-                if not a & ~b:
-                    bitsmask |= 1 << j
-            up.append(bitsmask)
-        self.masks = tuple(masks)
-        self.lattice = as_bounded_lattice(Poset(labels, up))
-
-    def index_of_mask(self, mask):
-        return self.masks.index(mask)
-
-
 def omega_lattice(x):
     """Ω(X): the open sets ordered by inclusion (join = union, meet = intersection).
 
     Kept on the space on first use.
     """
     if x._omega is None:
-        x._omega = SetLattice(x.points, x.opens)
+        x._omega = SetLattice(x.opens, lambda m: set_label(x.points, m))
     return x._omega
 
 
 def cl_lattice(x):
     """Cl(X): the closed sets ordered by inclusion; kept on the space on first use."""
     if x._cl is None:
-        x._cl = SetLattice(x.points, x.closed_sets())
+        x._cl = SetLattice(x.closed_sets(), lambda m: set_label(x.points, m))
     return x._cl
 
 
@@ -183,80 +163,55 @@ class Spectrum:
         return self.point_ideals.index(members)
 
 
-def _supp_masks(l, ideal_masks_list):
-    """supp(a) = mask of points (ideals) not containing a."""
-    out = []
-    for a in range(l.n):
-        m = 0
-        for p, ideal in enumerate(ideal_masks_list):
-            if not ideal >> a & 1:
-                m |= 1 << p
-        out.append(m)
-    return out
+def _spectrum(l, masks, kind):
+    """The spectrum of kind 'sp', 'spc' or 'spc_dual' on the ideals ``masks``.
 
-
-def sp_space(l, guard=None):
-    """Sp(L): all ideals with closed basis supp(a) = {I : a not in I}."""
-    idl = all_ideals(l, guard)
-    masks = [i.members for i in idl.ideals]
-    labels = [i.label() for i in idl.ideals]
-    supp = _supp_masks(l, masks)
-    _check_closed_supp_axioms(l, supp, join_only=True)
-    space = space_from_closed_basis(labels, supp)
-    basis = SupportBasis(space, supp, "closed")
-    return Spectrum(l, space, basis, masks, "sp")
-
-
-def spc_space(l, guard=None):
-    """Spc(L): the prime ideals with closed basis supp(a)."""
-    primes = prime_ideals(l, guard)
-    masks = [p.members for p in primes]
-    labels = [p.label() for p in primes]
-    supp = _supp_masks(l, masks)
-    _check_closed_supp_axioms(l, supp, join_only=False, npoints=len(masks))
-    space = space_from_closed_basis(labels, supp)
-    basis = SupportBasis(space, supp, "closed")
-    return Spectrum(l, space, basis, masks, "spc")
-
-
-def hochster_dual(l, guard=None):
-    """Spc(L)^v: the prime ideals retopologized with the supp sets as open basis."""
-    primes = prime_ideals(l, guard)
-    masks = [p.members for p in primes]
-    labels = [p.label() for p in primes]
-    supp = _supp_masks(l, masks)
-    full = (1 << len(masks)) - 1
-    for a in range(l.n):
-        for b in range(l.n):
-            if supp[l.meet[a][b]] != supp[a] & supp[b]:
-                raise ValueError("supp does not turn meets into intersections")
-    if full and supp[l.top] != full:
-        raise ValueError("supp sets do not cover the spectrum")
-    space = space_from_open_basis(labels, supp)
-    basis = SupportBasis(space, supp, "open")
-    return Spectrum(l, space, basis, masks, "spc_dual")
-
-
-def _check_closed_supp_axioms(l, supp, join_only, npoints=None):
+    The points are the ideals, labelled by their members, and
+    supp(a) = {I : a not in I}.  Every kind checks that supp(0) is empty and
+    that supp turns joins into unions; these imply that the supp sets have
+    empty total intersection, because 0 is one of the a.  The lattice kinds
+    also check that supp turns meets into intersections and that supp(1) is
+    every point.  'sp' and 'spc' read the supp sets as a closed basis;
+    'spc_dual' has the points and supp of 'spc' and reads them, by Hochster
+    duality, as an open basis.
+    """
+    labels = [ideal_label(l, m) for m in masks]
+    supp = [sum(1 << p for p, m in enumerate(masks) if not m >> a & 1) for a in range(l.n)]
     if supp[l.bottom] != 0:
         raise ValueError("supp(0) is not empty")
     for a in range(l.n):
         for b in range(l.n):
             if supp[l.join[a][b]] != supp[a] | supp[b]:
                 raise ValueError("supp does not turn joins into unions")
-    inter = None
-    for a in range(l.n):
-        inter = supp[a] if inter is None else inter & supp[a]
-    if inter:
-        raise ValueError("the supp sets have nonempty total intersection")
-    if not join_only:
-        full = (1 << npoints) - 1
+    if kind != "sp":
         for a in range(l.n):
             for b in range(l.n):
                 if supp[l.meet[a][b]] != supp[a] & supp[b]:
                     raise ValueError("supp does not turn meets into intersections")
-        if supp[l.top] != full:
+        if supp[l.top] != (1 << len(masks)) - 1:
             raise ValueError("supp(1) is not the whole spectrum")
+    if kind == "spc_dual":
+        space = space_from_open_basis(labels, supp)
+        basis = SupportBasis(space, supp, "open")
+    else:
+        space = space_from_closed_basis(labels, supp)
+        basis = SupportBasis(space, supp, "closed")
+    return Spectrum(l, space, basis, masks, kind)
+
+
+def sp_space(l, guard=None):
+    """Sp(L): all ideals with closed basis supp(a) = {I : a not in I}."""
+    return _spectrum(l, ideal_masks(l, guard), "sp")
+
+
+def spc_space(l, guard=None):
+    """Spc(L): the prime ideals with closed basis supp(a)."""
+    return _spectrum(l, prime_masks(l, guard), "spc")
+
+
+def hochster_dual(l, guard=None):
+    """Spc(L)^v: the prime ideals retopologized with the supp sets as open basis."""
+    return _spectrum(l, prime_masks(l, guard), "spc_dual")
 
 
 def specialization_order(x):

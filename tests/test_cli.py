@@ -1,14 +1,18 @@
 """The command-line interface, exercised in-process through main()."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lattik.cli import main
-from lattik.corpus import b2, chain, m3, n5
-from lattik.jsonio import datum_to_json, lattice_to_json, space_to_json
-from lattik.support import SupportDatum, spectrum_for
+from lattik.corpus import b2, b3, chain, m3, n5
+from lattik.jsonio import datum_to_json, lattice_from_json, lattice_to_json, space_to_json
+from lattik.support import FLAVORS, SupportDatum, spectrum_for
 from lattik.topology import discrete_space, space_from_closed_basis
 
 
@@ -226,23 +230,69 @@ class TestFrameVerbs:
         }
 
 
+def naturality_obj():
+    return {
+        "lattice": lattice_to_json(chain(3)),
+        "space_x": space_to_json(space_from_closed_basis(["p", "q"], [0b01])),
+        "space_y": space_to_json(discrete_space(["u", "v"])),
+        "map": {"p": "u", "q": "u"},
+        "flavor": "semilattice-closed",
+    }
+
+
 class TestNaturalityVerb:
     def test_ok(self, capsys, tmp_path):
-        x = space_from_closed_basis(["p", "q"], [0b01])
-        y = discrete_space(["u", "v"])
-        path = write(
-            tmp_path,
-            "nat.json",
-            {
-                "lattice": lattice_to_json(chain(3)),
-                "space_x": space_to_json(x),
-                "space_y": space_to_json(y),
-                "map": {"p": "u", "q": "u"},
-                "flavor": "semilattice-closed",
-            },
-        )
+        path = write(tmp_path, "nat.json", naturality_obj())
         code, out, _ = run(capsys, "naturality", path)
         assert code == 0 and json.loads(out)["ok"] is True
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("map", {"p": "u"}, "no image for 'q'"),
+            ("map", {"p": "u", "q": "w"}, "image 'w' of 'q' is unknown"),
+            ("map", ["u", "u"], "map must be an object"),
+            ("flavor", "bogus", "unknown flavor 'bogus'"),
+        ],
+    )
+    def test_malformed_input_is_input_error(self, capsys, tmp_path, field, value, message):
+        obj = naturality_obj()
+        obj[field] = value
+        code, out, err = run(capsys, "naturality", write(tmp_path, "nat.json", obj))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert message in err
+
+
+class TestJsonShapes:
+    """A string where a list of strings belongs is not read one character at a time."""
+
+    @staticmethod
+    def datum_obj():
+        x = discrete_space(["p", "q"])
+        return datum_to_json(SupportDatum(chain(3), x, (0, 0b01, 0b11), "semilattice-closed"))
+
+    @pytest.mark.parametrize(
+        "verb, mutate, message",
+        [
+            ("dot", lambda o: o.update(points="pq"), "points must be"),
+            ("dot", lambda o: o["opens"].__setitem__(1, "p"), "each open must be"),
+            ("dot", lambda o: o.update(opens=3), "opens must be"),
+            ("validate", lambda o: o.update(leq=5), "leq must be"),
+            ("support-check", lambda o: o["sigma"].update(m1="p"), "each sigma value must be"),
+            ("support-check", lambda o: o["sigma"].update(m1=5), "each sigma value must be"),
+        ],
+        ids=["points-string", "open-string", "opens-int", "leq-int", "sigma-string", "sigma-int"],
+    )
+    def test_wrong_shape_is_input_error(self, capsys, tmp_path, verb, mutate, message):
+        obj = {
+            "dot": lambda: space_to_json(space_from_closed_basis(["p", "q"], [0b01])),
+            "validate": lambda: lattice_to_json(b2()),
+            "support-check": self.datum_obj,
+        }[verb]()
+        mutate(obj)
+        code, out, err = run(capsys, verb, write(tmp_path, "shape.json", obj))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert message in err
 
 
 class TestTensorVerbs:
@@ -399,3 +449,288 @@ class TestDeterminism:
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "44741b9742f669505981d70dc8ba38b867ba89fdab2a414543577b8d22805303"
         )
+
+
+def _golden_files(tmp_path):
+    """Fixed inputs per verb group, as lists of file paths."""
+    lattices = {
+        "C2": chain(2), "C3": chain(3), "B2": b2(), "M3": m3(), "N5": n5(), "B3": b3(),
+    }
+    lattice_files = [
+        write(tmp_path, f"{name}.json", lattice_to_json(l, name=name))
+        for name, l in lattices.items()
+    ]
+
+    def tensor_obj(name, l, unit, table):
+        obj = lattice_to_json(l, name=name)
+        obj["tensor"] = {
+            "unit": unit,
+            "table": [[l.elements[v] for v in row] for row in table],
+        }
+        return obj
+
+    c3, bb = chain(3), b2()
+    five = {
+        "name": "",
+        "elements": ["e0", "e1", "e2", "e3", "e4"],
+        "leq": [["e0", "e1"], ["e0", "e2"], ["e1", "e3"], ["e2", "e4"], ["e3", "e4"]],
+    }
+    tensors = [
+        tensor_obj("B2-meet", bb, "1", bb.meet),
+        tensor_obj("C3-meet", c3, "1", c3.meet),
+        # m1 ⊗ m1 = 0: the ideal {0} is not radical
+        tensor_obj("C3-nil", c3, "1", [[0, 0, 0], [0, 0, 1], [0, 1, 2]]),
+        # non-associative; its quotient meet formula fails at (e2, e1)
+        tensor_obj(
+            "",
+            lattice_from_json(five)[1],
+            "e3",
+            [[0, 0, 0, 0, 0], [0, 1, 2, 1, 4], [0, 0, 4, 2, 4],
+             [0, 1, 2, 3, 4], [0, 1, 4, 4, 4]],
+        ),
+    ]
+    tensor_files = [write(tmp_path, f"t{k}.json", t) for k, t in enumerate(tensors)]
+    sierp = space_from_closed_basis(["p", "q"], [0b01])
+    l = chain(2)
+    spec = spectrum_for(l, "semilattice-closed")
+    data = [
+        SupportDatum(l, spec.space, spec.supp.assignment, "semilattice-closed"),
+        SupportDatum(l, spec.space, (spec.space.full,) * 2, "semilattice-closed"),
+    ]
+    datum_files = [
+        write(tmp_path, f"d{k}.json", datum_to_json(d)) for k, d in enumerate(data)
+    ]
+    naturality_files = [
+        write(
+            tmp_path,
+            f"nat{k}.json",
+            {
+                "lattice": lattice_to_json(b2()),
+                "space_x": space_to_json(discrete_space(["u", "v"])),
+                "space_y": space_to_json(sierp),
+                "map": {"u": "p", "v": "q"},
+                "flavor": flavor,
+            },
+        )
+        for k, flavor in enumerate(FLAVORS)
+    ]
+    extend_files = [
+        write(
+            tmp_path,
+            f"e{k}.json",
+            {"lattice": lattice_to_json(chain(3)), "frame": lattice_to_json(b2()), "map": m},
+        )
+        for k, m in enumerate([{"0": "0", "m1": "a", "1": "1"}, {"0": "0", "m1": "1", "1": "a"}])
+    ]
+    space_file = write(tmp_path, "sierp.json", space_to_json(sierp))
+    return {
+        "lattice": lattice_files,
+        "tensor": tensor_files,
+        "datum": datum_files,
+        "naturality": naturality_files,
+        "extend": extend_files,
+        "dot": lattice_files[:3] + [space_file],
+    }
+
+
+# sha256 of the exit codes and stdouts of each verb over its inputs in
+# _golden_files; a change to any verb's bytes shows here.
+GOLDEN = {
+    "validate": (
+        "lattice",
+        "a48646e2dcf95e7e2529b916f1de69d52363092875dcd9edd7f169dea3dbed93",
+    ),
+    "ideals": (
+        "lattice",
+        "00be8f00ba4ed7511151bb4a72456f7e0b4b22fcfb46bd4ce0d6259b6958bee5",
+    ),
+    "primes": (
+        "lattice",
+        "b8911fc29c9e1b493aa2a860ca9293f1fca1f7b03e1bfeb44684b4a646567fa4",
+    ),
+    "sp": (
+        "lattice",
+        "49a0730f466f7e264dcceceac9293cba3e887bf4b3c452e35e19ae79e4164237",
+    ),
+    "spectrum": (
+        "lattice",
+        "5e234b3fd0c418710949bc3153f7dc5f67e24463811a10ce709e2e84d0488157",
+    ),
+    "hochster": (
+        "lattice",
+        "d4b4b4a2beda9c28407a20399852c1878d4f9d88c40814e9dae91afd296012d7",
+    ),
+    "frame-points": (
+        "lattice",
+        "d96652b1bb05cec4a3f860121126a5a444608640d7adf788f6d2f6c96004e949",
+    ),
+    "spatial": (
+        "lattice",
+        "43175e9f9c55d515fe66e1ffb8fb053954df655fbc67d0b0f71a22e6c6e387d8",
+    ),
+    "pt-vs-hochster": (
+        "lattice",
+        "b61d5a742e4845d2da904375941dde625bdbfc11e4a15a6b84dcfe2d79c6912f",
+    ),
+    "id-vs-omega": (
+        "lattice",
+        "8eeddd85f01a79121ad7afd7173e4143bc7ae022c25d55e73b967a8ea86dbe40",
+    ),
+    "tensor-validate": (
+        "tensor",
+        "13a62eb7ab1587709f298c6a8074228dca259a1b4ddffd461466220e1d529d2f",
+    ),
+    "radicals": (
+        "tensor",
+        "a77900e86e1163b89727c91fc2bf1aeb881fcbf28a7af3781c7b09f0ebb56b37",
+    ),
+    "quotient": (
+        "tensor",
+        "e447bac6fd1aede0efaf24276bf7b269fd3ad4fe85292390f26f865eb504b8c7",
+    ),
+    "tensor-lemma": (
+        "tensor",
+        "c1ef74f6fb653435c66cc2ceaeeb2cf99ddd5b57a68ac3aaeb2931e14caef9fb",
+    ),
+    "classify": (
+        "tensor",
+        "ff85abc9fed22f3344f22d3063c07e1ecb68f70cf212ad42def536e5364f7d4d",
+    ),
+    "support-check": (
+        "datum",
+        "65d4d51a0d6d6a0c7d8e14fe57258676fc36d03eb2ff8e3a835511037ef09b77",
+    ),
+    "naturality": (
+        "naturality",
+        "af5d0ce4d270f0f09f426db348e5f1dba995c1b5b6f29582e743a60516b713c1",
+    ),
+    "extend": (
+        "extend",
+        "adc2e762e53549c6431e0aabd4a518daf874e8467c230f53ca63b173b0d42523",
+    ),
+    "dot": (
+        "dot",
+        "6a16c7a583ddcc18674455f7388da8148f069ce91602168c50c71b75acdda5d8",
+    ),
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("verb", sorted(GOLDEN))
+    def test_verb_output_is_pinned(self, capsys, tmp_path, verb):
+        group, digest = GOLDEN[verb]
+        h = hashlib.sha256()
+        for path in _golden_files(tmp_path)[group]:
+            code, out, err = run(capsys, verb, path)
+            assert "Traceback" not in err
+            h.update(f"{code}\n{out}".encode())
+        assert h.hexdigest() == digest
+
+
+def _valid_inputs():
+    """A valid input object for every single-file verb."""
+    lattice = lattice_to_json(b2(), name="B2")
+    l = b2()
+    tensor = lattice_to_json(l, name="B2-meet")
+    tensor["tensor"] = {
+        "unit": "1",
+        "table": [[l.elements[l.meet[i][j]] for j in range(l.n)] for i in range(l.n)],
+    }
+    extend = {
+        "lattice": lattice_to_json(chain(3)),
+        "frame": lattice_to_json(b2()),
+        "map": {"0": "0", "m1": "a", "1": "1"},
+    }
+    lattice_verbs = [
+        "validate", "ideals", "primes", "sp", "spectrum", "hochster", "frame-points",
+        "spatial", "pt-vs-hochster", "id-vs-omega", "dot",
+    ]
+    tensor_verbs = ["tensor-validate", "radicals", "quotient", "tensor-lemma", "classify"]
+    return (
+        [(verb, lattice) for verb in lattice_verbs]
+        + [(verb, tensor) for verb in tensor_verbs]
+        + [
+            ("dot", space_to_json(space_from_closed_basis(["p", "q"], [0b01]))),
+            ("support-check", TestJsonShapes.datum_obj()),
+            ("naturality", naturality_obj()),
+            ("extend", extend),
+        ]
+    )
+
+
+VALID_INPUTS = _valid_inputs()
+RETYPED = [3, "p", [], {}, None, True, ["p"], [["p"]]]
+RENAMED = ["z", "", "0", "1", "a", "p", "u", "m1"]
+
+
+def _paths(obj, path=()):
+    """The path of every node of a JSON value, the root first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _names(obj):
+    if isinstance(obj, str):
+        return {obj}
+    if isinstance(obj, dict):
+        return set(obj).union(*map(_names, obj.values()))
+    if isinstance(obj, list):
+        return set().union(*map(_names, obj))
+    return set()
+
+
+def _rename(obj, old, new):
+    if isinstance(obj, str):
+        return new if obj == old else obj
+    if isinstance(obj, dict):
+        return {_rename(k, old, new): _rename(v, old, new) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_rename(v, old, new) for v in obj]
+    return obj
+
+
+@st.composite
+def mutated_inputs(draw):
+    """A valid CLI input with one to three keys dropped, values retyped or names renamed."""
+    verb, obj = draw(st.sampled_from(VALID_INPUTS))
+    obj = copy.deepcopy(obj)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "retype", "rename"]))
+        if kind == "rename":
+            names = sorted(_names(obj))
+            if names:
+                obj = _rename(obj, draw(st.sampled_from(names)), draw(st.sampled_from(RENAMED)))
+            continue
+        paths = list(_paths(obj))[kind == "drop":]
+        if not paths:
+            continue
+        path = draw(st.sampled_from(paths))
+        value = copy.deepcopy(draw(st.sampled_from(RETYPED)))
+        if not path:
+            obj = value
+            continue
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return verb, obj
+
+
+class TestMutatedInputs:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(mutated_inputs())
+    def test_exit_code_contract(self, tmp_path_factory, case):
+        verb, obj = case
+        path = tmp_path_factory.getbasetemp() / "mutated.json"
+        path.write_text(json.dumps(obj))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([verb, str(path)])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert "witness" in json.loads(out.getvalue())

@@ -15,6 +15,7 @@ from lattik.errors import (
     UnknownName,
 )
 from lattik.order import (
+    SetLattice,
     as_bounded_lattice,
     as_join_semilattice,
     bits,
@@ -129,6 +130,23 @@ class TestBoundedLattice:
             for j in range(3):
                 assert l.join[i][j] == max(i, j)
                 assert l.meet[i][j] == min(i, j)
+
+
+class TestSetLattice:
+    def test_masks_sorted_by_size_then_mask(self):
+        s = SetLattice({0b11, 0b10, 0, 0b01}, bin)
+        assert s.masks == (0, 0b01, 0b10, 0b11) and len(s) == 4
+        assert s.lattice.elements == ("0b0", "0b1", "0b10", "0b11")
+        assert is_isomorphic(s.lattice, b2())
+        assert s.index_of_mask(0b10) == 2
+
+    def test_unknown_mask_raises_value_error(self):
+        with pytest.raises(ValueError):
+            SetLattice([0, 0b1], bin).index_of_mask(0b10)
+
+    def test_subsets_that_are_not_a_lattice_are_rejected(self):
+        with pytest.raises(NoJoin):
+            SetLattice([0, 0b01, 0b10], bin)
 
 
 class TestDual:
