@@ -208,16 +208,6 @@ def cmd_frame_points(args):
     }
 
 
-def cmd_spatial(args):
-    name, frame = _frame_of(args)
-    cert = framesmod.is_spatial(frame, args.size_guard)
-    if not cert.spatial:
-        raise CheckFailure(cert.to_json())
-    out = cert.to_json()
-    out["name"] = name
-    return out
-
-
 def cmd_extend(args):
     lattice_obj, frame_obj, images = _fields(_load_json(args.file), "lattice", "frame", "map")
     _, lattice = lattice_from_json(lattice_obj)
@@ -241,26 +231,6 @@ def cmd_extend(args):
             for k, src in enumerate(psi.source.elements)
         }
     }
-
-
-def cmd_pt_vs_hochster(args):
-    name, lattice = _load_lattice(args.file)
-    cert = framesmod.pt_ideal_vs_hochster(lattice, args.size_guard)
-    if not cert.ok:
-        raise CheckFailure(cert.to_json())
-    out = cert.to_json()
-    out["name"] = name
-    return out
-
-
-def cmd_id_vs_omega(args):
-    name, lattice = _load_lattice(args.file)
-    cert = framesmod.id_vs_omega_dual(lattice, args.size_guard)
-    if not cert.ok:
-        raise CheckFailure(cert.to_json())
-    out = cert.to_json()
-    out["name"] = name
-    return out
 
 
 def _load_tensor(args):
@@ -308,49 +278,47 @@ def cmd_quotient(args):
     }
 
 
-def _check_fuzz(args):
-    if args.fuzz < 0:
-        raise InputError(f"--fuzz must be nonnegative, got {args.fuzz}")
+def _lattice_of(args):
+    return _load_lattice(args.file)
 
 
-def cmd_tensor_lemma(args):
-    _check_fuzz(args)
-    if args.fuzz:
-        certs = []
-        for t in tensormod.fuzz_tensor_lattices(
-            corpusmod.lattice_corpus(5), args.seed, args.fuzz
-        ):
-            cert = tensormod.check_tensor_lemma(t)
-            if not cert.ok:
-                raise CheckFailure(cert.to_json())
-            certs.append(cert)
-        return {"fuzzed": len(certs), "all_ok": True}
-    name, t = _load_tensor(args)
-    cert = tensormod.check_tensor_lemma(t)
-    if not cert.ok:
+CERTIFY_VERBS = {
+    "spatial": (_frame_of, framesmod.is_spatial),
+    "pt-vs-hochster": (_lattice_of, framesmod.pt_ideal_vs_hochster),
+    "id-vs-omega": (_lattice_of, framesmod.id_vs_omega_dual),
+    "tensor-lemma": (_load_tensor, lambda t, guard: tensormod.check_tensor_lemma(t)),
+    "classify": (_load_tensor, tensormod.check_classification),
+}
+
+
+def _certify(check, obj, guard):
+    cert = check(obj, guard)
+    if not cert:
         raise CheckFailure(cert.to_json())
-    out = cert.to_json()
-    out["name"] = name
-    return out
+    return cert
 
 
-def cmd_classify(args):
-    _check_fuzz(args)
-    if args.fuzz:
+def cmd_certify(args):
+    """The verbs of CERTIFY_VERBS: load, certify, a witness on failure, the name last.
+
+    ``--fuzz COUNT`` (tensor-lemma and classify only) certifies COUNT fuzzed
+    tensor lattices over lattice_corpus(5) instead of a file.
+    """
+    load, check = CERTIFY_VERBS[args.verb]
+    fuzz = getattr(args, "fuzz", 0)
+    if fuzz < 0:
+        raise InputError(f"--fuzz must be nonnegative, got {fuzz}")
+    if fuzz:
         count = 0
-        for t in tensormod.fuzz_tensor_lattices(
-            corpusmod.lattice_corpus(5), args.seed, args.fuzz
-        ):
-            cert = tensormod.check_classification(t, args.size_guard)
-            if not cert.ok:
-                raise CheckFailure(cert.to_json())
+        bases = corpusmod.lattice_corpus(5)
+        for t in tensormod.fuzz_tensor_lattices(bases, args.seed, fuzz):
+            _certify(check, t, args.size_guard)
             count += 1
         return {"fuzzed": count, "all_ok": True}
-    name, t = _load_tensor(args)
-    cert = tensormod.check_classification(t, args.size_guard)
-    if not cert.ok:
-        raise CheckFailure(cert.to_json())
-    out = cert.to_json()
+    if args.file is None:
+        raise InputError("need FILE or --fuzz")
+    name, obj = load(args)
+    out = _certify(check, obj, args.size_guard).to_json()
     out["name"] = name
     return out
 
@@ -411,10 +379,10 @@ def build_parser():
         ("support-check", cmd_support_check),
         ("naturality", cmd_naturality),
         ("frame-points", cmd_frame_points),
-        ("spatial", cmd_spatial),
+        ("spatial", cmd_certify),
         ("extend", cmd_extend),
-        ("pt-vs-hochster", cmd_pt_vs_hochster),
-        ("id-vs-omega", cmd_id_vs_omega),
+        ("pt-vs-hochster", cmd_certify),
+        ("id-vs-omega", cmd_certify),
         ("tensor-validate", cmd_tensor_validate),
         ("radicals", cmd_radicals),
         ("quotient", cmd_quotient),
@@ -430,8 +398,8 @@ def build_parser():
     p.add_argument("--corpus-max-n", type=int, default=0, metavar="N")
     p.add_argument("--space-points", type=int, default=3, metavar="K")
 
-    for verb, fn in [("tensor-lemma", cmd_tensor_lemma), ("classify", cmd_classify)]:
-        p = add(verb, fn)
+    for verb in ("tensor-lemma", "classify"):
+        p = add(verb, cmd_certify)
         p.add_argument("file", nargs="?")
         p.add_argument("--fuzz", type=int, default=0, metavar="COUNT")
 

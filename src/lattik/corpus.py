@@ -192,6 +192,8 @@ def all_topologies(n_points):
     Enumerated by choosing which proper nonempty subsets are open and
     filtering for closure under union and intersection.  Bounded at 4 points.
     """
+    if n_points < 0:
+        raise BoundExceeded(f"topology enumeration needs n_points >= 0, got {n_points}")
     if n_points > 4:
         raise BoundExceeded("topology enumeration is bounded at 4 points")
     points = [f"p{i}" for i in range(n_points)]
@@ -211,6 +213,8 @@ def all_topologies(n_points):
 
 def space_corpus(max_points):
     """All topologies on 0..max_points points, deterministically ordered."""
+    if max_points < 0:
+        raise BoundExceeded(f"space corpus needs max_points >= 0, got {max_points}")
     out = []
     for n in range(max_points + 1):
         out.extend(all_topologies(n))

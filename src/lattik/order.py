@@ -344,7 +344,7 @@ def is_morphism(src, tgt, mapping, kind):
 
 
 def scheduled_search(order, width, start, pairs, triples, bound=None):
-    """All assignments of values 0..width-1 to the variables 0..n-1.
+    """Yield every assignment of values 0..width-1 to the variables 0..n-1.
 
     ``order`` is a permutation of range(n): the variables are assigned one
     per depth in that order, and each result is a tuple indexed by variable.
@@ -356,39 +356,42 @@ def scheduled_search(order, width, start, pairs, triples, bound=None):
     - ``(p, q, table)`` in ``triples[s]`` keeps those in ``table[img[p]][img[q]]``.
 
     Candidates are tried in ascending value order, so results come out in
-    lexicographic order of the assignment sequence.  With a ``bound`` (the
-    morphism search's size guard), every expanded node counts ``width``
-    attempts, one per value as a try-every-value search would, and
-    SizeGuardExceeded is raised once the count passes the bound.
+    lexicographic order of the assignment sequence; a caller that stops
+    early expands no further node.  With a ``bound`` (the morphism search's
+    size guard), every expanded node counts ``width`` attempts, one per
+    value as a try-every-value search would, and SizeGuardExceeded is raised
+    once the count passes the bound.
     """
     n = len(order)
     img = [0] * n
-    results = []
+    cands = [0] * n  # cands[s]: the values not yet tried at depth s
     attempts = 0
-
-    def dfs(s):
-        nonlocal attempts
+    s = 0  # the depth of the node to expand
+    while True:
         if s == n:
-            results.append(tuple(img))
+            yield tuple(img)
+            s -= 1
+        else:
+            if bound is not None:
+                attempts += width
+                if attempts > bound:
+                    raise SizeGuardExceeded(
+                        f"morphism search exceeded {bound} candidate extensions"
+                    )
+            cand = start[s]
+            for p, table in pairs[s]:
+                cand &= table[img[p]]
+            for p, q, table in triples[s]:
+                cand &= table[img[p]][img[q]]
+            cands[s] = cand
+        while s >= 0 and not cands[s]:
+            s -= 1
+        if s < 0:
             return
-        if bound is not None:
-            attempts += width
-            if attempts > bound:
-                raise SizeGuardExceeded(
-                    f"morphism search exceeded {bound} candidate extensions"
-                )
-        cand = start[s]
-        for p, table in pairs[s]:
-            cand &= table[img[p]]
-        for p, q, table in triples[s]:
-            cand &= table[img[p]][img[q]]
-        e = order[s]
-        for v in bits(cand):
-            img[e] = v
-            dfs(s + 1)
-
-    dfs(0)
-    return results
+        low = cands[s] & -cands[s]
+        cands[s] ^= low
+        img[order[s]] = low.bit_length() - 1
+        s += 1
 
 
 def enumerate_morphisms(src, tgt, kind, guard=None):
@@ -441,8 +444,7 @@ def enumerate_morphisms(src, tgt, kind, guard=None):
             if need_meet:
                 first, last = (a, b) if pos[a] < pos[b] else (b, a)
                 triples[pos[last]].append((first, src.meet[a][b], meet_to))
-    results = scheduled_search(order, tgt.n, start, pairs, triples, bound)
-    results.sort()
+    results = sorted(scheduled_search(order, tgt.n, start, pairs, triples, bound))
     morphisms = [LatticeMorphism(src, tgt, m, kind) for m in results]
     if kind == "frame":
         # Certify the literal arbitrary-join law; on finite carriers this
@@ -526,48 +528,46 @@ def canonical_key(p):
     return (p.n, best)
 
 
-def find_isomorphism(p, q):
-    """An order isomorphism p -> q as an index tuple, or None."""
-    if p.n != q.n:
+def _relation_bijection(up_p, up_q, cls_p, cls_q, order):
+    """The first bijection f with i R j iff f(i) R f(j) and cls_q[f(i)] = cls_p[i], or None.
+
+    A relation R on 0..n-1 is given by up-masks: j is in up[i] iff i R j.
+    It need not be antisymmetric.  A scheduled_search assigns the variables
+    in ``order``; the new variable i may take a value w of its own class
+    when, for every variable k placed before it, w is not img[k] and w
+    stands to img[k] as i stands to k.  There are four ways to stand, so
+    four tables; the first result is the first bijection in the
+    lexicographic order of the assignment sequence.
+    """
+    n = len(up_p)
+    if len(up_q) != n or sorted(cls_p) != sorted(cls_q):
         return None
+
+    def rel(up, k, i):
+        return 2 * (up[k] >> i & 1) + (up[i] >> k & 1)
+
+    tables = [[0] * n for _ in range(4)]
+    for v in range(n):
+        for w in range(n):
+            if w != v:
+                tables[rel(up_q, v, w)][v] |= 1 << w
+    start = [sum(1 << v for v in range(n) if cls_q[v] == cls_p[i]) for i in order]
+    pairs = [
+        [(k, tables[rel(up_p, k, i)]) for k in order[:s]] for s, i in enumerate(order)
+    ]
+    return next(scheduled_search(order, n, start, pairs, [[]] * n), None)
+
+
+def find_isomorphism(p, q):
+    """An order isomorphism p -> q as an index tuple, or None.
+
+    The classes of ``_refine_classes`` are the unary constraint, and the
+    elements are placed class by class.
+    """
     pc = _refine_classes(p)
     qc = _refine_classes(q)
-    if sorted(pc) != sorted(qc):
-        return None
     order = sorted(range(p.n), key=lambda i: (pc[i], i))
-    img = [None] * p.n
-    used = [False] * q.n
-
-    def ok(i, v):
-        if pc[i] != qc[v]:
-            return False
-        for k in range(p.n):
-            if img[k] is None:
-                continue
-            if p.leq(k, i) != q.leq(img[k], v):
-                return False
-            if p.leq(i, k) != q.leq(v, img[k]):
-                return False
-        return True
-
-    def dfs(s):
-        if s == p.n:
-            return True
-        i = order[s]
-        for v in range(q.n):
-            if used[v] or not ok(i, v):
-                continue
-            img[i] = v
-            used[v] = True
-            if dfs(s + 1):
-                return True
-            img[i] = None
-            used[v] = False
-        return False
-
-    if dfs(0):
-        return tuple(img)
-    return None
+    return _relation_bijection(p.up, q.up, pc, qc, order)
 
 
 def is_isomorphic(p, q):

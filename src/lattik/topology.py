@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import NotT0, SizeGuardExceeded
-from .order import Poset, SetLattice, bits, scheduled_search, size_guard
+from .order import Poset, SetLattice, _relation_bijection, bits, scheduled_search, size_guard
 from .ideals import ideal_label, ideal_masks, prime_masks
 
 
@@ -297,65 +297,27 @@ def enumerate_continuous(x, y, guard=None):
             else:
                 pairs[i].append((j, y_within))
     start = [y.full] * x.n
-    return scheduled_search(range(x.n), y.n, start, pairs, [[]] * x.n)
-
-
-def _point_invariant(x):
-    inv = []
-    for i in range(x.n):
-        sizes = tuple(sorted(bin(u).count("1") for u in x.opens if u >> i & 1))
-        inv.append(sizes)
-    return inv
+    return list(scheduled_search(range(x.n), y.n, start, pairs, [[]] * x.n))
 
 
 def find_homeomorphism(x, y):
     """A bijection on points transporting opens both ways, or None.
 
-    Backtracking with a per-point invariant (sizes of the opens containing
-    the point) as pruning.
+    A bijection of finite spaces is a homeomorphism iff it preserves the
+    specialization preorder both ways, j in U_i iff f(j) in U_f(i), for the
+    minimal open neighbourhoods U (also without T0).  The class of a point
+    i is (|U_i|, #{j : i in U_j}), and the points are placed in index order.
     """
-    if x.n != y.n or len(x.opens) != len(y.opens):
-        return None
-    xs = sorted(bin(u).count("1") for u in x.opens)
-    ys = sorted(bin(u).count("1") for u in y.opens)
-    if xs != ys:
-        return None
-    xi = _point_invariant(x)
-    yi = _point_invariant(y)
-    if sorted(xi) != sorted(yi):
-        return None
-    img = [None] * x.n
-    used = [False] * y.n
-    yopens = set(y.opens)
 
-    def dfs(i):
-        if i == x.n:
-            for u in x.opens:
-                if preimage_inverse(img, u) not in yopens:
-                    return False
-            return True
-        for v in range(y.n):
-            if used[v] or xi[i] != yi[v]:
-                continue
-            img[i] = v
-            used[v] = True
-            if dfs(i + 1):
-                return True
-            img[i] = None
-            used[v] = False
-        return False
+    def classes(minimal):
+        return [
+            (bin(u).count("1"), sum(u >> i & 1 for u in minimal))
+            for i, u in enumerate(minimal)
+        ]
 
-    def preimage_inverse(mapping, mask):
-        m = 0
-        for i in bits(mask):
-            m |= 1 << mapping[i]
-        return m
-
-    if x.n == 0:
-        return ()
-    if dfs(0):
-        return tuple(img)
-    return None
+    x_min = _minimal_opens(x)
+    y_min = _minimal_opens(y)
+    return _relation_bijection(x_min, y_min, classes(x_min), classes(y_min), range(x.n))
 
 
 def is_homeomorphic(x, y):

@@ -155,6 +155,14 @@ class TestAdjunctionVerb:
         code, _, err = run(capsys, "adjunction")
         assert code == 2
 
+    @pytest.mark.parametrize("points", ["-1", "-2"])
+    def test_negative_space_points_is_input_error(self, capsys, points):
+        code, out, err = run(
+            capsys, "adjunction", "--corpus-max-n", "2", "--space-points", points
+        )
+        assert code == 2 and out == ""
+        assert "max_points >= 0" in err
+
 
 class TestFrameVerbs:
     def test_frame_points(self, capsys, b2_file):
@@ -386,6 +394,12 @@ class TestTensorVerbs:
         code, out, err = run(capsys, verb, "--fuzz", "-3")
         assert code == 2 and out == ""
         assert "--fuzz" in err
+
+    @pytest.mark.parametrize("verb", ["tensor-lemma", "classify"])
+    def test_no_file_and_no_fuzz_is_input_error(self, capsys, verb):
+        code, out, err = run(capsys, verb)
+        assert code == 2 and out == ""
+        assert "need FILE or --fuzz" in err
 
 
 class TestCorpusVerb:
@@ -691,10 +705,8 @@ def _rename(obj, old, new):
     return obj
 
 
-@st.composite
-def mutated_inputs(draw):
-    """A valid CLI input with one to three keys dropped, values retyped or names renamed."""
-    verb, obj = draw(st.sampled_from(VALID_INPUTS))
+def mutate(draw, obj):
+    """A copy of obj with one to three keys dropped, values retyped or names renamed."""
     obj = copy.deepcopy(obj)
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["drop", "retype", "rename"]))
@@ -718,7 +730,34 @@ def mutated_inputs(draw):
             del parent[path[-1]]
         else:
             parent[path[-1]] = value
-    return verb, obj
+    return obj
+
+
+@st.composite
+def mutated_inputs(draw):
+    """A valid CLI input of a single-file verb, mutated."""
+    verb, obj = draw(st.sampled_from(VALID_INPUTS))
+    return verb, mutate(draw, obj)
+
+
+@st.composite
+def mutated_adjunction_inputs(draw):
+    """The B2 and Sierpinski inputs of ``adjunction``, one of the two mutated."""
+    inputs = [
+        lattice_to_json(b2(), name="B2"),
+        space_to_json(space_from_closed_basis(["p", "q"], [0b01])),
+    ]
+    k = draw(st.integers(0, 1))
+    inputs[k] = mutate(draw, inputs[k])
+    return inputs
+
+
+def run_quietly(argv):
+    """The exit code and stdout of main(argv), with stderr discarded."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue()
 
 
 class TestMutatedInputs:
@@ -728,9 +767,19 @@ class TestMutatedInputs:
         verb, obj = case
         path = tmp_path_factory.getbasetemp() / "mutated.json"
         path.write_text(json.dumps(obj))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([verb, str(path)])
+        code, out = run_quietly([verb, str(path)])
         assert code in (0, 1, 2)
         if code == 1:
-            assert "witness" in json.loads(out.getvalue())
+            assert "witness" in json.loads(out)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(mutated_adjunction_inputs())
+    def test_adjunction_exit_code_contract(self, tmp_path_factory, case):
+        paths = []
+        for name, obj in zip(["lattice.json", "space.json"], case):
+            paths.append(tmp_path_factory.getbasetemp() / name)
+            paths[-1].write_text(json.dumps(obj))
+        code, out = run_quietly(["adjunction", *map(str, paths)])
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert "witness" in json.loads(out)

@@ -86,6 +86,13 @@ class TestTopologies:
         with pytest.raises(BoundExceeded):
             all_topologies(5)
 
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_negative_size(self, n):
+        with pytest.raises(BoundExceeded):
+            all_topologies(n)
+        with pytest.raises(BoundExceeded):
+            space_corpus(n)
+
 
 class TestDeterminism:
     def test_lattice_corpus_is_stable(self):

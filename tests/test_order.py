@@ -1,11 +1,12 @@
 """Posets, lattices, duality, distributivity, and morphism enumeration."""
 
+import random
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from lattik.corpus import b2, b3, chain, m3, n5, space_corpus
+from lattik.corpus import b2, b3, chain, lattice_corpus, m3, n5, space_corpus
 from lattik.errors import (
     DuplicateName,
     NoBottom,
@@ -15,17 +16,20 @@ from lattik.errors import (
     UnknownName,
 )
 from lattik.order import (
+    Poset,
     SetLattice,
     as_bounded_lattice,
     as_join_semilattice,
     bits,
     build_poset,
+    canonical_key,
     dual,
     enumerate_morphisms,
     find_isomorphism,
     is_distributive,
     is_isomorphic,
     is_morphism,
+    scheduled_search,
     two,
 )
 from lattik.topology import cl_lattice, discrete_space, omega_lattice
@@ -281,6 +285,64 @@ class TestMorphisms:
         monkeypatch.setenv("LATTIK_SIZE_GUARD", "2")
         with pytest.raises(SizeGuardExceeded):
             enumerate_morphisms(b2(), b2(), "blat")
+
+
+def relabelled(p, perm):
+    """The poset p with element i moved to position perm[i]."""
+    elements = [None] * p.n
+    up = [0] * p.n
+    for i in range(p.n):
+        elements[perm[i]] = p.elements[i]
+        up[perm[i]] = sum(1 << perm[j] for j in bits(p.up[i]))
+    return Poset(elements, up)
+
+
+def is_order_isomorphism(f, p, q):
+    return sorted(f) == list(range(q.n)) and all(
+        p.leq(i, j) == q.leq(f[i], f[j]) for i in range(p.n) for j in range(p.n)
+    )
+
+
+class TestIsomorphism:
+    def test_agrees_with_canonical_key(self):
+        corpus7 = lattice_corpus(7)
+        keys = [canonical_key(l) for l in corpus7]
+        for p, kp in zip(corpus7, keys):
+            for q, kq in zip(corpus7, keys):
+                if p.n != q.n:
+                    continue
+                f = find_isomorphism(p, q)
+                assert (f is not None) == (kp == kq)
+                assert f is None or is_order_isomorphism(f, p, q)
+
+    def test_finds_relabelled_copies(self):
+        rng = random.Random(2026)
+        for p in lattice_corpus(7):
+            q = relabelled(p, rng.sample(range(p.n), p.n))
+            f = find_isomorphism(p, q)
+            assert f is not None and is_order_isomorphism(f, p, q)
+
+
+class TestScheduledSearch:
+    def test_first_result_expands_one_path(self):
+        # M8: a bottom, eight atoms and a top; its 8! = 40,320 automorphisms
+        # take 109,602 expanded nodes to list
+        atoms = [f"a{i}" for i in range(1, 9)]
+        covers = [("0", a) for a in atoms] + [(a, "1") for a in atoms]
+        m8 = as_bounded_lattice(build_poset(["0", *atoms, "1"], covers))
+        n = m8.n
+        atom_mask = m8.full & ~(1 << m8.bottom | 1 << m8.top)
+        start = [1 << m8.bottom] + [atom_mask] * 8 + [1 << m8.top]
+        distinct = [m8.full & ~(1 << v) for v in range(n)]
+        pairs = [[(k, distinct) for k in range(s)] for s in range(n)]
+
+        def search(bound):
+            return scheduled_search(range(n), n, start, pairs, [[]] * n, bound)
+
+        # the first result expands the n nodes on its path, n attempts each
+        assert next(search(n * n)) == tuple(range(n))
+        with pytest.raises(SizeGuardExceeded):
+            list(search(n * n))
 
 
 def test_bits_helper():

@@ -9,7 +9,7 @@ from lattik.errors import (
     UnitLawFails,
     ZeroLawFails,
 )
-from lattik.order import is_distributive, is_isomorphic, two
+from lattik.order import bits, is_distributive, is_isomorphic, two
 from lattik.tensor import (
     all_radical_tensor_ideals,
     build_tensor_lattice,
@@ -226,6 +226,15 @@ class TestFuzz:
             assert lemma.ok, lemma.to_json()
             cls = check_classification(t)
             assert cls.ok, cls.to_json()
+
+    def test_fuzzed_products_are_monotone(self):
+        # follows from join-distributivity, which validation checks
+        for t in fuzz_tensor_lattices(lattice_corpus(5), seed=2026, count=1000):
+            l, prod = t.base, t.product
+            for a in range(l.n):
+                for b in range(l.n):
+                    for c in bits(l.up[b]):
+                        assert l.leq(prod[a][b], prod[a][c]) and l.leq(prod[b][a], prod[c][a])
 
     def test_budget_exhaustion(self):
         with pytest.raises(SizeGuardExceeded):

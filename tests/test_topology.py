@@ -1,10 +1,11 @@
 """Finite spaces, the spectra, specialization order, and continuity."""
 
-from itertools import product
+import random
+from itertools import permutations, product
 
 import pytest
 
-from lattik.corpus import b2, chain, m3, n5
+from lattik.corpus import b2, chain, m3, n5, space_corpus
 from lattik.errors import NotT0, SizeGuardExceeded
 from lattik.ideals import all_ideals, compact_elements
 from lattik.order import dual, is_isomorphic, two
@@ -24,6 +25,10 @@ from lattik.topology import (
     spc_space,
     specialization_order,
 )
+
+
+def inverse(f):
+    return tuple(sorted(range(len(f)), key=f.__getitem__))
 
 
 def sierpinski():
@@ -294,3 +299,28 @@ class TestHomeomorphism:
 
     def test_distinguishes(self):
         assert not is_homeomorphic(sierpinski(), discrete_space(["p", "q"]))
+
+    def test_agrees_with_brute_force(self, spaces3):
+        # the first permutation, in lexicographic order, continuous both ways
+        for x in spaces3:
+            for y in spaces3:
+                homeos = [
+                    f
+                    for f in permutations(range(y.n))
+                    if x.n == y.n
+                    and is_continuous(f, x, y)
+                    and is_continuous(inverse(f), y, x)
+                ]
+                assert find_homeomorphism(x, y) == (homeos[0] if homeos else None)
+
+    def test_finds_relabelled_four_point_spaces(self):
+        rng = random.Random(2026)
+        for x in space_corpus(4):
+            if x.n != 4:
+                continue
+            perm = rng.sample(range(4), 4)
+            opens = [sum(1 << perm[i] for i in range(4) if u >> i & 1) for u in x.opens]
+            y = FiniteSpace(x.points, opens)
+            f = find_homeomorphism(x, y)
+            assert f is not None
+            assert is_continuous(f, x, y) and is_continuous(inverse(f), y, x)
