@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 mathematical-check failure (with witness), 2 input erro
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -356,7 +357,9 @@ def cmd_dot(args):
     return poset_to_dot(poset, name=name or "poset")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parse_args never changes it."""
     parser = argparse.ArgumentParser(
         prog="lattik",
         description="Finite lattice spectra, support data, frames, and tensor ideals",
@@ -411,8 +414,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         result = args.fn(args)
     except CheckFailure as exc:

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .errors import BoundExceeded
 from .ideals import _downset_masks
-from .order import Poset, as_bounded_lattice, build_poset, canonical_key, two
-from .topology import FiniteSpace
+from .order import (
+    Poset,
+    as_bounded_lattice,
+    build_poset,
+    canonical_key,
+    scheduled_search,
+    two,
+)
+from .topology import FiniteSpace, _union_closure
 
 MAX_CORPUS_N = 10
 
@@ -131,20 +136,6 @@ def _meet_downsets(p, last):
     return [d for d in _downset_masks(p) if all(d & dx in principal for dx in p.down)]
 
 
-def _is_lattice_poset(p):
-    from .order import _glb, _lub
-
-    if not any(p.up[i] == p.full for i in range(p.n)):
-        return False
-    if not any(p.down[i] == p.full for i in range(p.n)):
-        return False
-    for i in range(p.n):
-        for j in range(i + 1, p.n):
-            if _lub(p, i, j) is None or _glb(p, i, j) is None:
-                return False
-    return True
-
-
 def all_lattices(max_n):
     """All bounded lattices up to isomorphism with 1..max_n elements.
 
@@ -167,13 +158,19 @@ def all_lattices(max_n):
       the pairs (p, d) visited here are the poset pairs that yield
       meet-semilattices, in the same relative order, so every class is
       first seen at the same pair.
+
+    A level poset is kept iff it has a top.  Every level poset is a
+    meet-semilattice with the bottom e0, and a finite meet-semilattice with
+    a top is a lattice: a ∨ b is the meet of the upper bounds of a and b,
+    a set that the top makes nonempty.  as_bounded_lattice still checks
+    every join and meet literally.
     """
     if not 1 <= max_n <= MAX_CORPUS_N:
         raise BoundExceeded(
             f"corpus generation is bounded at 1 <= n <= {MAX_CORPUS_N}"
         )
     return [
-        [as_bounded_lattice(p) for p in level if _is_lattice_poset(p)]
+        [as_bounded_lattice(p) for p in level if p.full in p.down]
         for level in _grow(max_n, _meet_downsets)
     ]
 
@@ -189,24 +186,34 @@ def lattice_corpus(max_n):
 def all_topologies(n_points):
     """All (labeled) topologies on n points, as FiniteSpaces.
 
-    Enumerated by choosing which proper nonempty subsets are open and
-    filtering for closure under union and intersection.  Bounded at 4 points.
+    A finite topology is determined by its minimal opens U_0, ..., U_{n-1}:
+    they are the tuples with i in U_i and j in U_i ⇒ U_j ⊆ U_i, and the opens
+    are their unions.  A scheduled_search assigns U_i over the masks that
+    contain i and tests each pair k < i once, at i.  The spaces are sorted by
+    (number of opens, opens).  Bounded at 4 points.
     """
     if n_points < 0:
         raise BoundExceeded(f"topology enumeration needs n_points >= 0, got {n_points}")
     if n_points > 4:
         raise BoundExceeded("topology enumeration is bounded at 4 points")
     points = [f"p{i}" for i in range(n_points)]
-    if n_points == 0:
-        return [FiniteSpace([], [0])]
-    full = (1 << n_points) - 1
-    proper = [m for m in range(1, full)]
-    spaces = []
-    for r in range(len(proper) + 1):
-        for extra in combinations(proper, r):
-            fam = set(extra) | {0, full}
-            if all(a | b in fam and a & b in fam for a in fam for b in fam):
-                spaces.append(FiniteSpace(points, fam))
+    masks = range(1 << n_points)
+
+    def table(k, i):
+        # per U_k, the U_i with i in U_k ⇒ U_i ⊆ U_k and k in U_i ⇒ U_k ⊆ U_i
+        return [
+            sum(
+                1 << ui
+                for ui in masks
+                if (not uk >> i & 1 or not ui & ~uk) and (not ui >> k & 1 or not uk & ~ui)
+            )
+            for uk in masks
+        ]
+
+    start = [sum(1 << u for u in masks if u >> i & 1) for i in range(n_points)]
+    pairs = [[(k, table(k, i)) for k in range(i)] for i in range(n_points)]
+    search = scheduled_search(range(n_points), len(masks), start, pairs, [[]] * n_points)
+    spaces = [FiniteSpace(points, _union_closure(u)) for u in search]
     spaces.sort(key=lambda s: (len(s.opens), s.opens))
     return spaces
 

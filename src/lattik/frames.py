@@ -7,9 +7,11 @@ from .ideals import all_ideals, compact_elements
 from .order import (
     LatticeMorphism,
     bits,
+    distributivity_witness,
     enumerate_morphisms,
     find_isomorphism,
     is_distributive,
+    is_morphism,
     size_guard,
     two,
 )
@@ -46,12 +48,11 @@ def frame_law_witness(l, guard=None):
                     return (a, mask)
         return None
     # beyond the guard: the binary law, provably equivalent on finite carriers
-    for a in range(l.n):
-        for b in range(l.n):
-            for c in range(l.n):
-                if l.meet[a][l.join[b][c]] != l.join[l.meet[a][b]][l.meet[a][c]]:
-                    return (a, (1 << b) | (1 << c))
-    return None
+    witness = distributivity_witness(l)
+    if witness is None:
+        return None
+    a, b, c = witness
+    return (a, (1 << b) | (1 << c))
 
 
 def as_frame(l, guard=None):
@@ -153,8 +154,9 @@ def extend_morphism(l, f, phi, guard=None):
     """Extend a bounded-lattice morphism L -> F to the frame morphism Id(L) -> F.
 
     The extension sends an ideal I to the join of φ over its members;
-    restricting back along the principal-ideal embedding returns φ.
-    Requires l distributive.
+    restricting back along the principal-ideal embedding returns φ, and ψ
+    is certified against the literal frame-morphism laws.  Requires l
+    distributive.
     """
     if not is_distributive(l):
         raise NotDistributive("the base lattice must be distributive")
@@ -168,6 +170,8 @@ def extend_morphism(l, f, phi, guard=None):
     psi = LatticeMorphism(idl.lattice, f.lattice, mapping, "frame")
     if restrict_along_principal(idl, psi) != phi.mapping:
         raise ValueError("extension does not restrict back to the given morphism")
+    if not is_morphism(idl.lattice, f.lattice, mapping, "frame"):
+        raise ValueError("extension is not a frame morphism")
     return psi
 
 

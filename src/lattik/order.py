@@ -265,14 +265,19 @@ def dual(l):
     return BoundedLattice(l.elements, l.down, l.top, l.meet, l.bottom, l.join)
 
 
-def is_distributive(l):
-    """True iff a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c) for all triples."""
+def distributivity_witness(l):
+    """The first triple (a, b, c) with a ∧ (b ∨ c) ≠ (a ∧ b) ∨ (a ∧ c), or None."""
     for a in range(l.n):
         for b in range(l.n):
             for c in range(l.n):
                 if l.meet[a][l.join[b][c]] != l.join[l.meet[a][b]][l.meet[a][c]]:
-                    return False
-    return True
+                    return (a, b, c)
+    return None
+
+
+def is_distributive(l):
+    """True iff a ∧ (b ∨ c) = (a ∧ b) ∨ (a ∧ c) for all triples."""
+    return distributivity_witness(l) is None
 
 
 def two():
@@ -475,56 +480,29 @@ def canonical_key(p):
     """A label-independent key: minimal relation encoding over admissible relabelings.
 
     Elements are first partitioned by an iterated order invariant; only
-    permutations mapping each class onto itself (classes taken in rank order)
-    are tried.
+    permutations mapping each class onto its block of positions (classes
+    taken in rank order) are tried.  A scheduled_search assigns the
+    positions class by class, each variable starting from its class's
+    block, with injectivity as the pair constraint.
     """
     cls = _refine_classes(p)
-    groups = {}
-    for i, c in enumerate(cls):
-        groups.setdefault(c, []).append(i)
-    slots = []  # target positions grouped by class rank
-    for c in sorted(groups):
-        slots.append(groups[c])
+    order = sorted(range(p.n), key=lambda i: (cls[i], i))
+    block = [0] * p.n  # block[c]: the positions of class c
+    for s, i in enumerate(order):
+        block[cls[i]] |= 1 << s
+    distinct = [p.full & ~(1 << v) for v in range(p.n)]
+    start = [block[cls[i]] for i in order]
+    pairs = [
+        [(k, distinct) for k in order[:s] if cls[k] == cls[i]] for s, i in enumerate(order)
+    ]
     best = None
-    perm = [0] * p.n  # perm[old] = new position
-
-    def encode():
+    for perm in scheduled_search(order, p.n, start, pairs, [[]] * p.n):
         code = 0
         for i in range(p.n):
             for j in bits(p.up[i]):
                 code |= 1 << (perm[i] * p.n + perm[j])
-        return code
-
-    members = [g[:] for g in slots]
-    positions = []
-    base = 0
-    for g in slots:
-        positions.append(list(range(base, base + len(g))))
-        base += len(g)
-
-    def assign(gi):
-        nonlocal best
-        if gi == len(members):
-            code = encode()
-            if best is None or code < best:
-                best = code
-            return
-        group = members[gi]
-        targets = positions[gi]
-
-        def place(k, used):
-            if k == len(group):
-                assign(gi + 1)
-                return
-            for t in targets:
-                if t in used:
-                    continue
-                perm[group[k]] = t
-                place(k + 1, used | {t})
-
-        place(0, frozenset())
-
-    assign(0)
+        if best is None or code < best:
+            best = code
     return (p.n, best)
 
 

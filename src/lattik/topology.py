@@ -215,21 +215,12 @@ def hochster_dual(l, guard=None):
 
 
 def specialization_order(x):
-    """The poset x <= y iff x lies in the closure of {y}; raises NotT0 if not a poset."""
-    closed = x.closed_sets()
-    up = []
-    for i in range(x.n):
-        # cl{y} for y = j: smallest closed set containing j
-        m = 0
-        for j in range(x.n):
-            clj = x.full
-            for c in closed:
-                if c >> j & 1:
-                    clj &= c
-            if clj >> i & 1:
-                m |= 1 << j
-        up.append(m)
-    # up[i] currently holds {j : i in cl{j}} = {j : i <= j}; check axioms
+    """The poset x <= y iff x lies in the closure of {y}; raises NotT0 if not a poset.
+
+    i lies in cl{j} iff every open containing i contains j, that is, iff j is
+    in the minimal open U_i; so the up-set of i is U_i.
+    """
+    up = _minimal_opens(x)
     for i in range(x.n):
         for j in bits(up[i]):
             if i != j and up[j] >> i & 1:

@@ -1,10 +1,11 @@
 """Corpus generation: counts, canonicity, and determinism."""
 
+from itertools import combinations
+
 import pytest
 
 from lattik.corpus import (
     LATTICE_COUNTS,
-    _is_lattice_poset,
     all_lattices,
     all_posets,
     all_topologies,
@@ -12,8 +13,34 @@ from lattik.corpus import (
     space_corpus,
     standard_lattices,
 )
-from lattik.errors import BoundExceeded
-from lattik.order import canonical_key, is_isomorphic
+from lattik.errors import BoundExceeded, NoBottom, NoJoin, NoMeet, NoTop
+from lattik.order import as_bounded_lattice, canonical_key, is_isomorphic
+from lattik.topology import FiniteSpace
+
+
+def is_lattice(p):
+    try:
+        as_bounded_lattice(p)
+    except (NoBottom, NoTop, NoJoin, NoMeet):
+        return False
+    return True
+
+
+def filtered_topologies(n):
+    """Every family of subsets of n points closed under union and intersection."""
+    points = [f"p{i}" for i in range(n)]
+    if n == 0:
+        return [FiniteSpace([], [0])]
+    full = (1 << n) - 1
+    proper = list(range(1, full))
+    spaces = []
+    for r in range(len(proper) + 1):
+        for extra in combinations(proper, r):
+            fam = set(extra) | {0, full}
+            if all(a | b in fam and a & b in fam for a in fam for b in fam):
+                spaces.append(FiniteSpace(points, fam))
+    spaces.sort(key=lambda s: (len(s.opens), s.opens))
+    return spaces
 
 
 class TestLatticeCounts:
@@ -34,7 +61,7 @@ class TestLatticeCounts:
         posets = all_posets(7)
         for n in range(1, 8):
             expected = [
-                [(p.elements, p.up) for p in level if _is_lattice_poset(p)]
+                [(p.elements, p.up) for p in level if is_lattice(p)]
                 for level in posets[:n]
             ]
             got = [[(l.elements, l.up) for l in level] for level in all_lattices(n)]
@@ -78,6 +105,11 @@ class TestTopologies:
     def test_labeled_counts(self):
         # labeled topologies on 0..3 points
         assert [len(all_topologies(n)) for n in range(4)] == [1, 1, 4, 29]
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_same_as_the_family_filter(self, n):
+        expected = [(s.points, s.opens) for s in filtered_topologies(n)]
+        assert [(s.points, s.opens) for s in all_topologies(n)] == expected
 
     def test_space_corpus_size(self, spaces3):
         assert len(spaces3) == 35

@@ -17,7 +17,7 @@ from lattik.frames import (
     support_union_map,
 )
 from lattik.ideals import all_ideals
-from lattik.order import dual, enumerate_morphisms, is_distributive, two
+from lattik.order import bits, dual, enumerate_morphisms, is_distributive, two
 from lattik.topology import omega_lattice
 
 
@@ -59,6 +59,15 @@ class TestAsFrame:
     def test_law_iff_distributive(self, corpus5):
         for l in corpus5:
             assert (frame_law_witness(l) is None) == is_distributive(l)
+
+    def test_binary_fallback_past_the_guard(self, corpus6):
+        for l in corpus6:
+            witness = frame_law_witness(l, guard=l.n * (1 << l.n) - 1)
+            assert (witness is None) == (frame_law_witness(l) is None)
+            if witness is not None:
+                a, mask = witness
+                b, c = (list(bits(mask)) * 2)[:2]
+                assert l.meet[a][l.join[b][c]] != l.join[l.meet[a][b]][l.meet[a][c]]
 
     def test_omega_lattices_are_frames(self, spaces3):
         for x in spaces3:

@@ -1,12 +1,12 @@
 """Posets, lattices, duality, distributivity, and morphism enumeration."""
 
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
-from lattik.corpus import b2, b3, chain, lattice_corpus, m3, n5, space_corpus
+from lattik.corpus import all_posets, b2, b3, chain, lattice_corpus, m3, n5, space_corpus
 from lattik.errors import (
     DuplicateName,
     NoBottom,
@@ -18,6 +18,7 @@ from lattik.errors import (
 from lattik.order import (
     Poset,
     SetLattice,
+    _refine_classes,
     as_bounded_lattice,
     as_join_semilattice,
     bits,
@@ -321,6 +322,32 @@ class TestIsomorphism:
             q = relabelled(p, rng.sample(range(p.n), p.n))
             f = find_isomorphism(p, q)
             assert f is not None and is_order_isomorphism(f, p, q)
+
+
+def encoding(p, perm):
+    return sum(1 << (perm[i] * p.n + perm[j]) for i in range(p.n) for j in bits(p.up[i]))
+
+
+class TestCanonicalKey:
+    def test_minimum_over_class_preserving_relabelings(self):
+        # classes occupy consecutive blocks of positions, in class rank order
+        for level in all_posets(5):
+            for p in level:
+                cls = _refine_classes(p)
+                block = sorted(cls)
+                best = min(
+                    encoding(p, perm)
+                    for perm in permutations(range(p.n))
+                    if all(block[perm[i]] == cls[i] for i in range(p.n))
+                )
+                assert canonical_key(p) == (p.n, best)
+
+    def test_invariant_under_every_relabeling(self):
+        for level in all_posets(5):
+            for p in level:
+                key = canonical_key(p)
+                for perm in permutations(range(p.n)):
+                    assert canonical_key(relabelled(p, perm)) == key
 
 
 class TestScheduledSearch:

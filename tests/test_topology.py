@@ -8,7 +8,7 @@ import pytest
 from lattik.corpus import b2, chain, m3, n5, space_corpus
 from lattik.errors import NotT0, SizeGuardExceeded
 from lattik.ideals import all_ideals, compact_elements
-from lattik.order import dual, is_isomorphic, two
+from lattik.order import bits, dual, is_isomorphic, two
 from lattik.topology import (
     FiniteSpace,
     cl_lattice,
@@ -234,6 +234,20 @@ class TestSpecializationOrder:
         indiscrete = FiniteSpace(["p", "q"], [0, 0b11])
         with pytest.raises(NotT0):
             specialization_order(indiscrete)
+
+    def test_agrees_with_closures(self):
+        # i <= j iff i lies in cl{j}; T0 iff no two points share their closures
+        for x in space_corpus(4):
+            up = [
+                sum(1 << j for j in range(x.n) if x.closure(1 << j) >> i & 1)
+                for i in range(x.n)
+            ]
+            t0 = all(i == j or not up[j] >> i & 1 for i in range(x.n) for j in bits(up[i]))
+            if t0:
+                assert specialization_order(x).up == tuple(up)
+            else:
+                with pytest.raises(NotT0):
+                    specialization_order(x)
 
     def test_sp_specialization_is_ideal_inclusion(self, corpus5):
         for l in corpus5:
