@@ -31,7 +31,8 @@ def main():
           "surjective:", cert.surjective, ")")
 
     homeo = pt_ideal_vs_hochster(l)
-    print("\nPt(Id(B2)) = Spc(B2)^v:", homeo.ok, " point map:", homeo.point_map)
+    print("\nPt(Id(B2)) = Spc(B2)^v:", homeo.ok,
+          " point map:", homeo.detail["point_map"])
 
     iso = id_vs_omega_dual(l)
     print("Id(B2) = Omega(Spc(B2)^v):", iso.ok, iso.detail)

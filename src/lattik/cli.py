@@ -255,7 +255,7 @@ def cmd_tensor_validate(args):
 
 def cmd_radicals(args):
     name, t = _load_tensor(args)
-    masks, lattice = tensormod.all_radical_tensor_ideals(t, args.size_guard)
+    masks = tensormod.radical_masks(t, args.size_guard)
     return {
         "name": name,
         "count": len(masks),

@@ -5,17 +5,19 @@ from __future__ import annotations
 from .errors import NotAFrame, NotDistributive
 from .ideals import all_ideals, compact_elements
 from .order import (
+    Certificate,
     LatticeMorphism,
     bits,
     distributivity_witness,
     enumerate_morphisms,
     find_isomorphism,
+    inclusion_isomorphism_failure,
     is_distributive,
     is_morphism,
     size_guard,
     two,
 )
-from .topology import FiniteSpace, hochster_dual, is_continuous, omega_lattice
+from .topology import FiniteSpace, hochster_dual, is_homeomorphism, omega_lattice
 
 
 class Frame:
@@ -175,19 +177,6 @@ def extend_morphism(l, f, phi, guard=None):
     return psi
 
 
-class HomeoCertificate:
-    def __init__(self, ok, point_map=None, detail=None):
-        self.ok = ok
-        self.point_map = point_map
-        self.detail = detail or {}
-
-    def __bool__(self):
-        return self.ok
-
-    def to_json(self):
-        return {"ok": self.ok, "point_map": self.point_map, **self.detail}
-
-
 def pt_ideal_vs_hochster(l, guard=None):
     """Certify Pt(Id(L)) ≅ Spc(L)^v via φ ↦ φ^{-1}(0) ∩ L, for distributive L.
 
@@ -200,8 +189,6 @@ def pt_ideal_vs_hochster(l, guard=None):
     frame = as_frame(idl.lattice, guard)
     pt = points(frame, guard)
     dualspec = hochster_dual(l, guard)
-    if len(pt.morphisms) != dualspec.space.n:
-        return HomeoCertificate(False, detail={"reason": "point counts differ"})
     mapping = []
     for phi in pt.morphisms:
         # φ^{-1}(0) ∩ L: base elements whose principal ideal is killed by φ
@@ -213,19 +200,9 @@ def pt_ideal_vs_hochster(l, guard=None):
         try:
             mapping.append(dualspec.point_of_ideal(members))
         except ValueError:
-            return HomeoCertificate(
-                False, detail={"reason": "image is not a prime ideal point"}
-            )
-    if sorted(mapping) != list(range(dualspec.space.n)):
-        return HomeoCertificate(False, detail={"reason": "map is not a bijection"})
-    inv = [0] * len(mapping)
-    for i, v in enumerate(mapping):
-        inv[v] = i
-    if not (
-        is_continuous(tuple(mapping), pt.space, dualspec.space)
-        and is_continuous(tuple(inv), dualspec.space, pt.space)
-    ):
-        return HomeoCertificate(False, detail={"reason": "not a homeomorphism"})
+            return Certificate(False, {"reason": "image is not a prime ideal point"})
+    if not is_homeomorphism(mapping, pt.space, dualspec.space):
+        return Certificate(False, {"reason": "not a homeomorphism"})
     # U(principal(a)) must transport to supp(a)
     for a in range(l.n):
         k = idl.index_of_mask(l.down[a])
@@ -233,10 +210,10 @@ def pt_ideal_vs_hochster(l, guard=None):
         for p in bits(pt.u_sets[k]):
             transported |= 1 << mapping[p]
         if transported != dualspec.supp.assignment[a]:
-            return HomeoCertificate(
-                False, detail={"reason": f"U(principal({l.elements[a]})) != supp"}
+            return Certificate(
+                False, {"reason": f"U(principal({l.elements[a]})) != supp"}
             )
-    return HomeoCertificate(True, point_map=mapping)
+    return Certificate(True, {"point_map": mapping})
 
 
 def support_union_map(l, guard=None):
@@ -252,63 +229,27 @@ def support_union_map(l, guard=None):
     return idl, dualspec, images
 
 
-class IsoCertificate:
-    def __init__(self, ok, detail=None):
-        self.ok = ok
-        self.detail = detail or {}
-
-    def __bool__(self):
-        return self.ok
-
-    def to_json(self):
-        return {"ok": self.ok, **self.detail}
-
-
 def id_vs_omega_dual(l, guard=None):
     """Certify I ↦ ⋃ supp(a) is a lattice isomorphism Id(L) ≅ Ω(Spc(L)^v).
 
-    The stated inverse U ↦ {a : supp(a) ⊆ U} is applied and both composites
-    are checked to be identities.  Requires l distributive.
+    The stated inverse is U ↦ {a : supp(a) ⊆ U}; inclusion_isomorphism_failure
+    checks the bijection, both roundtrips and the order both ways.  Requires
+    l distributive.
     """
     if not is_distributive(l):
         raise NotDistributive("the base lattice must be distributive")
     idl, dualspec, images = support_union_map(l, guard)
+    supp = dualspec.supp.assignment
     omega = omega_lattice(dualspec.space)
-    opens = set(omega.masks)
-    if any(m not in opens for m in images):
-        return IsoCertificate(False, {"reason": "image is not open"})
-    if len(set(images)) != len(images) or set(images) != opens:
-        return IsoCertificate(False, {"reason": "map is not a bijection onto opens"})
-    # inverse: U ↦ {a : supp(a) ⊆ U}
-    for u in omega.masks:
-        back = 0
-        for a in range(l.n):
-            if not dualspec.supp.assignment[a] & ~u:
-                back |= 1 << a
-        k = idl.index_of_mask(back)
-        if images[k] != u:
-            return IsoCertificate(False, {"reason": "inverse roundtrip fails"})
-    for k, ideal in enumerate(idl.ideals):
-        back = 0
-        for a in range(l.n):
-            if not dualspec.supp.assignment[a] & ~images[k]:
-                back |= 1 << a
-        if back != ideal.members:
-            return IsoCertificate(False, {"reason": "forward roundtrip fails"})
-    # order preservation both ways makes it a lattice isomorphism
-    for i in range(len(idl)):
-        for j in range(len(idl)):
-            incl_ideals = not idl.ideals[i].members & ~idl.ideals[j].members
-            incl_opens = not images[i] & ~images[j]
-            if incl_ideals != incl_opens:
-                return IsoCertificate(False, {"reason": "order is not preserved"})
-    return IsoCertificate(
-        True,
-        {
-            "ideal_count": len(idl),
-            "open_count": len(omega.masks),
-        },
+    reason = inclusion_isomorphism_failure(
+        idl.masks,
+        omega.masks,
+        dict(zip(idl.masks, images)).get,  # None off the ideals
+        lambda u: sum(1 << a for a in range(l.n) if not supp[a] & ~u),
     )
+    if reason is not None:
+        return Certificate(False, {"reason": reason})
+    return Certificate(True, {"ideal_count": len(idl), "open_count": len(omega.masks)})
 
 
 def coherence_check(f, guard=None):

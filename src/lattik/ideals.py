@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 from .errors import KindMismatch, SizeGuardExceeded
-from .order import LatticeMorphism, SetLattice, bits, size_guard, two
+from .order import (
+    LatticeMorphism,
+    SetLattice,
+    bits,
+    inclusion_isomorphism_failure,
+    size_guard,
+    two,
+)
 
 
 class Ideal:
@@ -196,20 +203,21 @@ def compact_elements(idl, guard=None):
     """The sub-poset of compact elements of Id(L), with an isomorphism to L.
 
     Returns (lattice, witness) where witness[a] is the index in the compact
-    sub-lattice of the principal ideal of base element a.
+    sub-lattice of the principal ideal of base element a.  The principal
+    ideals are certified to be exactly the compact elements, with L's order,
+    by inclusion_isomorphism_failure on the identity map.
     """
     bound = size_guard(guard)
     if (1 << idl.lattice.n) ** 2 > bound:
         raise SizeGuardExceeded("compactness check exceeds the size guard")
-    compact = [k for k in range(len(idl)) if _compact_in(idl, k)]
+    compact = [idl.masks[k] for k in range(len(idl)) if _compact_in(idl, k)]
     base = idl.base
-    sub = SetLattice([idl.masks[k] for k in compact], lambda m: ideal_label(base, m))
-    witness = [sub.index_of_mask(base.down[a]) for a in range(base.n)]
-    # The witness must be an order isomorphism base -> compact sub-lattice.
-    if sorted(witness) != list(range(len(sub))):
-        raise ValueError("principal ideals do not exhaust the compact elements")
-    for a in range(base.n):
-        for b in range(base.n):
-            if base.leq(a, b) != sub.lattice.leq(witness[a], witness[b]):
-                raise ValueError("principal-ideal map is not an order isomorphism")
-    return sub.lattice, tuple(witness)
+
+    def identity(m):
+        return m
+
+    reason = inclusion_isomorphism_failure(base.down, compact, identity, identity)
+    if reason is not None:
+        raise ValueError(f"principal ideals vs compact elements: {reason}")
+    sub = SetLattice(compact, lambda m: ideal_label(base, m))
+    return sub.lattice, tuple(sub.index_of_mask(base.down[a]) for a in range(base.n))

@@ -98,9 +98,6 @@ class Poset:
         """Element indices sorted bottom-up, ties broken by declaration order."""
         return sorted(range(self.n), key=lambda i: (bin(self.down[i]).count("1"), i))
 
-    def dual_poset(self):
-        return Poset(self.elements, self.down)
-
     def subset_names(self, mask):
         return [self.elements[i] for i in bits(mask)]
 
@@ -129,10 +126,6 @@ def build_poset(names, leq_pairs):
         for i in range(n):
             if up[i] >> k & 1:
                 up[i] |= up[k]
-    for i in range(n):
-        for j in bits(up[i]):
-            if i != j and up[j] >> i & 1:
-                raise NotAntisymmetric(f"{names[i]!r} and {names[j]!r} form a 2-cycle")
     return Poset(names, up)
 
 
@@ -176,13 +169,6 @@ class BoundedLattice(JoinSemilattice):
         super().__init__(elements, up, bottom, join)
         self.top = top
         self.meet = tuple(tuple(row) for row in meet)
-
-    def meet_of_mask(self, mask):
-        """Meet of a subset; the empty meet is the top element."""
-        acc = self.top
-        for i in bits(mask):
-            acc = self.meet[acc][i]
-        return acc
 
 
 def _bottom_and_joins(p):
@@ -258,6 +244,48 @@ class SetLattice:
 
     def __len__(self):
         return len(self.masks)
+
+
+def inclusion_isomorphism_failure(src, tgt, forward, backward):
+    """Why ``forward`` is no isomorphism of the families src -> tgt, or None.
+
+    Both families are sets of masks ordered by inclusion.  Checked literally,
+    in this order: ``forward`` maps src bijectively onto tgt; forward ∘
+    backward is the identity on tgt; backward ∘ forward is the identity on
+    src; and a ⊆ b iff forward(a) ⊆ forward(b) for every pair of src.  When
+    both families are lattices, such an order isomorphism is a lattice
+    isomorphism.
+    """
+    images = [forward(s) for s in src]
+    if len(set(images)) != len(images) or set(images) != set(tgt):
+        return "map is not a bijection onto the target"
+    for t in tgt:
+        if forward(backward(t)) != t:
+            return "inverse roundtrip fails"
+    for s, t in zip(src, images):
+        if backward(t) != s:
+            return "forward roundtrip fails"
+    for a, fa in zip(src, images):
+        for b, fb in zip(src, images):
+            if not a & ~b and fa & ~fb:
+                return "order is not preserved"
+            if a & ~b and not fa & ~fb:
+                return "order is not reflected"
+    return None
+
+
+class Certificate:
+    """The verdict of a check with its detail, serialized as {"ok": ok, **detail}."""
+
+    def __init__(self, ok, detail):
+        self.ok = ok
+        self.detail = detail
+
+    def __bool__(self):
+        return self.ok
+
+    def to_json(self):
+        return {"ok": self.ok, **self.detail}
 
 
 def dual(l):

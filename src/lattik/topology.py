@@ -311,12 +311,17 @@ def find_homeomorphism(x, y):
     return _relation_bijection(x_min, y_min, classes(x_min), classes(y_min), range(x.n))
 
 
-def is_homeomorphic(x, y):
-    f = find_homeomorphism(x, y)
-    if f is None:
+def is_homeomorphism(f, x, y):
+    """True iff the point map f is a bijection x -> y, continuous both ways."""
+    f = tuple(f)
+    if len(f) != x.n or sorted(f) != list(range(y.n)):
         return False
-    # certify both directions explicitly
-    inv = [0] * len(f)
+    inv = [0] * y.n
     for i, v in enumerate(f):
         inv[v] = i
-    return is_continuous(f, x, y) and is_continuous(tuple(inv), y, x)
+    return is_continuous(f, x, y) and is_continuous(inv, y, x)
+
+
+def is_homeomorphic(x, y):
+    f = find_homeomorphism(x, y)
+    return f is not None and is_homeomorphism(f, x, y)

@@ -175,7 +175,7 @@ class TestPtIdealVsHochster:
     @pytest.mark.parametrize("make", [two, lambda: chain(3), b2, b3])
     def test_examples(self, make):
         cert = pt_ideal_vs_hochster(make())
-        assert cert.ok and cert.point_map is not None
+        assert cert.ok and cert.detail["point_map"] is not None
 
     def test_distributive_corpus(self, corpus5):
         for l in corpus5:

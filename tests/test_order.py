@@ -16,6 +16,7 @@ from lattik.errors import (
     UnknownName,
 )
 from lattik.order import (
+    Certificate,
     Poset,
     SetLattice,
     _refine_classes,
@@ -27,6 +28,7 @@ from lattik.order import (
     dual,
     enumerate_morphisms,
     find_isomorphism,
+    inclusion_isomorphism_failure,
     is_distributive,
     is_isomorphic,
     is_morphism,
@@ -67,6 +69,18 @@ class TestBuildPoset:
     def test_two_cycle_rejected(self):
         with pytest.raises(NotAntisymmetric):
             build_poset(["x", "y"], [("x", "y"), ("y", "x")])
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [("x", "y"), ("y", "x")],
+            [("x", "y"), ("y", "z"), ("z", "x")],
+        ],
+    )
+    def test_cycle_message(self, pairs):
+        # the closure turns any cycle into 2-cycles; the first pair is reported
+        with pytest.raises(NotAntisymmetric, match=r"^'x' and 'y' form a 2-cycle$"):
+            build_poset(["x", "y", "z"], pairs)
 
     def test_duplicate_name(self):
         with pytest.raises(DuplicateName):
@@ -152,6 +166,71 @@ class TestSetLattice:
     def test_subsets_that_are_not_a_lattice_are_rejected(self):
         with pytest.raises(NoJoin):
             SetLattice([0, 0b01, 0b10], bin)
+
+
+def identity(m):
+    return m
+
+
+class TestInclusionIsomorphismFailure:
+    # the subsets of {0, 1}, and a 4-chain of subsets of {0, 1, 2}
+    B2 = (0, 0b01, 0b10, 0b11)
+    CHAIN = (0, 0b001, 0b011, 0b111)
+    SWAP = {0: 0, 0b01: 0b10, 0b10: 0b01, 0b11: 0b11}.__getitem__
+
+    def test_isomorphisms_pass(self):
+        assert inclusion_isomorphism_failure(self.B2, self.B2, identity, identity) is None
+        # swapping the two points is an isomorphism, and its own inverse
+        assert inclusion_isomorphism_failure(self.B2, self.B2, self.SWAP, self.SWAP) is None
+
+    @pytest.mark.parametrize(
+        "tgt, forward",
+        [
+            ((0, 0b01), lambda m: min(m, 0b01)),  # not injective
+            ((0, 0b01, 0b10, 0b11, 0b100), identity),  # not onto
+            ((0, 0b01, 0b10, 0b11), lambda m: m | 0b100),  # image outside
+        ],
+    )
+    def test_not_a_bijection(self, tgt, forward):
+        reason = inclusion_isomorphism_failure(self.B2, tgt, forward, identity)
+        assert reason == "map is not a bijection onto the target"
+
+    def test_wrong_backward_fails_the_inverse_roundtrip(self):
+        reason = inclusion_isomorphism_failure(self.B2, self.B2, identity, self.SWAP)
+        assert reason == "inverse roundtrip fails"
+
+    def test_backward_leaving_the_source_fails_the_forward_roundtrip(self):
+        # forward ∘ backward is the identity on the target, but backward
+        # lands outside the source, where forward forgets the point 2
+        reason = inclusion_isomorphism_failure(
+            self.B2, self.B2, lambda m: m & 0b11, lambda m: m | 0b100
+        )
+        assert reason == "forward roundtrip fails"
+
+    def test_preserved_but_not_reflected(self):
+        # {0} and {1} are incomparable, their images {0} ⊂ {0, 1} are not
+        to_chain = dict(zip(self.B2, self.CHAIN))
+        back = {v: k for k, v in to_chain.items()}
+        reason = inclusion_isomorphism_failure(
+            self.B2, self.CHAIN, to_chain.__getitem__, back.__getitem__
+        )
+        assert reason == "order is not reflected"
+
+    def test_reflected_but_not_preserved(self):
+        to_b2 = dict(zip(self.CHAIN, self.B2))
+        back = {v: k for k, v in to_b2.items()}
+        reason = inclusion_isomorphism_failure(
+            self.CHAIN, self.B2, to_b2.__getitem__, back.__getitem__
+        )
+        assert reason == "order is not preserved"
+
+
+class TestCertificate:
+    def test_truth_and_json(self):
+        cert = Certificate(True, {"point_map": [1, 0], "count": 2})
+        assert cert and list(cert.to_json()) == ["ok", "point_map", "count"]
+        assert not Certificate(False, {"reason": "r"})
+        assert Certificate(False, {"reason": "r"}).to_json() == {"ok": False, "reason": "r"}
 
 
 class TestDual:

@@ -21,6 +21,7 @@ from lattik.tensor import (
     is_radical_tensor_ideal,
     quotient_lattice,
     radical_closure,
+    radical_masks,
 )
 
 
@@ -136,6 +137,13 @@ class TestRadicalIdeals:
         t = meet_tensor(two())
         masks, lattice = all_radical_tensor_ideals(t)
         assert len(masks) == 2
+
+    def test_masks_are_the_radical_ideals(self):
+        # every subset of the carrier, in the (size, mask) order of ideal_masks
+        for t in fuzz_tensor_lattices(lattice_corpus(4), seed=3, count=30):
+            subsets = sorted(range(1 << t.n), key=lambda m: (bin(m).count("1"), m))
+            expected = [m for m in subsets if is_radical_tensor_ideal(t, m)]
+            assert radical_masks(t) == expected == all_radical_tensor_ideals(t)[0]
 
     def test_join_is_radical_closure_of_union(self):
         for l in lattice_corpus(5):

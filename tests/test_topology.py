@@ -18,6 +18,7 @@ from lattik.topology import (
     hochster_dual,
     is_continuous,
     is_homeomorphic,
+    is_homeomorphism,
     omega_lattice,
     sp_space,
     space_from_closed_basis,
@@ -313,6 +314,18 @@ class TestHomeomorphism:
 
     def test_distinguishes(self):
         assert not is_homeomorphic(sierpinski(), discrete_space(["p", "q"]))
+
+    def test_is_homeomorphism(self):
+        d2 = discrete_space(["p", "q"])
+        assert is_homeomorphism((1, 0), d2, d2)
+        assert is_homeomorphism((0, 1), sierpinski(), sierpinski())
+        # not a bijection: constant, too short, or onto a larger space
+        assert not is_homeomorphism((0, 0), d2, d2)
+        assert not is_homeomorphism((0,), d2, d2)
+        assert not is_homeomorphism((0, 1), d2, discrete_space(["p", "q", "r"]))
+        # continuous from the discrete space, but its inverse is not
+        assert is_continuous((0, 1), d2, sierpinski())
+        assert not is_homeomorphism((0, 1), d2, sierpinski())
 
     def test_agrees_with_brute_force(self, spaces3):
         # the first permutation, in lexicographic order, continuous both ways
