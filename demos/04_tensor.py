@@ -8,8 +8,8 @@ classifies the radical tensor ideals.
 
 from lattik.corpus import b2, chain, lattice_corpus
 from lattik.tensor import (
+    TensorLattice,
     all_radical_tensor_ideals,
-    build_tensor_lattice,
     check_classification,
     check_tensor_lemma,
     fuzz_tensor_lattices,
@@ -26,7 +26,7 @@ def nilpotent_c3():
         product[u][a] = a
         product[a][u] = a
     product[m][m] = z
-    return build_tensor_lattice(l, product, u)
+    return TensorLattice(l, product, u)
 
 
 def tour(name, t):
@@ -45,7 +45,7 @@ def tour(name, t):
 
 def main():
     l = b2()
-    tour("B2 with x = meet, unit = top", build_tensor_lattice(l, l.meet, l.top))
+    tour("B2 with x = meet, unit = top", TensorLattice(l, l.meet, l.top))
     tour("nilpotent chain: m x m = 0", nilpotent_c3())
 
     # fuzzed structures: random valid tensor products over small semilattices

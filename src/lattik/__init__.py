@@ -61,7 +61,6 @@ from .frames import (
 from .tensor import (
     TensorLattice,
     all_radical_tensor_ideals,
-    build_tensor_lattice,
     check_classification,
     check_tensor_lemma,
     fuzz_tensor_lattices,

@@ -93,7 +93,7 @@ def cmd_validate(args):
 
 def cmd_ideals(args):
     name, lattice = _load_lattice(args.file)
-    idl = all_ideals(lattice, args.size_guard)
+    idl = all_ideals(lattice)
     return {
         "name": name,
         "count": len(idl),
@@ -105,7 +105,7 @@ def cmd_primes(args):
     name, lattice = _load_lattice(args.file)
     return {
         "name": name,
-        "primes": [p.names() for p in prime_ideals(lattice, args.size_guard)],
+        "primes": [p.names() for p in prime_ideals(lattice)],
     }
 
 
@@ -119,7 +119,7 @@ SPECTRUM_VERBS = {
 def cmd_spectrum(args):
     """The verbs of SPECTRUM_VERBS: the space, its points and supp of each element."""
     name, lattice = _load_lattice(args.file)
-    spec = SPECTRUM_VERBS[args.verb](lattice, args.size_guard)
+    spec = SPECTRUM_VERBS[args.verb](lattice)
     return {
         "space": space_to_json(spec.space),
         "points": list(spec.space.points),
@@ -147,6 +147,8 @@ def _adjunction_pair(task):
 def cmd_adjunction(args):
     flavors = [args.flavor] if args.flavor else list(supportmod.FLAVORS)
     if args.corpus_max_n:
+        if args.lattice or args.space:
+            raise InputError("give LATTICE and SPACE files or --corpus-max-n, not both")
         lattices = corpusmod.lattice_corpus(args.corpus_max_n)
         spaces = corpusmod.space_corpus(args.space_points)
     else:
@@ -225,7 +227,7 @@ def cmd_extend(args):
             }
         )
     phi = LatticeMorphism(lattice, frame_lattice, mapping, "blat")
-    psi = framesmod.extend_morphism(lattice, frame, phi, args.size_guard)
+    psi = framesmod.extend_morphism(lattice, frame, phi)
     return {
         "extension": {
             src: frame_lattice.elements[psi(k)]
@@ -255,7 +257,7 @@ def cmd_tensor_validate(args):
 
 def cmd_radicals(args):
     name, t = _load_tensor(args)
-    masks = tensormod.radical_masks(t, args.size_guard)
+    masks = tensormod.radical_masks(t)
     return {
         "name": name,
         "count": len(masks),
@@ -266,7 +268,7 @@ def cmd_radicals(args):
 def cmd_quotient(args):
     name, t = _load_tensor(args)
     try:
-        lattice, projection, class_masks = tensormod.quotient_lattice(t, args.size_guard)
+        lattice, projection, class_masks = tensormod.quotient_lattice(t)
     except tensormod.QuotientFormulaError as exc:
         raise CheckFailure({"reason": exc.reason, "pair": list(exc.pair)}) from exc
     return {
@@ -286,9 +288,9 @@ def _lattice_of(args):
 CERTIFY_VERBS = {
     "spatial": (_frame_of, framesmod.is_spatial),
     "pt-vs-hochster": (_lattice_of, framesmod.pt_ideal_vs_hochster),
-    "id-vs-omega": (_lattice_of, framesmod.id_vs_omega_dual),
+    "id-vs-omega": (_lattice_of, lambda l, guard: framesmod.id_vs_omega_dual(l)),
     "tensor-lemma": (_load_tensor, lambda t, guard: tensormod.check_tensor_lemma(t)),
-    "classify": (_load_tensor, tensormod.check_classification),
+    "classify": (_load_tensor, lambda t, guard: tensormod.check_classification(t)),
 }
 
 
@@ -310,6 +312,8 @@ def cmd_certify(args):
     if fuzz < 0:
         raise InputError(f"--fuzz must be nonnegative, got {fuzz}")
     if fuzz:
+        if args.file is not None:
+            raise InputError("give FILE or --fuzz, not both")
         count = 0
         bases = corpusmod.lattice_corpus(5)
         for t in tensormod.fuzz_tensor_lattices(bases, args.seed, fuzz):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from .errors import BoundExceeded
-from .ideals import _downset_masks
 from .order import (
     Poset,
     as_bounded_lattice,
@@ -109,6 +108,21 @@ def _grow(max_n, downsets):
                     seen[key] = q
         levels.append([seen[k] for k in sorted(seen)])
     return levels
+
+
+def _downset_masks(p):
+    """All down-sets, one per antichain of maximal elements (DFS, no dedup needed)."""
+    out = []
+
+    def extend(start, chosen_mask, downset):
+        out.append(downset)
+        for i in range(start, p.n):
+            if chosen_mask & (p.up[i] | p.down[i]):
+                continue  # comparable to an already chosen element
+            extend(i + 1, chosen_mask | 1 << i, downset | p.down[i])
+
+    extend(0, 0, 0)
+    return out
 
 
 def all_posets(max_n):

@@ -152,7 +152,7 @@ def restrict_along_principal(idl, psi):
     return tuple(mapping)
 
 
-def extend_morphism(l, f, phi, guard=None):
+def extend_morphism(l, f, phi):
     """Extend a bounded-lattice morphism L -> F to the frame morphism Id(L) -> F.
 
     The extension sends an ideal I to the join of φ over its members;
@@ -162,7 +162,7 @@ def extend_morphism(l, f, phi, guard=None):
     """
     if not is_distributive(l):
         raise NotDistributive("the base lattice must be distributive")
-    idl = all_ideals(l, guard)
+    idl = all_ideals(l)
     mapping = []
     for ideal in idl.ideals:
         img_mask = 0
@@ -185,10 +185,10 @@ def pt_ideal_vs_hochster(l, guard=None):
     """
     if not is_distributive(l):
         raise NotDistributive("the base lattice must be distributive")
-    idl = all_ideals(l, guard)
+    idl = all_ideals(l)
     frame = as_frame(idl.lattice, guard)
     pt = points(frame, guard)
-    dualspec = hochster_dual(l, guard)
+    dualspec = hochster_dual(l)
     mapping = []
     for phi in pt.morphisms:
         # φ^{-1}(0) ∩ L: base elements whose principal ideal is killed by φ
@@ -216,10 +216,10 @@ def pt_ideal_vs_hochster(l, guard=None):
     return Certificate(True, {"point_map": mapping})
 
 
-def support_union_map(l, guard=None):
+def support_union_map(l):
     """The assignment I ↦ ⋃_{a in I} supp(a) into subsets of Spc(L)^v, any lattice."""
-    idl = all_ideals(l, guard)
-    dualspec = hochster_dual(l, guard)
+    idl = all_ideals(l)
+    dualspec = hochster_dual(l)
     images = []
     for ideal in idl.ideals:
         m = 0
@@ -229,7 +229,7 @@ def support_union_map(l, guard=None):
     return idl, dualspec, images
 
 
-def id_vs_omega_dual(l, guard=None):
+def id_vs_omega_dual(l):
     """Certify I ↦ ⋃ supp(a) is a lattice isomorphism Id(L) ≅ Ω(Spc(L)^v).
 
     The stated inverse is U ↦ {a : supp(a) ⊆ U}; inclusion_isomorphism_failure
@@ -238,7 +238,7 @@ def id_vs_omega_dual(l, guard=None):
     """
     if not is_distributive(l):
         raise NotDistributive("the base lattice must be distributive")
-    idl, dualspec, images = support_union_map(l, guard)
+    idl, dualspec, images = support_union_map(l)
     supp = dualspec.supp.assignment
     omega = omega_lattice(dualspec.space)
     reason = inclusion_isomorphism_failure(
@@ -254,6 +254,6 @@ def id_vs_omega_dual(l, guard=None):
 
 def coherence_check(f, guard=None):
     """Check the frame is isomorphic to Id of its own compact-element sublattice."""
-    idl = all_ideals(f.lattice, guard)
+    idl = all_ideals(f.lattice)
     compact, _ = compact_elements(idl, guard)
-    return find_isomorphism(all_ideals(compact, guard).lattice, f.lattice) is not None
+    return find_isomorphism(all_ideals(compact).lattice, f.lattice) is not None

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import InvalidDatum, NotContinuous
-from .order import dual, enumerate_morphisms, size_guard
+from .order import dual, enumerate_morphisms
 from .topology import (
     cl_lattice,
     enumerate_continuous,
@@ -24,20 +24,17 @@ _SPECTRUM_OF_FLAVOR = {
 }
 
 
-def spectrum_for(l, flavor, guard=None):
+def spectrum_for(l, flavor):
     """The spectral construction matching a support-datum flavor.
 
-    Kept on the lattice on first use, keyed by the flavor and the resolved
-    size guard.  A construction that raises is not kept, so a call with a
-    smaller guard builds afresh and raises as before.
+    Kept on the lattice on first use, keyed by the flavor.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
     spectra = vars(l).setdefault("_spectra", {})
-    key = (flavor, size_guard(guard))
-    if key not in spectra:
-        spectra[key] = _SPECTRUM_OF_FLAVOR[flavor](l, guard)
-    return spectra[key]
+    if flavor not in spectra:
+        spectra[flavor] = _SPECTRUM_OF_FLAVOR[flavor](l)
+    return spectra[flavor]
 
 
 class SupportDatum:
@@ -240,7 +237,7 @@ def check_adjunction(l, x, flavor, guard=None):
     sigma, lattice, space and flavor): they give f and Σ(f) = d again, so the
     roundtrip of d is known to pass.
     """
-    spectrum = spectrum_for(l, flavor, guard)
+    spectrum = spectrum_for(l, flavor)
     maps = enumerate_continuous(x, spectrum.space, guard)
     data = enumerate_support_data(l, x, flavor, guard)
     matching = []
@@ -309,7 +306,7 @@ def check_naturality(l, g, x, y, flavor, guard=None):
     g = tuple(g)
     if not is_continuous(g, x, y):
         raise NotContinuous("g is not continuous")
-    spectrum = spectrum_for(l, flavor, guard)
+    spectrum = spectrum_for(l, flavor)
     checked = 0
     for f in enumerate_continuous(y, spectrum.space, guard):
         fg = tuple(f[g[i]] for i in range(x.n))

@@ -10,7 +10,7 @@ from .errors import (
     UnitLawFails,
     ZeroLawFails,
 )
-from .ideals import all_ideals, ideal_label, ideal_masks, is_ideal, join_irreducibles
+from .ideals import ideal_label, ideal_masks, is_ideal, join_irreducibles
 from .order import (
     Certificate,
     SetLattice,
@@ -78,10 +78,6 @@ def validate_tensor_axioms(base, product, unit):
                     )
 
 
-def build_tensor_lattice(base, product, unit):
-    return TensorLattice(base, product, unit)
-
-
 def is_radical_tensor_ideal(t, mask):
     """Ideal of the base, two-sided tensor-absorbing, and closed under square roots."""
     if not is_ideal(t.base, mask):
@@ -128,12 +124,12 @@ def generated_ideal(t, a):
     return radical_closure(t, [a])
 
 
-def radical_masks(t, guard=None):
+def radical_masks(t):
     """Masks of the radical tensor ideals, in ideal_masks order."""
-    return [m for m in ideal_masks(t.base, guard) if is_radical_tensor_ideal(t, m)]
+    return [m for m in ideal_masks(t.base) if is_radical_tensor_ideal(t, m)]
 
 
-def all_radical_tensor_ideals(t, guard=None):
+def all_radical_tensor_ideals(t):
     """All radical tensor ideals, as (masks, bounded lattice ordered by inclusion).
 
     SetLattice checks only that inclusion makes a lattice.  Its meet is the
@@ -141,7 +137,7 @@ def all_radical_tensor_ideals(t, guard=None):
     which is the radical closure of the union; this function certifies
     neither description, the tests check the join.
     """
-    masks = radical_masks(t, guard)
+    masks = radical_masks(t)
     return masks, SetLattice(masks, lambda m: ideal_label(t.base, m)).lattice
 
 
@@ -154,7 +150,7 @@ class QuotientFormulaError(ValueError):
         super().__init__(f"{self.reason} at ({a}, {b})")
 
 
-def quotient_lattice(t, guard=None):
+def quotient_lattice(t):
     """L(⊗): the distinct generated ideals ⟨a⟩ ordered by inclusion.
 
     Returns (lattice, projection, class_masks) where projection[a] is the
@@ -203,7 +199,7 @@ def check_tensor_lemma(t):
     return Certificate(True, {"pairs": t.n * t.n})
 
 
-def check_classification(t, guard=None):
+def check_classification(t):
     """Certify the classification chain for one tensor lattice.
 
     (i) L(⊗) is distributive; (ii) Id(L(⊗)) is isomorphic to the lattice of
@@ -216,7 +212,7 @@ def check_classification(t, guard=None):
     from .frames import id_vs_omega_dual
 
     try:
-        lattice, projection, _ = quotient_lattice(t, guard)
+        lattice, projection, _ = quotient_lattice(t)
     except QuotientFormulaError as exc:
         return Certificate(False, {"reason": exc.reason, "pair": list(exc.pair)})
     if not is_distributive(lattice):
@@ -231,13 +227,13 @@ def check_classification(t, guard=None):
             mask |= 1 << projection[a]
         return mask
 
-    radicals = radical_masks(t, guard)
+    radicals = radical_masks(t)
     reason = inclusion_isomorphism_failure(
-        all_ideals(lattice, guard).masks, radicals, members, classes
+        ideal_masks(lattice), radicals, members, classes
     )
     if reason is not None:
         return Certificate(False, {"reason": reason})
-    omega_cert = id_vs_omega_dual(lattice, guard)
+    omega_cert = id_vs_omega_dual(lattice)
     if not omega_cert.ok:
         return Certificate(
             False, {"reason": "open-set description fails", **omega_cert.detail}

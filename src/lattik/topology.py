@@ -199,19 +199,19 @@ def _spectrum(l, masks, kind):
     return Spectrum(l, space, basis, masks, kind)
 
 
-def sp_space(l, guard=None):
+def sp_space(l):
     """Sp(L): all ideals with closed basis supp(a) = {I : a not in I}."""
-    return _spectrum(l, ideal_masks(l, guard), "sp")
+    return _spectrum(l, ideal_masks(l), "sp")
 
 
-def spc_space(l, guard=None):
+def spc_space(l):
     """Spc(L): the prime ideals with closed basis supp(a)."""
-    return _spectrum(l, prime_masks(l, guard), "spc")
+    return _spectrum(l, prime_masks(l), "spc")
 
 
-def hochster_dual(l, guard=None):
+def hochster_dual(l):
     """Spc(L)^v: the prime ideals retopologized with the supp sets as open basis."""
-    return _spectrum(l, prime_masks(l, guard), "spc_dual")
+    return _spectrum(l, prime_masks(l), "spc_dual")
 
 
 def specialization_order(x):

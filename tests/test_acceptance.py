@@ -30,7 +30,7 @@ from lattik.ideals import all_ideals, join_irreducibles, prime_ideals
 from lattik.order import dual, enumerate_morphisms, is_distributive
 from lattik.support import check_adjunction, enumerate_support_data
 from lattik.tensor import (
-    build_tensor_lattice,
+    TensorLattice,
     check_classification,
     check_tensor_lemma,
     fuzz_tensor_lattices,
@@ -181,7 +181,7 @@ def nilpotent_c3():
         product[u][a] = a
         product[a][u] = a
     product[m][m] = z
-    return build_tensor_lattice(l, product, u)
+    return TensorLattice(l, product, u)
 
 
 def _certify_tensor(t):
@@ -203,7 +203,7 @@ def _certify_tensor(t):
 def test_criterion_7_tensor_layer():
     l = b2()
     hand_built = [
-        build_tensor_lattice(l, l.meet, l.top),
+        TensorLattice(l, l.meet, l.top),
         nilpotent_c3(),
     ]
     for t in hand_built:

@@ -163,6 +163,16 @@ class TestAdjunctionVerb:
         assert code == 2 and out == ""
         assert "max_points >= 0" in err
 
+    @pytest.mark.parametrize(
+        "files", [["/nonexistent.json"], ["/nonexistent.json", "/nope.json"]]
+    )
+    def test_files_with_corpus_is_input_error(self, capsys, files):
+        code, out, err = run(
+            capsys, "adjunction", "--corpus-max-n", "1", "--space-points", "0", *files
+        )
+        assert code == 2 and out == ""
+        assert "LATTICE" in err and "--corpus-max-n" in err
+
 
 class TestFrameVerbs:
     def test_frame_points(self, capsys, b2_file):
@@ -401,6 +411,12 @@ class TestTensorVerbs:
         assert code == 2 and out == ""
         assert "need FILE or --fuzz" in err
 
+    @pytest.mark.parametrize("verb", ["tensor-lemma", "classify"])
+    def test_file_with_fuzz_is_input_error(self, capsys, verb):
+        code, out, err = run(capsys, verb, "--fuzz", "1", "/nonexistent.json")
+        assert code == 2 and out == ""
+        assert "FILE" in err and "--fuzz" in err
+
 
 class TestCorpusVerb:
     def test_counts(self, capsys):
@@ -427,6 +443,34 @@ class TestCorpusVerb:
         code, out, err = run(capsys, "corpus", "--max-n", max_n)
         assert code == 2 and out == ""
         assert "bounded" in err
+
+
+class TestSizeGuard:
+    """--size-guard bounds searches; reading the ideals searches nothing."""
+
+    @pytest.mark.parametrize(
+        "verb", ["ideals", "primes", "sp", "spectrum", "hochster", "id-vs-omega"]
+    )
+    @pytest.mark.parametrize("make", [b2, b3], ids=["B2", "B3"])
+    def test_ideal_verbs_ignore_the_guard(self, capsys, tmp_path, verb, make):
+        path = write(tmp_path, "lattice.json", lattice_to_json(make(), name="L"))
+        expected = run(capsys, verb, path)
+        assert expected[0] == 0
+        assert run(capsys, "--size-guard", "1", verb, path) == expected
+
+    @pytest.mark.parametrize("verb", ["radicals", "quotient", "classify"])
+    def test_tensor_verbs_ignore_the_guard(self, capsys, tensor_file, verb):
+        expected = run(capsys, verb, tensor_file)
+        assert expected[0] == 0
+        assert run(capsys, "--size-guard", "1", verb, tensor_file) == expected
+
+    def test_searches_still_hit_the_guard(self, capsys, b2_file, sierp_file):
+        code, out, err = run(capsys, "--size-guard", "1", "pt-vs-hochster", b2_file)
+        assert code == 2 and out == "" and "morphism search" in err
+        code, out, err = run(
+            capsys, "--size-guard", "1", "adjunction", b2_file, sierp_file
+        )
+        assert code == 2 and out == "" and "continuous-map enumeration" in err
 
 
 class TestDotVerb:

@@ -1,12 +1,15 @@
 """Ideals, prime ideals, Id(L), and the morphism/ideal dictionary."""
 
+from itertools import permutations
+
 import pytest
 
-from lattik.corpus import b2, chain, m3, n5
-from lattik.errors import KindMismatch, UnknownName
+from lattik.corpus import all_posets, b2, chain, m3, n5
+from lattik.errors import KindMismatch, NoBottom, NoJoin, UnknownName
 from lattik.ideals import (
     all_ideals,
     compact_elements,
+    ideal_masks,
     ideal_of_morphism,
     is_ideal,
     join_irreducibles,
@@ -15,6 +18,9 @@ from lattik.ideals import (
     principal_ideal,
 )
 from lattik.order import (
+    Poset,
+    as_join_semilattice,
+    bits,
     dual,
     enumerate_morphisms,
     is_distributive,
@@ -66,6 +72,25 @@ class TestAllIdeals:
         for l in corpus5:
             idl = all_ideals(l)
             assert [i.members for i in idl.ideals] == subset_filter_ideals(l)
+
+    def test_matches_subset_oracle_on_join_semilattices(self):
+        # tensor_from_json hands ideal_masks a JoinSemilattice (no top, no
+        # meets) whose elements may be declared in any order
+        checked = 0
+        for level in all_posets(5):
+            for p in level:
+                for perm in permutations(range(p.n)):
+                    up = [0] * p.n
+                    for i in range(p.n):
+                        up[perm[i]] = sum(1 << perm[j] for j in bits(p.up[i]))
+                    try:
+                        l = as_join_semilattice(Poset(p.elements, up))
+                    except (NoBottom, NoJoin):
+                        break
+                    assert ideal_masks(l) == subset_filter_ideals(l)
+                    checked += 1
+        # every labelling of the 1, 1, 1, 2, 5 lattices with 1..5 elements
+        assert checked == 1 + 2 + 6 + 2 * 24 + 5 * 120
 
     def test_every_ideal_is_principal(self, corpus6):
         for l in corpus6:

@@ -6,7 +6,7 @@ import pytest
 
 from lattik import support
 from lattik.corpus import b2, chain, m3, n5
-from lattik.errors import InvalidDatum, NotContinuous, SizeGuardExceeded
+from lattik.errors import InvalidDatum, NotContinuous
 from lattik.ideals import is_prime
 from lattik.order import dual, two
 from lattik.support import (
@@ -306,13 +306,6 @@ class TestSpectrumFor:
         l = b2()
         for flavor in FLAVORS:
             assert spectrum_for(l, flavor) is spectrum_for(l, flavor)
-
-    def test_smaller_guard_still_raises_after_a_cached_call(self, corpus6):
-        l = corpus6[-1]
-        assert l.n == 6
-        spectrum_for(l, "semilattice-closed")
-        with pytest.raises(SizeGuardExceeded):
-            spectrum_for(l, "semilattice-closed", guard=1)
 
 
 class TestFinality:

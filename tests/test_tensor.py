@@ -11,8 +11,8 @@ from lattik.errors import (
 )
 from lattik.order import bits, is_distributive, is_isomorphic, two
 from lattik.tensor import (
+    TensorLattice,
     all_radical_tensor_ideals,
-    build_tensor_lattice,
     check_classification,
     check_tensor_lemma,
     fuzz_tensor_lattices,
@@ -27,7 +27,7 @@ from lattik.tensor import (
 
 def meet_tensor(l):
     """The canonical example: ⊗ = ∧ with unit the top."""
-    return build_tensor_lattice(l, l.meet, l.top)
+    return TensorLattice(l, l.meet, l.top)
 
 
 def nilpotent_c3():
@@ -40,7 +40,7 @@ def nilpotent_c3():
         product[a][u] = a
     product[m][m] = z
     product[z][z] = z
-    return build_tensor_lattice(l, product, u)
+    return TensorLattice(l, product, u)
 
 
 class TestConstruction:
@@ -64,17 +64,17 @@ class TestConstruction:
     def test_join_with_bottom_unit_fails_zero_law(self):
         l = b2()
         with pytest.raises(ZeroLawFails):
-            build_tensor_lattice(l, l.join, l.bottom)
+            TensorLattice(l, l.join, l.bottom)
 
     def test_broken_unit(self):
         l = chain(3)
         product = [[l.meet[a][b] for b in range(3)] for a in range(3)]
         with pytest.raises(UnitLawFails):
-            build_tensor_lattice(l, product, l.index("m1"))
+            TensorLattice(l, product, l.index("m1"))
 
     def test_ragged_table_rejected(self):
         with pytest.raises(ValueError):
-            build_tensor_lattice(two(), [[0], [0, 1]], 1)
+            TensorLattice(two(), [[0], [0, 1]], 1)
 
 
 class TestRadicalClosure:

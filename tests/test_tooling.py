@@ -1,0 +1,30 @@
+"""Source-level checks on the lattik package."""
+
+import ast
+from pathlib import Path
+
+import lattik
+
+
+def unread_guards():
+    """``module:function`` for every def whose ``guard`` parameter is never read."""
+    out = []
+    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if "guard" not in (a.arg for a in params):
+                continue
+            reads = any(
+                isinstance(n, ast.Name) and n.id == "guard" and isinstance(n.ctx, ast.Load)
+                for stmt in node.body
+                for n in ast.walk(stmt)
+            )
+            if not reads:
+                out.append(f"{path.stem}:{node.name}")
+    return out
+
+
+def test_every_guard_parameter_is_read():
+    assert unread_guards() == []
