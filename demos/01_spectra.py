@@ -15,7 +15,7 @@ def show_spectrum(title, spec):
     print(f"\n{title}")
     print(f"  points: {list(spec.space.points)}")
     print(f"  opens:  {[spec.space.subset_names(u) for u in spec.space.opens]}")
-    for e, m in zip(spec.lattice.elements, spec.supp.assignment):
+    for e, m in zip(spec.lattice.elements, spec.supp.sigma):
         print(f"  supp({e}) = {spec.space.subset_names(m)}")
 
 

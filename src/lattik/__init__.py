@@ -27,7 +27,6 @@ from .ideals import (
 from .topology import (
     FiniteSpace,
     Spectrum,
-    SupportBasis,
     cl_lattice,
     enumerate_continuous,
     hochster_dual,

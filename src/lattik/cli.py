@@ -9,7 +9,6 @@ import argparse
 import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import corpus as corpusmod
 from . import frames as framesmod
@@ -125,7 +124,7 @@ def cmd_spectrum(args):
         "points": list(spec.space.points),
         "supp": {
             e: spec.space.subset_names(m)
-            for e, m in zip(lattice.elements, spec.supp.assignment)
+            for e, m in zip(lattice.elements, spec.supp.sigma)
         },
         "name": name,
     }
@@ -137,11 +136,6 @@ def cmd_support_check(args):
     if not report.ok:
         raise CheckFailure(report.to_json())
     return report.to_json()
-
-
-def _adjunction_pair(task):
-    lattice, space, flavor, guard = task
-    return supportmod.check_adjunction(lattice, space, flavor, guard)
 
 
 def cmd_adjunction(args):
@@ -156,17 +150,12 @@ def cmd_adjunction(args):
             raise InputError("need LATTICE and SPACE files, or --corpus-max-n")
         lattices = [_load_lattice(args.lattice)[1]]
         spaces = [space_from_json(_load_json(args.space))]
-    tasks = [
-        (l, x, flavor, args.size_guard)
+    certs = [
+        supportmod.check_adjunction(l, x, flavor, args.size_guard)
         for flavor in flavors
         for l in lattices
         for x in spaces
     ]
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            certs = list(pool.map(_adjunction_pair, tasks, chunksize=8))
-    else:
-        certs = [_adjunction_pair(t) for t in tasks]
     out = {
         "pairs": len(certs),
         "all_bijective": all(c.bijection for c in certs),
@@ -368,7 +357,6 @@ def build_parser():
         prog="lattik",
         description="Finite lattice spectra, support data, frames, and tensor ideals",
     )
-    parser.add_argument("--jobs", type=int, default=1, metavar="N")
     parser.add_argument("--size-guard", type=int, default=None, metavar="N")
     parser.add_argument("--seed", type=int, default=0, metavar="N")
     sub = parser.add_subparsers(dest="verb", required=True)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import NotAFrame, NotDistributive
-from .ideals import all_ideals, compact_elements
+from .ideals import all_ideals, compact_elements, ideal_masks
 from .order import (
     Certificate,
     LatticeMorphism,
@@ -17,7 +17,7 @@ from .order import (
     size_guard,
     two,
 )
-from .topology import FiniteSpace, hochster_dual, is_homeomorphism, omega_lattice
+from .topology import FiniteSpace, hochster_dual, is_homeomorphism
 
 
 class Frame:
@@ -209,7 +209,7 @@ def pt_ideal_vs_hochster(l, guard=None):
         transported = 0
         for p in bits(pt.u_sets[k]):
             transported |= 1 << mapping[p]
-        if transported != dualspec.supp.assignment[a]:
+        if transported != dualspec.supp.sigma[a]:
             return Certificate(
                 False, {"reason": f"U(principal({l.elements[a]})) != supp"}
             )
@@ -217,16 +217,19 @@ def pt_ideal_vs_hochster(l, guard=None):
 
 
 def support_union_map(l):
-    """The assignment I ↦ ⋃_{a in I} supp(a) into subsets of Spc(L)^v, any lattice."""
-    idl = all_ideals(l)
+    """The assignment I ↦ ⋃_{a in I} supp(a) into subsets of Spc(L)^v, any lattice.
+
+    Returns the ideal masks in ideal_masks order, the spectrum and the images.
+    """
+    masks = ideal_masks(l)
     dualspec = hochster_dual(l)
     images = []
-    for ideal in idl.ideals:
+    for members in masks:
         m = 0
-        for a in bits(ideal.members):
-            m |= dualspec.supp.assignment[a]
+        for a in bits(members):
+            m |= dualspec.supp.sigma[a]
         images.append(m)
-    return idl, dualspec, images
+    return masks, dualspec, images
 
 
 def id_vs_omega_dual(l):
@@ -234,22 +237,25 @@ def id_vs_omega_dual(l):
 
     The stated inverse is U ↦ {a : supp(a) ⊆ U}; inclusion_isomorphism_failure
     checks the bijection, both roundtrips and the order both ways.  Requires
-    l distributive.
+    l distributive.  Both families are read as masks ordered by inclusion, and
+    both are lattices: the ideals are the principal down-sets (the proof in
+    ideal_masks), and FiniteSpace checks that the opens are closed under ∪
+    and ∩.
     """
     if not is_distributive(l):
         raise NotDistributive("the base lattice must be distributive")
-    idl, dualspec, images = support_union_map(l)
-    supp = dualspec.supp.assignment
-    omega = omega_lattice(dualspec.space)
+    masks, dualspec, images = support_union_map(l)
+    supp = dualspec.supp.sigma
+    opens = dualspec.space.opens
     reason = inclusion_isomorphism_failure(
-        idl.masks,
-        omega.masks,
-        dict(zip(idl.masks, images)).get,  # None off the ideals
+        masks,
+        opens,
+        dict(zip(masks, images)).get,  # None off the ideals
         lambda u: sum(1 << a for a in range(l.n) if not supp[a] & ~u),
     )
     if reason is not None:
         return Certificate(False, {"reason": reason})
-    return Certificate(True, {"ideal_count": len(idl), "open_count": len(omega.masks)})
+    return Certificate(True, {"ideal_count": len(masks), "open_count": len(opens)})
 
 
 def coherence_check(f, guard=None):

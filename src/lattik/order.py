@@ -8,8 +8,6 @@ in the subset.  The order relation is stored as a tuple of "up" masks,
 
 from __future__ import annotations
 
-import os
-
 from .errors import (
     DuplicateName,
     NoBottom,
@@ -25,10 +23,10 @@ DEFAULT_SIZE_GUARD = 100_000_000
 
 
 def size_guard(override=None):
-    """Resolve the search bound: explicit argument, else env var, else default."""
-    if override is not None:
-        return int(override)
-    return int(os.environ.get("LATTIK_SIZE_GUARD", DEFAULT_SIZE_GUARD))
+    """Resolve the search bound: the explicit argument, else the default."""
+    if override is None:
+        return DEFAULT_SIZE_GUARD
+    return int(override)
 
 
 def bits(mask):

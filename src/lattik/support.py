@@ -5,6 +5,9 @@ from __future__ import annotations
 from .errors import InvalidDatum, NotContinuous
 from .order import dual, enumerate_morphisms
 from .topology import (
+    FLAVORS,
+    SupportDatum,
+    _require_valid,
     cl_lattice,
     enumerate_continuous,
     hochster_dual,
@@ -13,9 +16,8 @@ from .topology import (
     preimage,
     sp_space,
     spc_space,
+    validate_support_datum,  # re-exported: the datum and its validator live by the spectra
 )
-
-FLAVORS = ("semilattice-closed", "lattice-closed", "lattice-open")
 
 _SPECTRUM_OF_FLAVOR = {
     "semilattice-closed": sp_space,
@@ -35,77 +37,6 @@ def spectrum_for(l, flavor):
     if flavor not in spectra:
         spectra[flavor] = _SPECTRUM_OF_FLAVOR[flavor](l)
     return spectra[flavor]
-
-
-class SupportDatum:
-    """An assignment element ↦ point set (bitmask), of one of the three flavors."""
-
-    def __init__(self, lattice, space, sigma, flavor):
-        if flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {flavor!r}")
-        self.lattice = lattice
-        self.space = space
-        self.sigma = tuple(sigma)
-        self.flavor = flavor
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SupportDatum)
-            and self.sigma == other.sigma
-            and self.flavor == other.flavor
-            and self.space == other.space
-        )
-
-    def __hash__(self):
-        return hash((self.sigma, self.flavor))
-
-    def __repr__(self):
-        parts = ", ".join(
-            f"{a}->{set(self.space.subset_names(s)) or '{}'}"
-            for a, s in zip(self.lattice.elements, self.sigma)
-        )
-        return f"SupportDatum[{self.flavor}]({parts})"
-
-
-class ValidationReport:
-    def __init__(self, ok, axiom=None, witness=None):
-        self.ok = ok
-        self.axiom = axiom  # name of the first violated axiom
-        self.witness = witness
-
-    def __bool__(self):
-        return self.ok
-
-    def to_json(self):
-        return {"ok": self.ok, "axiom": self.axiom, "witness": self.witness}
-
-
-def validate_support_datum(d):
-    """Check the axioms of d's flavor; report the first violation with a witness."""
-    l, x, sigma = d.lattice, d.space, d.sigma
-    sets = x.closed_sets() if d.flavor != "lattice-open" else x.opens
-    kindname = "open" if d.flavor == "lattice-open" else "closed"
-    for a, s in enumerate(sigma):
-        if s not in sets:
-            return ValidationReport(False, kindname, l.elements[a])
-    if sigma[l.bottom] != 0:
-        return ValidationReport(False, "empty", l.elements[l.bottom])
-    for a in range(l.n):
-        for b in range(a + 1, l.n):
-            if sigma[l.join[a][b]] != sigma[a] | sigma[b]:
-                return ValidationReport(
-                    False, "join", (l.elements[a], l.elements[b])
-                )
-    if d.flavor in ("lattice-closed", "lattice-open"):
-        if sigma[l.top] != x.full:
-            return ValidationReport(False, "full", l.elements[l.top])
-        for a in range(l.n):
-            for b in range(a + 1, l.n):
-                if sigma[l.meet[a][b]] != sigma[a] & sigma[b]:
-                    return ValidationReport(
-                        False, "meet", (l.elements[a], l.elements[b])
-                    )
-    return ValidationReport(True)
 
 
 def enumerate_support_data(l, x, flavor, guard=None):
@@ -134,13 +65,8 @@ def sigma_of_map(f, x, spectrum):
     if not is_continuous(f, x, spectrum.space):
         raise NotContinuous("map into the spectrum is not continuous")
     l = spectrum.lattice
-    sigma = tuple(preimage(f, spectrum.supp.assignment[a], x.n) for a in range(l.n))
-    flavor = {
-        "sp": "semilattice-closed",
-        "spc": "lattice-closed",
-        "spc_dual": "lattice-open",
-    }[spectrum.kind]
-    return SupportDatum(l, x, sigma, flavor)
+    sigma = tuple(preimage(f, spectrum.supp.sigma[a], x.n) for a in range(l.n))
+    return SupportDatum(l, x, sigma, spectrum.supp.flavor)
 
 
 def map_of_sigma(d, spectrum):
@@ -151,12 +77,6 @@ def map_of_sigma(d, spectrum):
     """
     _require_valid(d)
     return _point_map(d, spectrum)
-
-
-def _require_valid(d):
-    report = validate_support_datum(d)
-    if not report.ok:
-        raise InvalidDatum(f"axiom {report.axiom} fails at {report.witness}")
 
 
 def _point_map(d, spectrum):
@@ -278,7 +198,7 @@ def datum_morphisms_to_final(d, spectrum):
     out = []
     for f in enumerate_continuous(d.space, spectrum.space):
         if all(
-            preimage(f, spectrum.supp.assignment[a], d.space.n) == d.sigma[a]
+            preimage(f, spectrum.supp.sigma[a], d.space.n) == d.sigma[a]
             for a in range(d.lattice.n)
         ):
             out.append(f)

@@ -1,9 +1,17 @@
-"""Finite topological spaces, the spectra Sp(L), Spc(L), Spc(L)^v, and continuity."""
+"""Finite spaces, the spectra Sp(L), Spc(L), Spc(L)^v with supp a support datum, continuity."""
 
 from __future__ import annotations
 
-from .errors import NotT0, SizeGuardExceeded
-from .order import Poset, SetLattice, _relation_bijection, bits, scheduled_search, size_guard
+from .errors import InvalidDatum, NotT0, SizeGuardExceeded
+from .order import (
+    Certificate,
+    Poset,
+    SetLattice,
+    _relation_bijection,
+    bits,
+    scheduled_search,
+    size_guard,
+)
 from .ideals import ideal_label, ideal_masks, prime_masks
 
 
@@ -134,84 +142,133 @@ def cl_lattice(x):
     return x._cl
 
 
-class SupportBasis:
-    """The map a ↦ supp(a) into subsets of a space; flavor 'closed' or 'open'."""
+FLAVORS = ("semilattice-closed", "lattice-closed", "lattice-open")
 
-    def __init__(self, space, assignment, flavor):
-        if flavor not in ("closed", "open"):
-            raise ValueError("flavor must be 'closed' or 'open'")
-        sets = space.closed_sets() if flavor == "closed" else space.opens
-        for m in assignment:
-            if m not in sets:
-                raise ValueError(f"support set is not {flavor} in the space")
+
+class SupportDatum:
+    """An assignment element ↦ point set (bitmask), of one of the three flavors."""
+
+    def __init__(self, lattice, space, sigma, flavor):
+        if flavor not in FLAVORS:
+            raise ValueError(f"unknown flavor {flavor!r}")
+        self.lattice = lattice
         self.space = space
-        self.assignment = tuple(assignment)
+        self.sigma = tuple(sigma)
         self.flavor = flavor
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, SupportDatum)
+            and self.sigma == other.sigma
+            and self.flavor == other.flavor
+            and self.space == other.space
+        )
+
+    def __hash__(self):
+        return hash((self.sigma, self.flavor))
+
+    def __repr__(self):
+        parts = ", ".join(
+            f"{a}->{set(self.space.subset_names(s)) or '{}'}"
+            for a, s in zip(self.lattice.elements, self.sigma)
+        )
+        return f"SupportDatum[{self.flavor}]({parts})"
+
+
+def validate_support_datum(d):
+    """Check the axioms of d's flavor; report the first violation with a witness.
+
+    The Certificate's detail names the violated axiom ("closed" or "open",
+    "empty", "join", "full", "meet") and its witness, both None on success.
+    """
+    l, x, sigma = d.lattice, d.space, d.sigma
+
+    def fail(axiom, witness):
+        return Certificate(False, {"axiom": axiom, "witness": witness})
+
+    sets = x.closed_sets() if d.flavor != "lattice-open" else x.opens
+    kindname = "open" if d.flavor == "lattice-open" else "closed"
+    for a, s in enumerate(sigma):
+        if s not in sets:
+            return fail(kindname, l.elements[a])
+    if sigma[l.bottom] != 0:
+        return fail("empty", l.elements[l.bottom])
+    for a in range(l.n):
+        for b in range(a + 1, l.n):
+            if sigma[l.join[a][b]] != sigma[a] | sigma[b]:
+                return fail("join", (l.elements[a], l.elements[b]))
+    if d.flavor in ("lattice-closed", "lattice-open"):
+        if sigma[l.top] != x.full:
+            return fail("full", l.elements[l.top])
+        for a in range(l.n):
+            for b in range(a + 1, l.n):
+                if sigma[l.meet[a][b]] != sigma[a] & sigma[b]:
+                    return fail("meet", (l.elements[a], l.elements[b]))
+    return Certificate(True, {"axiom": None, "witness": None})
+
+
+def _require_valid(d):
+    report = validate_support_datum(d)
+    if not report.ok:
+        raise InvalidDatum(
+            f"axiom {report.detail['axiom']} fails at {report.detail['witness']}"
+        )
 
 
 class Spectrum:
-    """A spectral construction: the space, its supp basis, and the point ideals."""
+    """A spectral construction: supp as a support datum on the space, and the point ideals."""
 
-    def __init__(self, lattice, space, supp, point_ideals, kind):
-        self.lattice = lattice
-        self.space = space
+    def __init__(self, supp, point_ideals):
         self.supp = supp
         self.point_ideals = tuple(point_ideals)  # base-lattice mask per point
-        self.kind = kind  # 'sp' | 'spc' | 'spc_dual'
+
+    @property
+    def lattice(self):
+        return self.supp.lattice
+
+    @property
+    def space(self):
+        return self.supp.space
 
     def point_of_ideal(self, members):
         return self.point_ideals.index(members)
 
 
-def _spectrum(l, masks, kind):
-    """The spectrum of kind 'sp', 'spc' or 'spc_dual' on the ideals ``masks``.
+def _spectrum(l, masks, flavor):
+    """The spectrum of the support-datum flavor on the ideals ``masks``.
 
     The points are the ideals, labelled by their members, and
-    supp(a) = {I : a not in I}.  Every kind checks that supp(0) is empty and
-    that supp turns joins into unions; these imply that the supp sets have
-    empty total intersection, because 0 is one of the a.  The lattice kinds
-    also check that supp turns meets into intersections and that supp(1) is
-    every point.  'sp' and 'spc' read the supp sets as a closed basis;
-    'spc_dual' has the points and supp of 'spc' and reads them, by Hochster
-    duality, as an open basis.
+    supp(a) = {I : a not in I}.  "semilattice-closed" (Sp) and
+    "lattice-closed" (Spc) read the supp sets as a closed basis;
+    "lattice-open" (Spc^v) has the points and supp of Spc and reads them, by
+    Hochster duality, as an open basis.  supp must then be a support datum of
+    the flavor on that space; validate_support_datum checks it, and a failure
+    raises InvalidDatum naming the axiom and its witness.
     """
     labels = [ideal_label(l, m) for m in masks]
     supp = [sum(1 << p for p, m in enumerate(masks) if not m >> a & 1) for a in range(l.n)]
-    if supp[l.bottom] != 0:
-        raise ValueError("supp(0) is not empty")
-    for a in range(l.n):
-        for b in range(l.n):
-            if supp[l.join[a][b]] != supp[a] | supp[b]:
-                raise ValueError("supp does not turn joins into unions")
-    if kind != "sp":
-        for a in range(l.n):
-            for b in range(l.n):
-                if supp[l.meet[a][b]] != supp[a] & supp[b]:
-                    raise ValueError("supp does not turn meets into intersections")
-        if supp[l.top] != (1 << len(masks)) - 1:
-            raise ValueError("supp(1) is not the whole spectrum")
-    if kind == "spc_dual":
+    if flavor == "lattice-open":
         space = space_from_open_basis(labels, supp)
-        basis = SupportBasis(space, supp, "open")
     else:
         space = space_from_closed_basis(labels, supp)
-        basis = SupportBasis(space, supp, "closed")
-    return Spectrum(l, space, basis, masks, kind)
+    datum = SupportDatum(l, space, supp, flavor)
+    _require_valid(datum)
+    return Spectrum(datum, masks)
 
 
 def sp_space(l):
     """Sp(L): all ideals with closed basis supp(a) = {I : a not in I}."""
-    return _spectrum(l, ideal_masks(l), "sp")
+    return _spectrum(l, ideal_masks(l), "semilattice-closed")
 
 
 def spc_space(l):
     """Spc(L): the prime ideals with closed basis supp(a)."""
-    return _spectrum(l, prime_masks(l), "spc")
+    return _spectrum(l, prime_masks(l), "lattice-closed")
 
 
 def hochster_dual(l):
     """Spc(L)^v: the prime ideals retopologized with the supp sets as open basis."""
-    return _spectrum(l, prime_masks(l), "spc_dual")
+    return _spectrum(l, prime_masks(l), "lattice-open")
 
 
 def specialization_order(x):

@@ -120,7 +120,7 @@ class TestExitCodes:
     def test_support_check_success(self, capsys, tmp_path):
         l = chain(2)
         spec = spectrum_for(l, "semilattice-closed")
-        d = SupportDatum(l, spec.space, spec.supp.assignment, "semilattice-closed")
+        d = spec.supp
         path = write(tmp_path, "datum.json", datum_to_json(d))
         code, out, _ = run(capsys, "support-check", path)
         assert code == 0
@@ -493,11 +493,6 @@ class TestDeterminism:
             outputs.add(out)
         assert len(outputs) == 1
 
-    def test_jobs_flag_matches_serial(self, capsys, b2_file, sierp_file):
-        _, serial, _ = run(capsys, "adjunction", b2_file, sierp_file)
-        _, parallel, _ = run(capsys, "--jobs", "2", "adjunction", b2_file, sierp_file)
-        assert serial == parallel
-
     def test_adjunction_corpus_output_is_pinned(self, capsys):
         # sha256 of the stdout of `lattik adjunction --corpus-max-n 4 --space-points 3`
         code, out, _ = run(
@@ -552,7 +547,7 @@ def _golden_files(tmp_path):
     l = chain(2)
     spec = spectrum_for(l, "semilattice-closed")
     data = [
-        SupportDatum(l, spec.space, spec.supp.assignment, "semilattice-closed"),
+        spec.supp,
         SupportDatum(l, spec.space, (spec.space.full,) * 2, "semilattice-closed"),
     ]
     datum_files = [

@@ -2,7 +2,7 @@
 
 import pytest
 
-from lattik.corpus import b2, b3, chain, m3, n5
+from lattik.corpus import b2, b3, chain, lattice_corpus, m3, n5
 from lattik.errors import NotAFrame, NotDistributive
 from lattik.frames import (
     as_frame,
@@ -18,7 +18,7 @@ from lattik.frames import (
 )
 from lattik.ideals import all_ideals
 from lattik.order import bits, dual, enumerate_morphisms, is_distributive, two
-from lattik.topology import omega_lattice
+from lattik.topology import hochster_dual, omega_lattice
 
 
 class TestAsFrame:
@@ -201,6 +201,15 @@ class TestIdVsOmegaDual:
         for l in corpus5:
             if is_distributive(l):
                 assert id_vs_omega_dual(l).ok
+
+    def test_counts_match_the_set_lattices(self):
+        for l in lattice_corpus(7):
+            if is_distributive(l):
+                cert = id_vs_omega_dual(l)
+                assert cert.ok
+                assert cert.detail["ideal_count"] == len(all_ideals(l))
+                omega = omega_lattice(hochster_dual(l).space)
+                assert cert.detail["open_count"] == len(omega.masks)
 
     def test_rejects_nondistributive(self):
         with pytest.raises(NotDistributive):

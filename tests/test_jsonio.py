@@ -15,7 +15,7 @@ from lattik.jsonio import (
     tensor_from_json,
 )
 from lattik.order import is_isomorphic
-from lattik.support import SupportDatum, spectrum_for
+from lattik.support import spectrum_for
 from lattik.tensor import check_tensor_lemma
 
 
@@ -84,14 +84,14 @@ class TestDatumJson:
     def test_roundtrip_supp(self):
         l = chain(3)
         spec = spectrum_for(l, "semilattice-closed")
-        d = SupportDatum(l, spec.space, spec.supp.assignment, "semilattice-closed")
+        d = spec.supp
         back = datum_from_json(datum_to_json(d))
         assert back.sigma == d.sigma and back.flavor == d.flavor
 
     def test_unknown_flavor(self):
         l = chain(2)
         spec = spectrum_for(l, "semilattice-closed")
-        d = SupportDatum(l, spec.space, spec.supp.assignment, "semilattice-closed")
+        d = spec.supp
         obj = datum_to_json(d)
         obj["flavor"] = "open-ish"
         with pytest.raises(InputError):
@@ -100,7 +100,7 @@ class TestDatumJson:
     def test_missing_sigma_entry(self):
         l = chain(2)
         spec = spectrum_for(l, "semilattice-closed")
-        d = SupportDatum(l, spec.space, spec.supp.assignment, "semilattice-closed")
+        d = spec.supp
         obj = datum_to_json(d)
         del obj["sigma"]["1"]
         with pytest.raises(InputError):

@@ -361,11 +361,6 @@ class TestMorphisms:
         with pytest.raises(SizeGuardExceeded):
             enumerate_morphisms(b2(), b2(), "blat", guard=2)
 
-    def test_size_guard_env(self, monkeypatch):
-        monkeypatch.setenv("LATTIK_SIZE_GUARD", "2")
-        with pytest.raises(SizeGuardExceeded):
-            enumerate_morphisms(b2(), b2(), "blat")
-
 
 def relabelled(p, perm):
     """The poset p with element i moved to position perm[i]."""

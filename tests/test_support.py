@@ -66,27 +66,26 @@ class TestValidation:
         for l in corpus5:
             for flavor in FLAVORS:
                 spec = spectrum_for(l, flavor)
-                d = SupportDatum(l, spec.space, spec.supp.assignment, flavor)
-                assert validate_support_datum(d).ok
+                assert validate_support_datum(spec.supp).ok
 
     def test_rejects_non_closed_value(self):
         l, x = two(), sierpinski()
         # {q} is open but not closed in the Sierpinski space
         d = SupportDatum(l, x, (0, 1 << x.point_index("q")), "semilattice-closed")
         report = validate_support_datum(d)
-        assert not report.ok and report.axiom == "closed"
+        assert not report.ok and report.detail["axiom"] == "closed"
 
     def test_rejects_nonempty_bottom(self):
         l, x = two(), sierpinski()
         d = SupportDatum(l, x, (x.full, x.full), "semilattice-closed")
         report = validate_support_datum(d)
-        assert not report.ok and report.axiom == "empty"
+        assert not report.ok and report.detail["axiom"] == "empty"
 
     def test_rejects_missing_top(self):
         l, x = b2(), discrete_space(["p"])
         d = SupportDatum(l, x, (0, 0, 0, 0), "lattice-closed")
         report = validate_support_datum(d)
-        assert not report.ok and report.axiom == "full"
+        assert not report.ok and report.detail["axiom"] == "full"
 
     def test_rejects_broken_meet(self):
         l, x = b2(), discrete_space(["p", "q"])
@@ -97,7 +96,7 @@ class TestValidation:
         sigma[l.index("1")] = full
         d = SupportDatum(l, x, sigma, "lattice-closed")
         report = validate_support_datum(d)
-        assert not report.ok and report.axiom == "meet"
+        assert not report.ok and report.detail["axiom"] == "meet"
 
     def test_matches_brute_oracle(self, corpus4):
         small = [
@@ -122,7 +121,7 @@ class TestSigmaOfMap:
                 spec = spectrum_for(l, flavor)
                 ident = tuple(range(spec.space.n))
                 d = sigma_of_map(ident, spec.space, spec)
-                assert d.sigma == spec.supp.assignment
+                assert d.sigma == spec.supp.sigma
 
     def test_constant_map_to_closed_point(self):
         l = chain(3)
@@ -307,6 +306,12 @@ class TestSpectrumFor:
         for flavor in FLAVORS:
             assert spectrum_for(l, flavor) is spectrum_for(l, flavor)
 
+    def test_supp_is_a_valid_datum_of_the_flavor(self, corpus6):
+        for l in corpus6:
+            for flavor in FLAVORS:
+                supp = spectrum_for(l, flavor).supp
+                assert supp.flavor == flavor and validate_support_datum(supp).ok
+
 
 class TestFinality:
     def test_exactly_one_structure_map(self, corpus4):
@@ -322,8 +327,7 @@ class TestFinality:
         for l in corpus5:
             for flavor in FLAVORS:
                 spec = spectrum_for(l, flavor)
-                d = SupportDatum(l, spec.space, spec.supp.assignment, flavor)
-                assert datum_morphisms_to_final(d, spec) == [
+                assert datum_morphisms_to_final(spec.supp, spec) == [
                     tuple(range(spec.space.n))
                 ]
 

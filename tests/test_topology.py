@@ -6,11 +6,12 @@ from itertools import permutations, product
 import pytest
 
 from lattik.corpus import b2, chain, m3, n5, space_corpus
-from lattik.errors import NotT0, SizeGuardExceeded
-from lattik.ideals import all_ideals, compact_elements
+from lattik.errors import InvalidDatum, NotT0, SizeGuardExceeded
+from lattik.ideals import all_ideals, compact_elements, ideal_masks
 from lattik.order import bits, dual, is_isomorphic, two
 from lattik.topology import (
     FiniteSpace,
+    _spectrum,
     cl_lattice,
     discrete_space,
     enumerate_continuous,
@@ -127,13 +128,13 @@ class TestSpSpace:
         spec = sp_space(two())
         assert spec.space.points == ("{0}", "{0,1}")
         one = spec.lattice.index("1")
-        assert spec.space.subset_names(spec.supp.assignment[one]) == ["{0}"]
+        assert spec.space.subset_names(spec.supp.sigma[one]) == ["{0}"]
         assert spec.space.closed_sets() == (0, 0b01, 0b11)
 
     def test_sp_c3_supp(self):
         l = chain(3)
         spec = sp_space(l)
-        supp = spec.supp.assignment
+        supp = spec.supp.sigma
         # brute membership check: supp(a) = ideals not containing a
         for a in range(l.n):
             expected = 0
@@ -147,12 +148,12 @@ class TestSpSpace:
     def test_supp_of_bottom_is_empty(self, corpus5):
         for l in corpus5:
             spec = sp_space(l)
-            assert spec.supp.assignment[l.bottom] == 0
+            assert spec.supp.sigma[l.bottom] == 0
 
     def test_supp_turns_joins_into_unions(self, corpus5):
         for l in corpus5:
             spec = sp_space(l)
-            supp = spec.supp.assignment
+            supp = spec.supp.sigma
             for a in range(l.n):
                 for b in range(l.n):
                     assert supp[l.join[a][b]] == supp[a] | supp[b]
@@ -163,7 +164,7 @@ class TestSpcSpace:
         l = b2()
         spec = spc_space(l)
         assert set(spec.space.points) == {"{0,a}", "{0,b}"}
-        supp = spec.supp.assignment
+        supp = spec.supp.sigma
         pa = spec.space.point_index("{0,a}")
         pb = spec.space.point_index("{0,b}")
         assert supp[l.index("a")] == 1 << pb
@@ -177,18 +178,23 @@ class TestSpcSpace:
     def test_spc_n5_does_not_separate(self):
         l = n5()
         spec = spc_space(l)
-        supp = spec.supp.assignment
+        supp = spec.supp.sigma
         assert supp[l.index("b")] == supp[l.index("c")]
         assert supp[l.index("b")] == 1 << spec.space.point_index("{0,a}")
 
     def test_meet_axiom(self, corpus5):
         for l in corpus5:
             spec = spc_space(l)
-            supp = spec.supp.assignment
+            supp = spec.supp.sigma
             for a in range(l.n):
                 for b in range(l.n):
                     assert supp[l.meet[a][b]] == supp[a] & supp[b]
             assert supp[l.top] == spec.space.full
+
+    def test_all_ideals_fail_the_lattice_axioms(self):
+        # B2 itself is an ideal that no supp(a) leaves out, so supp(1) misses it
+        with pytest.raises(InvalidDatum, match="axiom full"):
+            _spectrum(b2(), ideal_masks(b2()), "lattice-closed")
 
 
 class TestHochsterDual:
