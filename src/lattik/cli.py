@@ -182,12 +182,17 @@ def cmd_naturality(args):
     return cert.to_json()
 
 
-def _frame_of(args):
-    name, lattice = _load_lattice(args.file)
+def _as_frame(lattice):
+    """as_frame, with a non-frame reported as a check failure with its witness."""
     try:
-        return name, framesmod.as_frame(lattice, args.size_guard)
+        return framesmod.as_frame(lattice)
     except NotAFrame as exc:
         raise CheckFailure({"not_a_frame": True, "witness": exc.witness}) from exc
+
+
+def _frame_of(args):
+    name, lattice = _load_lattice(args.file)
+    return name, _as_frame(lattice)
 
 
 def cmd_frame_points(args):
@@ -204,7 +209,7 @@ def cmd_extend(args):
     lattice_obj, frame_obj, images = _fields(_load_json(args.file), "lattice", "frame", "map")
     _, lattice = lattice_from_json(lattice_obj)
     _, frame_lattice = lattice_from_json(frame_obj)
-    frame = framesmod.as_frame(frame_lattice, args.size_guard)
+    frame = _as_frame(frame_lattice)
     mapping = _map_from_json(
         images, lattice.elements, frame_lattice.elements, "lattice to frame elements"
     )

@@ -14,7 +14,6 @@ from .order import (
     inclusion_isomorphism_failure,
     is_distributive,
     is_morphism,
-    size_guard,
     two,
 )
 from .topology import FiniteSpace, hochster_dual, is_homeomorphism
@@ -31,41 +30,22 @@ class Frame:
         return self.lattice.n
 
 
-def frame_law_witness(l, guard=None):
-    """A pair (a, subset-mask) violating a ∧ ⋁S = ⋁(a ∧ s), or None.
+def as_frame(l):
+    """Certify the frame law or raise NotAFrame with a violating (a, [b, c]) witness.
 
-    The law is checked literally over all subsets up to the size guard; for a
-    finite lattice it is equivalent to binary distributivity, which is used as
-    the fallback beyond the guard.
+    The law a ∧ ⋁S = ⋁{a ∧ s : s ∈ S} ranges over every subset S, but on a
+    finite carrier it is binary distributivity: S = ∅ and singletons hold
+    trivially, and a ∧ (x ∨ s) = (a ∧ x) ∨ (a ∧ s) extends the law from
+    pairs to every finite S by induction on |S|.  The witness is the least
+    failing pair mask for the first failing a (distributivity_witness).
     """
-    bound = size_guard(guard)
-    if l.n * (1 << l.n) <= bound:
-        for a in range(l.n):
-            for mask in range(1 << l.n):
-                joined = l.join_of_mask(mask)
-                rhs_mask = 0
-                for b in bits(mask):
-                    rhs_mask |= 1 << l.meet[a][b]
-                if l.meet[a][joined] != l.join_of_mask(rhs_mask):
-                    return (a, mask)
-        return None
-    # beyond the guard: the binary law, provably equivalent on finite carriers
     witness = distributivity_witness(l)
-    if witness is None:
-        return None
-    a, b, c = witness
-    return (a, (1 << b) | (1 << c))
-
-
-def as_frame(l, guard=None):
-    """Certify the frame law or raise NotAFrame with a violating (a, subset) witness."""
-    witness = frame_law_witness(l, guard)
     if witness is not None:
-        a, mask = witness
+        a, b, c = witness
+        pair = l.subset_names((1 << b) | (1 << c))
         raise NotAFrame(
-            f"{l.elements[a]!r} fails to distribute over the join of "
-            f"{l.subset_names(mask)}",
-            witness=(l.elements[a], l.subset_names(mask)),
+            f"{l.elements[a]!r} fails to distribute over the join of {pair}",
+            witness=(l.elements[a], pair),
         )
     return Frame(l)
 
@@ -157,8 +137,8 @@ def extend_morphism(l, f, phi):
 
     The extension sends an ideal I to the join of φ over its members;
     restricting back along the principal-ideal embedding returns φ, and ψ
-    is certified against the literal frame-morphism laws.  Requires l
-    distributive.
+    is certified against the frame-morphism laws, which on a finite carrier
+    are the bounded-lattice laws.  Requires l distributive.
     """
     if not is_distributive(l):
         raise NotDistributive("the base lattice must be distributive")
@@ -186,7 +166,7 @@ def pt_ideal_vs_hochster(l, guard=None):
     if not is_distributive(l):
         raise NotDistributive("the base lattice must be distributive")
     idl = all_ideals(l)
-    frame = as_frame(idl.lattice, guard)
+    frame = as_frame(idl.lattice)
     pt = points(frame, guard)
     dualspec = hochster_dual(l)
     mapping = []
@@ -258,8 +238,8 @@ def id_vs_omega_dual(l):
     return Certificate(True, {"ideal_count": len(masks), "open_count": len(opens)})
 
 
-def coherence_check(f, guard=None):
+def coherence_check(f):
     """Check the frame is isomorphic to Id of its own compact-element sublattice."""
     idl = all_ideals(f.lattice)
-    compact, _ = compact_elements(idl, guard)
+    compact, _ = compact_elements(idl)
     return find_isomorphism(all_ideals(compact).lattice, f.lattice) is not None

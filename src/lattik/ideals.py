@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from .errors import KindMismatch, SizeGuardExceeded
+from .errors import KindMismatch
 from .order import (
     LatticeMorphism,
     SetLattice,
     bits,
     inclusion_isomorphism_failure,
-    size_guard,
     two,
 )
 
@@ -152,50 +151,24 @@ def join_irreducibles(l):
     return out
 
 
-def _compact_in(idl, k):
-    """Literal compactness of ideal #k in Id(L), quantified over all families.
+def compact_elements(idl):
+    """The lattice of compact elements of Id(L), with an isomorphism to L.
 
-    On a finite carrier every family is itself a finite subfamily, so the
-    check is always satisfied; it is still evaluated as stated.
+    Every element k of Id(L) is compact: if k ≤ ⋁F for a family F of ideals,
+    then F itself is the finite subfamily, as Id(L) is finite.  So the
+    result is (idl.lattice, witness), where witness[a] is the index of the
+    principal ideal of base element a.  inclusion_isomorphism_failure on the
+    identity map checks that the compact elements are the principal ideals,
+    with L's order.  That Id(L) holds no other ideal is not checked here: it
+    is the proof in ideal_masks, which a test checks against the subset
+    filter.
     """
-    lat = idl.lattice
-    for family in range(1 << lat.n):
-        if not lat.leq(k, lat.join_of_mask(family)):
-            continue
-        found = False
-        for sub in range(1 << lat.n):
-            if sub & ~family:
-                continue
-            if lat.leq(k, lat.join_of_mask(sub)):
-                found = True
-                break
-        if not found:
-            return False
-    return True
-
-
-def compact_elements(idl, guard=None):
-    """The sub-poset of compact elements of Id(L), with an isomorphism to L.
-
-    Returns (lattice, witness) where witness[a] is the index in the compact
-    sub-lattice of the principal ideal of base element a.  Each element of
-    Id(L) is checked literally to be compact (_compact_in), and
-    inclusion_isomorphism_failure on the identity map checks that the compact
-    elements are the principal ideals, with L's order.  That Id(L) holds no
-    other ideal is not checked here: it is the proof in ideal_masks, which a
-    test checks against the subset filter.
-    """
-    bound = size_guard(guard)
-    if (1 << idl.lattice.n) ** 2 > bound:
-        raise SizeGuardExceeded("compactness check exceeds the size guard")
-    compact = [idl.masks[k] for k in range(len(idl)) if _compact_in(idl, k)]
     base = idl.base
 
     def identity(m):
         return m
 
-    reason = inclusion_isomorphism_failure(base.down, compact, identity, identity)
+    reason = inclusion_isomorphism_failure(base.down, idl.masks, identity, identity)
     if reason is not None:
         raise ValueError(f"principal ideals vs compact elements: {reason}")
-    sub = SetLattice(compact, lambda m: ideal_label(base, m))
-    return sub.lattice, tuple(sub.index_of_mask(base.down[a]) for a in range(base.n))
+    return idl.lattice, tuple(idl.index_of_mask(base.down[a]) for a in range(base.n))

@@ -292,10 +292,15 @@ def dual(l):
 
 
 def distributivity_witness(l):
-    """The first triple (a, b, c) with a ∧ (b ∨ c) ≠ (a ∧ b) ∨ (a ∧ c), or None."""
+    """The first triple (a, b, c), b < c, with a ∧ (b ∨ c) ≠ (a ∧ b) ∨ (a ∧ c), or None.
+
+    The scan runs over a, then c, then b < c, so for the first failing a the
+    pair mask (1 << b) | (1 << c) is the least one that fails.  A pair with
+    b = c never fails, and the law is symmetric in b and c.
+    """
     for a in range(l.n):
-        for b in range(l.n):
-            for c in range(l.n):
+        for c in range(l.n):
+            for b in range(c):
                 if l.meet[a][l.join[b][c]] != l.join[l.meet[a][b]][l.meet[a][c]]:
                     return (a, b, c)
     return None
@@ -311,6 +316,8 @@ def two():
     return as_bounded_lattice(build_poset(["0", "1"], [("0", "1")]))
 
 
+# A frame morphism preserves arbitrary joins and finite meets; on a finite
+# carrier every join is finite, so "frame" is "blat" under another name.
 MORPHISM_KINDS = ("jsl", "blat", "frame")
 
 
@@ -348,6 +355,8 @@ class LatticeMorphism:
 
 def is_morphism(src, tgt, mapping, kind):
     """Check the preservation laws of the given kind for an image tuple."""
+    if kind not in MORPHISM_KINDS:
+        raise ValueError(f"unknown morphism kind {kind!r}")
     f = mapping
     if f[src.bottom] != tgt.bottom:
         return False
@@ -362,15 +371,6 @@ def is_morphism(src, tgt, mapping, kind):
             for b in range(src.n):
                 if f[src.meet[a][b]] != tgt.meet[f[a]][f[b]]:
                     return False
-    if kind == "frame":
-        # On a finite carrier arbitrary joins reduce to finite ones, but the
-        # law is checked literally over all subsets.
-        for mask in range(1 << src.n):
-            img = 0
-            for i in bits(mask):
-                img |= 1 << f[i]
-            if f[src.join_of_mask(mask)] != tgt.join_of_mask(img):
-                return False
     return True
 
 
@@ -428,6 +428,8 @@ def scheduled_search(order, width, start, pairs, triples, bound=None):
 def enumerate_morphisms(src, tgt, kind, guard=None):
     """All morphisms src -> tgt of the given kind, sorted by image tuple.
 
+    The kind "frame" searches exactly as "blat": a frame morphism preserves
+    arbitrary joins, and every join over a finite carrier is a finite one.
     A scheduled_search assigns images in a linear extension of src.  Each
     preservation law is tested once, at the depth where its last
     participant is assigned:
@@ -476,12 +478,7 @@ def enumerate_morphisms(src, tgt, kind, guard=None):
                 first, last = (a, b) if pos[a] < pos[b] else (b, a)
                 triples[pos[last]].append((first, src.meet[a][b], meet_to))
     results = sorted(scheduled_search(order, tgt.n, start, pairs, triples, bound))
-    morphisms = [LatticeMorphism(src, tgt, m, kind) for m in results]
-    if kind == "frame":
-        # Certify the literal arbitrary-join law; on finite carriers this
-        # never removes anything found by the binary checks.
-        morphisms = [m for m in morphisms if is_morphism(src, tgt, m.mapping, "frame")]
-    return morphisms
+    return [LatticeMorphism(src, tgt, m, kind) for m in results]
 
 
 def _refine_classes(p):

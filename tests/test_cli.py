@@ -235,6 +235,22 @@ class TestFrameVerbs:
         assert code == 2 and out == ""
         assert message in err
 
+    def test_extend_onto_a_non_frame_is_a_witness(self, capsys, tmp_path):
+        path = write(
+            tmp_path,
+            "extend.json",
+            {
+                "lattice": lattice_to_json(chain(2)),
+                "frame": lattice_to_json(m3()),
+                "map": {"0": "0", "1": "1"},
+            },
+        )
+        code, out, err = run(capsys, "extend", path)
+        assert code == 1 and err == ""
+        data = json.loads(out)
+        assert data["ok"] is False and data["witness"]["not_a_frame"] is True
+        assert data["witness"]["witness"] == ["a", ["b", "c"]]
+
     def test_extend_non_morphism_is_a_witness(self, capsys, tmp_path):
         # sends the bottom to the top, so it is not a bounded-lattice morphism
         path = self.extend_file(tmp_path, {"0": "1", "1": "1"})
@@ -463,6 +479,24 @@ class TestSizeGuard:
         expected = run(capsys, verb, tensor_file)
         assert expected[0] == 0
         assert run(capsys, "--size-guard", "1", verb, tensor_file) == expected
+
+    @pytest.mark.parametrize("verb", ["frame-points", "spatial"])
+    def test_not_a_frame_witness_ignores_the_guard(self, capsys, tmp_path, verb):
+        # the least failing subset for e2 is the pair {e3, e4}
+        l7 = {
+            "elements": [f"e{i}" for i in range(7)],
+            "leq": [
+                ["e0", "e1"], ["e0", "e5"], ["e1", "e2"], ["e1", "e3"], ["e1", "e4"],
+                ["e2", "e6"], ["e3", "e6"], ["e4", "e6"], ["e5", "e6"],
+            ],
+        }
+        path = write(tmp_path, "l7.json", l7)
+        expected = run(capsys, verb, path)
+        assert expected[0] == 1
+        assert json.loads(expected[1])["witness"] == {
+            "not_a_frame": True, "witness": ["e2", ["e3", "e4"]]
+        }
+        assert run(capsys, "--size-guard", "1", verb, path) == expected
 
     def test_searches_still_hit_the_guard(self, capsys, b2_file, sierp_file):
         code, out, err = run(capsys, "--size-guard", "1", "pt-vs-hochster", b2_file)

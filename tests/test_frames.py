@@ -1,5 +1,7 @@
 """Frames, point spaces, spatiality, morphism extension, and the coherent isomorphisms."""
 
+from itertools import product
+
 import pytest
 
 from lattik.corpus import b2, b3, chain, lattice_corpus, m3, n5
@@ -8,7 +10,6 @@ from lattik.frames import (
     as_frame,
     coherence_check,
     extend_morphism,
-    frame_law_witness,
     id_vs_omega_dual,
     is_spatial,
     points,
@@ -17,8 +18,38 @@ from lattik.frames import (
     support_union_map,
 )
 from lattik.ideals import all_ideals
+from lattik.jsonio import lattice_from_json
 from lattik.order import bits, dual, enumerate_morphisms, is_distributive, two
 from lattik.topology import hochster_dual, omega_lattice
+
+
+def literal_frame_law_witness(l):
+    """The first (a, mask) with a ∧ ⋁S ≠ ⋁{a ∧ s : s ∈ S}, over every subset S."""
+    for a in range(l.n):
+        for mask in range(1 << l.n):
+            rhs = 0
+            for b in bits(mask):
+                rhs |= 1 << l.meet[a][b]
+            if l.meet[a][l.join_of_mask(mask)] != l.join_of_mask(rhs):
+                return a, mask
+    return None
+
+
+def preserves_frame_laws(src, tgt, f):
+    """The literal frame-morphism law: the top, binary meets, every subset's join."""
+    if f[src.top] != tgt.top:
+        return False
+    for a in range(src.n):
+        for b in range(src.n):
+            if f[src.meet[a][b]] != tgt.meet[f[a]][f[b]]:
+                return False
+    for mask in range(1 << src.n):
+        img = 0
+        for i in bits(mask):
+            img |= 1 << f[i]
+        if f[src.join_of_mask(mask)] != tgt.join_of_mask(img):
+            return False
+    return True
 
 
 class TestAsFrame:
@@ -56,22 +87,52 @@ class TestAsFrame:
         with pytest.raises(NotAFrame):
             as_frame(all_ideals(m3()).lattice)
 
-    def test_law_iff_distributive(self, corpus5):
-        for l in corpus5:
-            assert (frame_law_witness(l) is None) == is_distributive(l)
+    def test_binary_witness_is_the_literal_one(self):
+        # the subset law and the binary law fail at the same a; on every
+        # lattice of at most 7 elements the least failing subset is a pair
+        for l in lattice_corpus(7):
+            literal = literal_frame_law_witness(l)
+            if literal is None:
+                as_frame(l)
+                continue
+            with pytest.raises(NotAFrame) as err:
+                as_frame(l)
+            a, mask = literal
+            assert err.value.witness == (l.elements[a], l.subset_names(mask))
 
-    def test_binary_fallback_past_the_guard(self, corpus6):
-        for l in corpus6:
-            witness = frame_law_witness(l, guard=l.n * (1 << l.n) - 1)
-            assert (witness is None) == (frame_law_witness(l) is None)
-            if witness is not None:
-                a, mask = witness
-                b, c = (list(bits(mask)) * 2)[:2]
-                assert l.meet[a][l.join[b][c]] != l.join[l.meet[a][b]][l.meet[a][c]]
+    def test_least_failing_subset_a_triple_reports_a_pair(self):
+        # a fails over {b, c, d}, whose mask is below that of every failing pair
+        l = lattice_from_json(
+            {
+                "elements": ["0", "a", "b", "c", "d", "bc", "bd", "cd", "1"],
+                "leq": [["0", x] for x in "abcd"]
+                + [["b", "bc"], ["c", "bc"], ["b", "bd"], ["d", "bd"]]
+                + [["c", "cd"], ["d", "cd"]]
+                + [[x, "1"] for x in ["a", "bc", "bd", "cd"]],
+            }
+        )[1]
+        a, mask = literal_frame_law_witness(l)
+        assert (l.elements[a], l.subset_names(mask)) == ("a", ["b", "c", "d"])
+        with pytest.raises(NotAFrame) as err:
+            as_frame(l)
+        assert err.value.witness == ("a", ["d", "bc"])
 
     def test_omega_lattices_are_frames(self, spaces3):
         for x in spaces3:
             as_frame(omega_lattice(x).lattice)
+
+
+class TestFrameMorphisms:
+    @pytest.mark.parametrize("make", [two, b2])
+    def test_literal_law_accepts_exactly_the_blat_morphisms(self, corpus6, make):
+        tgt = make()
+        for l in corpus6:
+            literal = [
+                f
+                for f in product(range(tgt.n), repeat=l.n)
+                if preserves_frame_laws(l, tgt, f)
+            ]
+            assert literal == [m.mapping for m in enumerate_morphisms(l, tgt, "blat")]
 
 
 class TestPoints:

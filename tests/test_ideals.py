@@ -245,7 +245,26 @@ class TestBirkhoffOracle:
                 assert len(prime_ideals(l)) == len(join_irreducibles(l))
 
 
+def is_compact(lat, k):
+    """Literal compactness: k ≤ ⋁F implies k ≤ ⋁G for some G ⊆ F, for every family F."""
+    for family in range(1 << lat.n):
+        if not lat.leq(k, lat.join_of_mask(family)):
+            continue
+        sub = family
+        while not lat.leq(k, lat.join_of_mask(sub)):
+            if not sub:
+                return False
+            sub = (sub - 1) & family
+    return True
+
+
 class TestCompactElements:
+    def test_every_ideal_is_literally_compact(self, corpus5):
+        for l in corpus5:
+            idl = all_ideals(l)
+            assert all(is_compact(idl.lattice, k) for k in range(len(idl)))
+            assert compact_elements(idl)[0].n == len(idl)
+
     @pytest.mark.parametrize("make", [two, lambda: chain(3), b2, m3, n5])
     def test_compact_elements_recover_base(self, make):
         l = make()

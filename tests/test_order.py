@@ -361,6 +361,13 @@ class TestMorphisms:
         with pytest.raises(SizeGuardExceeded):
             enumerate_morphisms(b2(), b2(), "blat", guard=2)
 
+    @pytest.mark.parametrize("kind", ["bogus", "blta", "Frame"])
+    def test_unknown_kind_is_rejected(self, kind):
+        with pytest.raises(ValueError, match="unknown morphism kind"):
+            is_morphism(two(), two(), (0, 0), kind)
+        with pytest.raises(ValueError, match="unknown morphism kind"):
+            enumerate_morphisms(two(), two(), kind)
+
 
 def relabelled(p, perm):
     """The poset p with element i moved to position perm[i]."""
