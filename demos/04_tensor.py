@@ -37,7 +37,7 @@ def tour(name, t):
         print(f"  <{base.elements[a]}> = {{{','.join(members)}}}")
     masks, lattice = all_radical_tensor_ideals(t)
     print("  radical tensor ideals:", [lattice.elements[i] for i in range(lattice.n)])
-    quotient, projection, _ = quotient_lattice(t)
+    quotient, projection = quotient_lattice(t)
     print("  quotient L(x):", list(quotient.elements))
     print("  tensor lemma:", check_tensor_lemma(t).ok)
     print("  classification:", check_classification(t).to_json())

@@ -17,7 +17,6 @@ from .ideals import (
     Ideal,
     IdealLattice,
     all_ideals,
-    compact_elements,
     ideal_of_morphism,
     join_irreducibles,
     morphism_of_ideal,

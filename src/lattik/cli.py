@@ -262,7 +262,7 @@ def cmd_radicals(args):
 def cmd_quotient(args):
     name, t = _load_tensor(args)
     try:
-        lattice, projection, class_masks = tensormod.quotient_lattice(t)
+        lattice, projection = tensormod.quotient_lattice(t)
     except tensormod.QuotientFormulaError as exc:
         raise CheckFailure({"reason": exc.reason, "pair": list(exc.pair)}) from exc
     return {
@@ -413,6 +413,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.size_guard is not None and args.size_guard < 1:
+            raise InputError(f"--size-guard must be positive, got {args.size_guard}")
         result = args.fn(args)
     except CheckFailure as exc:
         print(json.dumps({"ok": False, "witness": exc.payload}, indent=2))

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from .errors import NotAFrame, NotDistributive
-from .ideals import all_ideals, compact_elements, ideal_masks
+from .ideals import all_ideals, ideal_masks
 from .order import (
     Certificate,
     LatticeMorphism,
     bits,
     distributivity_witness,
     enumerate_morphisms,
-    find_isomorphism,
     inclusion_isomorphism_failure,
     is_distributive,
     is_morphism,
@@ -69,8 +68,13 @@ def _kernel_label(f, phi):
 
 
 def points(f, guard=None):
-    """All points of the frame and the topology generated by the sets U(a)."""
-    morphisms = enumerate_morphisms(f.lattice, two(), "frame", guard)
+    """All points of the frame and the topology generated by the sets U(a).
+
+    A point is a frame morphism F -> 2: it preserves arbitrary joins and
+    finite meets, and every join over a finite carrier is a finite one, so
+    the points are the bounded-lattice morphisms F -> 2.
+    """
+    morphisms = enumerate_morphisms(f.lattice, two(), "blat", guard)
     labels = [_kernel_label(f, phi) for phi in morphisms]
     u_sets = []
     for a in range(f.n):
@@ -149,10 +153,10 @@ def extend_morphism(l, f, phi):
         for a in bits(ideal.members):
             img_mask |= 1 << phi(a)
         mapping.append(f.lattice.join_of_mask(img_mask))
-    psi = LatticeMorphism(idl.lattice, f.lattice, mapping, "frame")
+    psi = LatticeMorphism(idl.lattice, f.lattice, mapping, "blat")
     if restrict_along_principal(idl, psi) != phi.mapping:
         raise ValueError("extension does not restrict back to the given morphism")
-    if not is_morphism(idl.lattice, f.lattice, mapping, "frame"):
+    if not is_morphism(idl.lattice, f.lattice, mapping, "blat"):
         raise ValueError("extension is not a frame morphism")
     return psi
 
@@ -171,12 +175,8 @@ def pt_ideal_vs_hochster(l, guard=None):
     dualspec = hochster_dual(l)
     mapping = []
     for phi in pt.morphisms:
-        # φ^{-1}(0) ∩ L: base elements whose principal ideal is killed by φ
-        members = 0
-        for a in range(l.n):
-            k = idl.index_of_mask(l.down[a])
-            if phi(k) == 0:
-                members |= 1 << a
+        restricted = restrict_along_principal(idl, phi)
+        members = sum(1 << a for a, v in enumerate(restricted) if v == 0)
         try:
             mapping.append(dualspec.point_of_ideal(members))
         except ValueError:
@@ -236,10 +236,3 @@ def id_vs_omega_dual(l):
     if reason is not None:
         return Certificate(False, {"reason": reason})
     return Certificate(True, {"ideal_count": len(masks), "open_count": len(opens)})
-
-
-def coherence_check(f):
-    """Check the frame is isomorphic to Id of its own compact-element sublattice."""
-    idl = all_ideals(f.lattice)
-    compact, _ = compact_elements(idl)
-    return find_isomorphism(all_ideals(compact).lattice, f.lattice) is not None

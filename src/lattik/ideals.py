@@ -7,7 +7,6 @@ from .order import (
     LatticeMorphism,
     SetLattice,
     bits,
-    inclusion_isomorphism_failure,
     two,
 )
 
@@ -149,26 +148,3 @@ def join_irreducibles(l):
         if l.join_of_mask(strict) != a:
             out.append(a)
     return out
-
-
-def compact_elements(idl):
-    """The lattice of compact elements of Id(L), with an isomorphism to L.
-
-    Every element k of Id(L) is compact: if k ≤ ⋁F for a family F of ideals,
-    then F itself is the finite subfamily, as Id(L) is finite.  So the
-    result is (idl.lattice, witness), where witness[a] is the index of the
-    principal ideal of base element a.  inclusion_isomorphism_failure on the
-    identity map checks that the compact elements are the principal ideals,
-    with L's order.  That Id(L) holds no other ideal is not checked here: it
-    is the proof in ideal_masks, which a test checks against the subset
-    filter.
-    """
-    base = idl.base
-
-    def identity(m):
-        return m
-
-    reason = inclusion_isomorphism_failure(base.down, idl.masks, identity, identity)
-    if reason is not None:
-        raise ValueError(f"principal ideals vs compact elements: {reason}")
-    return idl.lattice, tuple(idl.index_of_mask(base.down[a]) for a in range(base.n))

@@ -316,9 +316,7 @@ def two():
     return as_bounded_lattice(build_poset(["0", "1"], [("0", "1")]))
 
 
-# A frame morphism preserves arbitrary joins and finite meets; on a finite
-# carrier every join is finite, so "frame" is "blat" under another name.
-MORPHISM_KINDS = ("jsl", "blat", "frame")
+MORPHISM_KINDS = ("jsl", "blat")
 
 
 class LatticeMorphism:
@@ -364,7 +362,7 @@ def is_morphism(src, tgt, mapping, kind):
         for b in range(src.n):
             if f[src.join[a][b]] != tgt.join[f[a]][f[b]]:
                 return False
-    if kind in ("blat", "frame"):
+    if kind == "blat":
         if f[src.top] != tgt.top:
             return False
         for a in range(src.n):
@@ -428,17 +426,15 @@ def scheduled_search(order, width, start, pairs, triples, bound=None):
 def enumerate_morphisms(src, tgt, kind, guard=None):
     """All morphisms src -> tgt of the given kind, sorted by image tuple.
 
-    The kind "frame" searches exactly as "blat": a frame morphism preserves
-    arbitrary joins, and every join over a finite carrier is a finite one.
     A scheduled_search assigns images in a linear extension of src.  Each
     preservation law is tested once, at the depth where its last
     participant is assigned:
 
-    - the bottom (and, for blat/frame, the top) at its own depth;
+    - the bottom (and, for blat, the top) at its own depth;
     - monotonicity along each cover a < b at b's depth (the prefixes of a
       linear extension are down-sets, so covers imply every pair);
     - the join of an incomparable pair a, b at the depth of a ∨ b;
-    - for blat/frame, the meet of an incomparable pair at the later of a, b.
+    - for blat, the meet of an incomparable pair at the later of a, b.
 
     For a comparable pair the join and meet equations say no more than
     monotonicity.  The search therefore prunes exactly the partial
@@ -449,7 +445,7 @@ def enumerate_morphisms(src, tgt, kind, guard=None):
     if kind not in MORPHISM_KINDS:
         raise ValueError(f"unknown morphism kind {kind!r}")
     bound = size_guard(guard)
-    need_meet = kind in ("blat", "frame")
+    need_meet = kind == "blat"
     order = src.linear_extension()
     pos = [0] * src.n
     for s, e in enumerate(order):

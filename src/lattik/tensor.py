@@ -10,6 +10,7 @@ from .errors import (
     UnitLawFails,
     ZeroLawFails,
 )
+from .frames import id_vs_omega_dual
 from .ideals import ideal_label, ideal_masks, is_ideal, join_irreducibles
 from .order import (
     Certificate,
@@ -153,9 +154,9 @@ class QuotientFormulaError(ValueError):
 def quotient_lattice(t):
     """L(⊗): the distinct generated ideals ⟨a⟩ ordered by inclusion.
 
-    Returns (lattice, projection, class_masks) where projection[a] is the
-    quotient index of ⟨a⟩.  Certifies [a]∨[b] = [a∨b] and [a]∧[b] = [a⊗b];
-    raises QuotientFormulaError at the first pair (a, b) where one fails.
+    Returns (lattice, projection) where projection[a] is the quotient index
+    of ⟨a⟩.  Certifies [a]∨[b] = [a∨b] and [a]∧[b] = [a⊗b]; raises
+    QuotientFormulaError at the first pair (a, b) where one fails.
     """
     gen = [generated_ideal(t, a) for a in range(t.n)]
 
@@ -174,7 +175,7 @@ def quotient_lattice(t):
                 raise QuotientFormulaError("join", t.base.elements[a], t.base.elements[b])
             if lattice.meet[ja][jb] != projection[t.product[a][b]]:
                 raise QuotientFormulaError("meet", t.base.elements[a], t.base.elements[b])
-    return lattice, tuple(projection), classes.masks
+    return lattice, tuple(projection)
 
 
 def check_tensor_lemma(t):
@@ -209,10 +210,8 @@ def check_classification(t):
     associative product; without associativity the quotient formulas can
     fail, and the certificate then reports that failure.
     """
-    from .frames import id_vs_omega_dual
-
     try:
-        lattice, projection, _ = quotient_lattice(t)
+        lattice, projection = quotient_lattice(t)
     except QuotientFormulaError as exc:
         return Certificate(False, {"reason": exc.reason, "pair": list(exc.pair)})
     if not is_distributive(lattice):

@@ -149,7 +149,7 @@ def test_criterion_5_frames(corpus):
         idl = all_ideals(l)
         for f in small:
             frame = as_frame(f)
-            frm = enumerate_morphisms(idl.lattice, frame.lattice, "frame")
+            frm = enumerate_morphisms(idl.lattice, frame.lattice, "blat")
             blat = enumerate_morphisms(l, frame.lattice, "blat")
             if len(frm) != len(blat):
                 ok = False
@@ -190,7 +190,7 @@ def _certify_tensor(t):
         raise AssertionError(
             "tensor lemma failed: " + json.dumps(lemma.to_json(), sort_keys=True)
         )
-    quotient, _, _ = quotient_lattice(t)
+    quotient, _ = quotient_lattice(t)
     if not is_distributive(quotient):
         raise AssertionError("quotient lattice is not distributive")
     cls = check_classification(t)

@@ -1,5 +1,6 @@
 """The command-line interface, exercised in-process through main()."""
 
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -9,11 +10,18 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattik.cli import main
+from lattik.cli import build_parser, main
 from lattik.corpus import b2, b3, chain, m3, n5
 from lattik.jsonio import datum_to_json, lattice_from_json, lattice_to_json, space_to_json
 from lattik.support import FLAVORS, SupportDatum, spectrum_for
 from lattik.topology import discrete_space, space_from_closed_basis
+
+
+VERBS = next(
+    action.choices
+    for action in build_parser()._actions
+    if isinstance(action, argparse._SubParsersAction)
+)
 
 
 def write(tmp_path, name, obj):
@@ -505,6 +513,14 @@ class TestSizeGuard:
             capsys, "--size-guard", "1", "adjunction", b2_file, sierp_file
         )
         assert code == 2 and out == "" and "continuous-map enumeration" in err
+
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    def test_bound_below_one_is_input_error(self, capsys, b2_file, verb, bound):
+        files = [] if verb == "corpus" else [b2_file]
+        code, out, err = run(capsys, "--size-guard", bound, verb, *files)
+        assert code == 2 and out == ""
+        assert "--size-guard" in err
 
 
 class TestDotVerb:

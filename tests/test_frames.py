@@ -8,7 +8,6 @@ from lattik.corpus import b2, b3, chain, lattice_corpus, m3, n5
 from lattik.errors import NotAFrame, NotDistributive
 from lattik.frames import (
     as_frame,
-    coherence_check,
     extend_morphism,
     id_vs_omega_dual,
     is_spatial,
@@ -17,7 +16,7 @@ from lattik.frames import (
     restrict_along_principal,
     support_union_map,
 )
-from lattik.ideals import all_ideals
+from lattik.ideals import all_ideals, ideal_of_morphism, prime_masks
 from lattik.jsonio import lattice_from_json
 from lattik.order import bits, dual, enumerate_morphisms, is_distributive, two
 from lattik.topology import hochster_dual, omega_lattice
@@ -166,6 +165,15 @@ class TestPoints:
             pt = points(as_frame(l))
             assert len(pt) == len(enumerate_morphisms(l, two(), "blat"))
 
+    def test_points_are_the_prime_ideals(self, corpus6):
+        # each point is a blat morphism F -> 2, so its kernel is a prime ideal
+        for l in corpus6:
+            if not is_distributive(l):
+                continue
+            pt = points(as_frame(l))
+            kernels = [ideal_of_morphism(phi).members for phi in pt.morphisms]
+            assert sorted(kernels) == sorted(prime_masks(l))
+
 
 class TestSpatiality:
     def test_distributive_corpus_is_spatial(self, corpus5):
@@ -195,6 +203,20 @@ class TestExtension:
                 psi = extend_morphism(l, frame_target, phi)
                 assert restrict_along_principal(idl, psi) == phi.mapping
 
+    def test_extension_is_an_enumerated_morphism(self, corpus4):
+        for l in corpus4:
+            if not is_distributive(l):
+                continue
+            idl = all_ideals(l)
+            f = as_frame(b2())
+            enumerated = {
+                psi.mapping: psi
+                for psi in enumerate_morphisms(idl.lattice, f.lattice, "blat")
+            }
+            for phi in enumerate_morphisms(l, f.lattice, "blat"):
+                psi = extend_morphism(l, f, phi)
+                assert psi == enumerated[psi.mapping]
+
     def test_counts_match(self, corpus4):
         # |Hom_Frm(Id(L), F)| = |Hom_BLat(L, F)|
         frames = [as_frame(l) for l in corpus4 if is_distributive(l)]
@@ -203,7 +225,7 @@ class TestExtension:
                 continue
             idl = all_ideals(l)
             for f in frames:
-                frm = enumerate_morphisms(idl.lattice, f.lattice, "frame")
+                frm = enumerate_morphisms(idl.lattice, f.lattice, "blat")
                 blat = enumerate_morphisms(l, f.lattice, "blat")
                 assert len(frm) == len(blat)
                 # restriction is the inverse bijection
@@ -222,7 +244,7 @@ class TestExtension:
             }
             enumerated = {
                 psi.mapping
-                for psi in enumerate_morphisms(idl.lattice, f.lattice, "frame")
+                for psi in enumerate_morphisms(idl.lattice, f.lattice, "blat")
             }
             assert extended == enumerated
 
@@ -280,10 +302,3 @@ class TestIdVsOmegaDual:
     def test_support_union_not_injective_without_distributivity(self, make):
         idl, _, images = support_union_map(make())
         assert len(set(images)) < len(idl)
-
-
-class TestCoherence:
-    def test_ideal_lattices_are_coherent(self, corpus5):
-        for l in corpus5:
-            if is_distributive(l):
-                assert coherence_check(as_frame(all_ideals(l).lattice))

@@ -326,7 +326,7 @@ class TestMorphisms:
             targets += [cl_lattice(x).lattice, omega_lattice(x).lattice]
         for src in corpus4:
             for tgt in targets:
-                for kind in ("jsl", "blat", "frame"):
+                for kind in ("jsl", "blat"):
                     fast = [m.mapping for m in enumerate_morphisms(src, tgt, kind)]
                     slow = [
                         f
@@ -342,9 +342,9 @@ class TestMorphisms:
             (b3(), CL_D3, "jsl", 16976),
             (chain(4), CL_D3, "jsl", 296),
             (m3(), b2(), "jsl", 344),
-            (n5(), two(), "frame", 22),
+            (n5(), two(), "blat", 22),
         ],
-        ids=["b3-cl3-blat", "b3-cl3-jsl", "c4-cl3-jsl", "m3-b2-jsl", "n5-two-frame"],
+        ids=["b3-cl3-blat", "b3-cl3-jsl", "c4-cl3-jsl", "m3-b2-jsl", "n5-two-blat"],
     )
     def test_smallest_guard_is_pinned(self, src, tgt, kind, smallest):
         # the guard counts tgt.n attempts per expanded node of the search
@@ -361,7 +361,7 @@ class TestMorphisms:
         with pytest.raises(SizeGuardExceeded):
             enumerate_morphisms(b2(), b2(), "blat", guard=2)
 
-    @pytest.mark.parametrize("kind", ["bogus", "blta", "Frame"])
+    @pytest.mark.parametrize("kind", ["bogus", "blta", "Frame", "frame"])
     def test_unknown_kind_is_rejected(self, kind):
         with pytest.raises(ValueError, match="unknown morphism kind"):
             is_morphism(two(), two(), (0, 0), kind)

@@ -162,19 +162,19 @@ class TestRadicalIdeals:
 class TestQuotient:
     def test_meet_tensor_quotient_is_base(self):
         l = b2()
-        lattice, projection, _ = quotient_lattice(meet_tensor(l))
+        lattice, projection = quotient_lattice(meet_tensor(l))
         assert lattice.n == l.n
         assert sorted(projection) == list(range(l.n))
         assert is_isomorphic(lattice, l)
 
     def test_nilpotent_collapses_to_two(self):
         t = nilpotent_c3()
-        lattice, projection, _ = quotient_lattice(t)
+        lattice, projection = quotient_lattice(t)
         assert lattice.n == 2
         assert projection[t.base.index("0")] == projection[t.base.index("m1")]
 
     def test_labels_show_merged_classes(self):
-        lattice, _, _ = quotient_lattice(nilpotent_c3())
+        lattice, _ = quotient_lattice(nilpotent_c3())
         assert "[0=m1]" in lattice.elements
 
 

@@ -28,3 +28,24 @@ def unread_guards():
 
 def test_every_guard_parameter_is_read():
     assert unread_guards() == []
+
+
+def function_imports():
+    """``module:function`` for every def whose body holds an import statement."""
+    out = []
+    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if any(
+                isinstance(n, (ast.Import, ast.ImportFrom))
+                for stmt in node.body
+                for n in ast.walk(stmt)
+            ):
+                out.append(f"{path.stem}:{node.name}")
+    return out
+
+
+def test_no_import_inside_a_function():
+    # imports sit at the top of each module, where an import cycle shows at once
+    assert function_imports() == []

@@ -7,8 +7,8 @@ import pytest
 
 from lattik.corpus import b2, chain, m3, n5, space_corpus
 from lattik.errors import InvalidDatum, NotT0, SizeGuardExceeded
-from lattik.ideals import all_ideals, compact_elements, ideal_masks
-from lattik.order import bits, dual, is_isomorphic, two
+from lattik.ideals import all_ideals, ideal_masks
+from lattik.order import as_bounded_lattice, bits, dual, is_isomorphic, two
 from lattik.topology import (
     FiniteSpace,
     _spectrum,
@@ -265,14 +265,11 @@ class TestSpecializationOrder:
                     assert order.leq(i, j) == (mi & ~mj == 0)
 
     def test_recovering_base_through_compact_elements(self, corpus5):
-        # ideal inclusion order -> Id(L) -> compact elements recovers L
-        from lattik.order import as_bounded_lattice
-
+        # ideal inclusion order -> Id(L), whose elements are all compact, recovers L
         for l in corpus5:
             spec = sp_space(l)
             order = specialization_order(spec.space)
-            recovered, _ = compact_elements(all_ideals(as_bounded_lattice(order)))
-            assert is_isomorphic(recovered, l)
+            assert is_isomorphic(all_ideals(as_bounded_lattice(order)).lattice, l)
 
 
 class TestContinuity:
