@@ -13,7 +13,7 @@ from lattik.tensor import (
     check_classification,
     check_tensor_lemma,
     fuzz_tensor_lattices,
-    generated_ideal,
+    generated_ideals,
     quotient_lattice,
 )
 
@@ -32,8 +32,8 @@ def nilpotent_c3():
 def tour(name, t):
     print(f"\n=== {name} ===")
     base = t.base
-    for a in range(t.n):
-        members = base.subset_names(generated_ideal(t, a))
+    for a, ideal in enumerate(generated_ideals(t)):
+        members = base.subset_names(ideal)
         print(f"  <{base.elements[a]}> = {{{','.join(members)}}}")
     masks, lattice = all_radical_tensor_ideals(t)
     print("  radical tensor ideals:", [lattice.elements[i] for i in range(lattice.n)])

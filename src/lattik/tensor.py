@@ -48,6 +48,10 @@ def validate_tensor_axioms(base, product, unit):
 
     Monotonicity needs no check of its own: if b <= c, then
     a ⊗ c = a ⊗ (b ∨ c) = (a ⊗ b) ∨ (a ⊗ c) >= a ⊗ b, and likewise on the right.
+
+    Join-distributivity is tested at b < c only: both sides are symmetric in b
+    and c and b = c never fails, so a scan of all triples meets each failure
+    first at b < c, and would raise the same exception, message and witness.
     """
     n = base.n
     names = base.elements
@@ -63,16 +67,19 @@ def validate_tensor_axioms(base, product, unit):
             raise UnitLawFails(
                 f"unit law fails at {names[a]!r}", witness=names[a]
             )
+    join = base.join
     for a in range(n):
+        pa = product[a]
+        qa = [row[a] for row in product]
         for b in range(n):
-            for c in range(n):
-                j = base.join[b][c]
-                if product[a][j] != base.join[product[a][b]][product[a][c]]:
+            for c in range(b + 1, n):
+                j = join[b][c]
+                if pa[j] != join[pa[b]][pa[c]]:
                     raise NotDistributiveOverJoin(
                         f"{names[a]!r} ⊗ ({names[b]!r} ∨ {names[c]!r}) fails",
                         witness=(names[a], names[b], names[c]),
                     )
-                if product[j][a] != base.join[product[b][a]][product[c][a]]:
+                if qa[j] != join[qa[b]][qa[c]]:
                     raise NotDistributiveOverJoin(
                         f"({names[b]!r} ∨ {names[c]!r}) ⊗ {names[a]!r} fails",
                         witness=(names[b], names[c], names[a]),
@@ -93,36 +100,57 @@ def is_radical_tensor_ideal(t, mask):
     return True
 
 
+def _closer(t):
+    """The radical closure of a member mask, with the tables of t built once."""
+    base = t.base
+    # absorb[a]: every a ⊗ b and b ⊗ a; roots[c]: every a with a ⊗ a = c
+    absorb, roots = [0] * t.n, [0] * t.n
+    for a, row in enumerate(t.product):
+        for b, c in enumerate(row):
+            absorb[a] |= 1 << c
+            absorb[b] |= 1 << c
+        roots[row[a]] |= 1 << a
+
+    def close(mask):
+        while True:
+            new = mask
+            for a in bits(mask):
+                new |= absorb[a]
+            new = base.down[base.join_of_mask(new)]
+            for c in bits(new):
+                new |= roots[c]
+            if new == mask:
+                return mask
+            mask = new
+
+    return close
+
+
 def radical_closure(t, seeds):
     """Least radical tensor ideal containing the seeds, by fixpoint iteration.
 
-    The four closure rules (downward, joins, two-sided absorption, radical)
-    are applied until the member mask stabilizes; finiteness terminates it.
+    Each round adds the members' products on both sides, then takes the least
+    ideal above them: ↓ of their join, as an ideal holds the join of its members
+    and every ↓m is an ideal.  It then adds every a with a ⊗ a in it.  A round
+    adds only what each radical tensor ideal above the seeds holds, and a mask
+    it keeps is such an ideal, so the fixpoint is the least.
     """
     base = t.base
     mask = 1 << base.bottom
     for s in seeds:
         mask |= 1 << (base.index(s) if isinstance(s, str) else s)
-    while True:
-        new = mask
-        for a in bits(mask):
-            new |= base.down[a]
-            for b in bits(mask):
-                new |= 1 << base.join[a][b]
-            for b in range(t.n):
-                new |= 1 << t.product[a][b]
-                new |= 1 << t.product[b][a]
-        for a in range(t.n):
-            if new >> t.product[a][a] & 1:
-                new |= 1 << a
-        if new == mask:
-            return mask
-        mask = new
+    return _closer(t)(mask)
+
+
+def generated_ideals(t):
+    """The radical tensor ideals ⟨a⟩ generated by each single element a."""
+    close = _closer(t)
+    return [close(1 << a) for a in range(t.n)]
 
 
 def generated_ideal(t, a):
     """The radical tensor ideal generated by a single element."""
-    return radical_closure(t, [a])
+    return generated_ideals(t)[a]
 
 
 def radical_masks(t):
@@ -158,7 +186,7 @@ def quotient_lattice(t):
     of ⟨a⟩.  Certifies [a]∨[b] = [a∨b] and [a]∧[b] = [a⊗b]; raises
     QuotientFormulaError at the first pair (a, b) where one fails.
     """
-    gen = [generated_ideal(t, a) for a in range(t.n)]
+    gen = generated_ideals(t)
 
     def label(m):
         return "[" + "=".join(t.base.elements[a] for a in range(t.n) if gen[a] == m) + "]"
@@ -183,7 +211,7 @@ def check_tensor_lemma(t):
 
     The lemma assumes an associative product; a non-associative one can fail.
     """
-    gen = [generated_ideal(t, a) for a in range(t.n)]
+    gen = generated_ideals(t)
     for a in range(t.n):
         for b in range(t.n):
             lhs = gen[a] & gen[b]
@@ -253,10 +281,11 @@ def is_associative(t):
     classify --fuzz 2789`` draws a non-associative product on which the
     quotient meet formula fails.
     """
-    for a in range(t.n):
-        for b in range(t.n):
-            for c in range(t.n):
-                if t.product[t.product[a][b]][c] != t.product[a][t.product[b][c]]:
+    p = t.product
+    for pa in p:
+        for b, ab in enumerate(pa):
+            for ab_c, b_c in zip(p[ab], p[b]):  # (a ⊗ b) ⊗ c and b ⊗ c
+                if ab_c != pa[b_c]:
                     return False
     return True
 
@@ -264,34 +293,40 @@ def is_associative(t):
 def random_tensor_lattice(base, rng):
     """Draw a candidate tensor structure on the given semilattice, or None.
 
-    Values are drawn on pairs of join-irreducibles and extended by the join
-    decomposition; the full axiom set is then validated, rejecting the draw
-    on any failure.  The bias keeps the acceptance rate workable.
+    The unit is drawn first, then a value at each pair (i, j) of
+    join-irreducibles, i outer and j inner, an order the fuzz stream rests on.
+    Both factors extend by their join decomposition: row[i][b] joins the values
+    at (i, j) over j <= b, and a ⊗ b joins row[i][b] over i <= a.  Any failure
+    of the axioms rejects the draw.
     """
     n = base.n
-    ji = join_irreducibles(base)
+    if "_ji" not in vars(base):
+        # per element, the positions in base._ji of the join-irreducibles below it
+        base._ji = ji = join_irreducibles(base)
+        base._ji_below = [[k for k, i in enumerate(ji) if base.leq(i, a)] for a in range(n)]
     unit = rng.randrange(n)
-    t = {}
-    for i in ji:
-        for j in ji:
-            t[i, j] = rng.randrange(n)
-    product = [[0] * n for _ in range(n)]
+    drawn = [[rng.randrange(n) for _ in base._ji] for _ in base._ji]
+    z, join = base.bottom, base.join
+    rows = []
+    for vals in drawn:
+        row = []
+        for ks in base._ji_below:
+            acc = z
+            for k in ks:
+                acc = join[acc][vals[k]]
+            row.append(acc)
+        rows.append(row)
+    product = []
     for a in range(n):
-        for b in range(n):
-            if a == unit:
-                product[a][b] = b
-                continue
-            if b == unit:
-                product[a][b] = a
-                continue
-            img = 0
-            for i in ji:
-                if not base.leq(i, a):
-                    continue
-                for j in ji:
-                    if base.leq(j, b):
-                        img |= 1 << t[i, j]
-            product[a][b] = base.join_of_mask(img)
+        pa = list(range(n))
+        if a != unit:
+            for b in range(n):
+                acc = z
+                for k in base._ji_below[a]:
+                    acc = join[acc][rows[k][b]]
+                pa[b] = acc
+            pa[unit] = a
+        product.append(pa)
     try:
         return TensorLattice(base, product, unit)
     except (NotDistributiveOverJoin, UnitLawFails, ZeroLawFails):

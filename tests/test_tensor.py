@@ -1,14 +1,23 @@
 """Tensor structures on semilattices, radical tensor ideals, and the classification."""
 
+import hashlib
+import json
+import random
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
+from lattik import tensor
 from lattik.corpus import b2, chain, lattice_corpus, m3, n5
 from lattik.errors import (
     NotDistributiveOverJoin,
     SizeGuardExceeded,
+    TensorAxiomError,
     UnitLawFails,
     ZeroLawFails,
 )
+from lattik.ideals import join_irreducibles
 from lattik.order import bits, is_distributive, is_isomorphic, two
 from lattik.tensor import (
     TensorLattice,
@@ -17,11 +26,14 @@ from lattik.tensor import (
     check_tensor_lemma,
     fuzz_tensor_lattices,
     generated_ideal,
+    generated_ideals,
     is_associative,
     is_radical_tensor_ideal,
     quotient_lattice,
     radical_closure,
     radical_masks,
+    random_tensor_lattice,
+    validate_tensor_axioms,
 )
 
 
@@ -247,3 +259,172 @@ class TestFuzz:
     def test_budget_exhaustion(self):
         with pytest.raises(SizeGuardExceeded):
             list(fuzz_tensor_lattices(lattice_corpus(4), seed=3, count=10, max_draws=1))
+
+    def test_pinned_stream(self):
+        # the structures the fuzzer draws, as (base index, unit, product) lines;
+        # classify --fuzz prints only counts, so this pins the samples themselves
+        bases = lattice_corpus(5)
+        index = {id(l): k for k, l in enumerate(bases)}
+        lines = [
+            json.dumps([index[id(t.base)], t.unit, t.product])
+            for t in fuzz_tensor_lattices(bases, 2026, 1000)
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "2be7bc80a0bf28d9762eed4023d88e20d9b4fe1eff80ab2869102fba3804c2ac"
+
+
+# Literal definitions that the kernel replaces with shortcuts; the tests below
+# require the two to agree.
+
+
+def four_rule_closure(t, seeds):
+    """Least radical tensor ideal above the seeds, by the literal rules.
+
+    The downward, join, two-sided absorption and radical rules are applied
+    until the member mask stabilizes.
+    """
+    base = t.base
+    mask = 1 << base.bottom
+    for s in seeds:
+        mask |= 1 << s
+    while True:
+        new = mask
+        for a in bits(mask):
+            new |= base.down[a]
+            for b in bits(mask):
+                new |= 1 << base.join[a][b]
+            for b in range(t.n):
+                new |= 1 << t.product[a][b]
+                new |= 1 << t.product[b][a]
+        for a in range(t.n):
+            if new >> t.product[a][a] & 1:
+                new |= 1 << a
+        if new == mask:
+            return mask
+        mask = new
+
+
+def full_scan_axioms(base, product, unit):
+    """The tensor axioms, with join-distributivity tested at every (a, b, c)."""
+    n = base.n
+    names = base.elements
+    if len(product) != n or any(len(row) != n for row in product):
+        raise ValueError("product table must be total over the carrier")
+    z = base.bottom
+    for a in range(n):
+        if product[a][z] != z or product[z][a] != z:
+            raise ZeroLawFails(
+                f"{names[a]!r} does not absorb the bottom", witness=names[a]
+            )
+        if product[unit][a] != a or product[a][unit] != a:
+            raise UnitLawFails(
+                f"unit law fails at {names[a]!r}", witness=names[a]
+            )
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                j = base.join[b][c]
+                if product[a][j] != base.join[product[a][b]][product[a][c]]:
+                    raise NotDistributiveOverJoin(
+                        f"{names[a]!r} ⊗ ({names[b]!r} ∨ {names[c]!r}) fails",
+                        witness=(names[a], names[b], names[c]),
+                    )
+                if product[j][a] != base.join[product[b][a]][product[c][a]]:
+                    raise NotDistributiveOverJoin(
+                        f"({names[b]!r} ∨ {names[c]!r}) ⊗ {names[a]!r} fails",
+                        witness=(names[b], names[c], names[a]),
+                    )
+
+
+def leq_draw(base, rng):
+    """The draw of random_tensor_lattice as (product, unit), before validation.
+
+    Each cell a ⊗ b is read from the order: the join of the values at (i, j)
+    over the join-irreducibles i <= a and j <= b.
+    """
+    n = base.n
+    ji = join_irreducibles(base)
+    unit = rng.randrange(n)
+    t = {}
+    for i in ji:
+        for j in ji:
+            t[i, j] = rng.randrange(n)
+    product = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            if a == unit:
+                product[a][b] = b
+                continue
+            if b == unit:
+                product[a][b] = a
+                continue
+            img = 0
+            for i in ji:
+                if not base.leq(i, a):
+                    continue
+                for j in ji:
+                    if base.leq(j, b):
+                        img |= 1 << t[i, j]
+            product[a][b] = base.join_of_mask(img)
+    return product, unit
+
+
+def axiom_outcome(check, base, product, unit):
+    try:
+        check(base, product, unit)
+    except TensorAxiomError as exc:
+        return type(exc), str(exc), exc.witness
+    return None
+
+
+class TestOracles:
+    def closure_structures(self):
+        return list(fuzz_tensor_lattices(lattice_corpus(4), 3, 60)) + list(
+            fuzz_tensor_lattices(lattice_corpus(5), 5, 300)
+        )
+
+    def test_closure_is_the_four_rule_fixpoint(self):
+        structures = self.closure_structures()
+        assert {is_associative(t) for t in structures} == {True, False}
+        for t in structures:
+            for size in range(3):
+                for seeds in combinations(range(t.n), size):
+                    assert radical_closure(t, seeds) == four_rule_closure(t, seeds)
+            assert generated_ideals(t) == [four_rule_closure(t, [a]) for a in range(t.n)]
+
+    def test_validator_is_the_full_scan(self):
+        # fuzz candidates as drawn (kind 0), with one cell changed (1), and with
+        # every cell off the bottom and unit rows and columns redrawn (2)
+        rng = random.Random(13)
+        bases = lattice_corpus(5)
+        seen = Counter()
+        for _ in range(10_000):
+            base = bases[rng.randrange(len(bases))]
+            n = base.n
+            product, unit = leq_draw(base, rng)
+            kind = rng.randrange(3)
+            if kind == 1:
+                product[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            elif kind == 2:
+                free = [x for x in range(n) if x not in (base.bottom, unit)]
+                for a in free:
+                    for b in free:
+                        product[a][b] = rng.randrange(n)
+            got = axiom_outcome(validate_tensor_axioms, base, product, unit)
+            assert got == axiom_outcome(full_scan_axioms, base, product, unit)
+            seen[got[0].__name__ if got else "valid", kind] += 1
+            if got and got[0] is NotDistributiveOverJoin:
+                seen["right" if got[1].startswith("(") else "left"] += 1
+        for name in ("valid", "NotDistributiveOverJoin"):
+            assert all(seen[name, kind] for kind in range(3)), seen
+        assert seen["UnitLawFails", 1] and seen["ZeroLawFails", 1], seen
+        assert seen["left"] and seen["right"], seen
+
+    def test_row_extension_is_the_leq_extension(self, monkeypatch):
+        # every draw, rejected or not, as its (product, unit) before validation
+        monkeypatch.setattr(tensor, "TensorLattice", lambda base, product, unit: (product, unit))
+        for base in lattice_corpus(5):
+            ours, theirs = random.Random(base.n), random.Random(base.n)
+            for _ in range(200):
+                assert random_tensor_lattice(base, ours) == leq_draw(base, theirs)
+            assert ours.getstate() == theirs.getstate()

@@ -1,9 +1,13 @@
 """Source-level checks on the lattik package."""
 
 import ast
+import importlib
+from functools import reduce
 from pathlib import Path
 
 import lattik
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
 def unread_guards():
@@ -49,3 +53,22 @@ def function_imports():
 def test_no_import_inside_a_function():
     # imports sit at the top of each module, where an import cycle shows at once
     assert function_imports() == []
+
+
+def tracer_names(variable):
+    """The ``"<module>.<name>"`` strings of a tuple assigned in bench/tracer.py."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == variable for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"bench/tracer.py assigns no {variable}")
+
+
+def test_bench_tracer_names_resolve():
+    # tier-1 does not run the benchmark's own tests, so a renamed function would
+    # otherwise pass here and break ``bench/run.py --trace 1``
+    for name in tracer_names("SPANNED") + tracer_names("COUNTED"):
+        module, *path = name.split(".")
+        obj = reduce(getattr, path, importlib.import_module(f"lattik.{module}"))
+        assert callable(obj), name
