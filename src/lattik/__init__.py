@@ -3,7 +3,6 @@
 from .order import (
     BoundedLattice,
     JoinSemilattice,
-    LatticeMorphism,
     Poset,
     as_bounded_lattice,
     as_join_semilattice,

@@ -27,7 +27,7 @@ from .jsonio import (
     space_to_json,
     tensor_from_json,
 )
-from .order import LatticeMorphism, is_distributive, is_morphism
+from .order import is_distributive, is_morphism
 
 
 class CheckFailure(LattikError):
@@ -210,24 +210,19 @@ def cmd_extend(args):
     _, lattice = lattice_from_json(lattice_obj)
     _, frame_lattice = lattice_from_json(frame_obj)
     frame = _as_frame(frame_lattice)
-    mapping = _map_from_json(
+    phi = _map_from_json(
         images, lattice.elements, frame_lattice.elements, "lattice to frame elements"
     )
-    if not is_morphism(lattice, frame_lattice, mapping, "blat"):
+    if not is_morphism(lattice, frame_lattice, phi, "blat"):
         raise CheckFailure(
             {
                 "reason": "map is not a bounded-lattice morphism",
                 "map": {e: images[e] for e in lattice.elements},
             }
         )
-    phi = LatticeMorphism(lattice, frame_lattice, mapping, "blat")
     psi = framesmod.extend_morphism(lattice, frame, phi)
-    return {
-        "extension": {
-            src: frame_lattice.elements[psi(k)]
-            for k, src in enumerate(psi.source.elements)
-        }
-    }
+    ideals = all_ideals(lattice).lattice.elements
+    return {"extension": {i: frame_lattice.elements[v] for i, v in zip(ideals, psi)}}
 
 
 def _load_tensor(args):

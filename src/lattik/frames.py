@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from .errors import NotAFrame, NotDistributive
-from .ideals import all_ideals, ideal_masks
+from .ideals import all_ideals, ideal_label, ideal_masks
 from .order import (
     Certificate,
-    LatticeMorphism,
     bits,
     distributivity_witness,
     enumerate_morphisms,
@@ -50,7 +49,7 @@ def as_frame(l):
 
 
 class PointSpace:
-    """The space Pt(F): frame morphisms F -> 2 with opens U(a) = {φ : φ(a)=1}."""
+    """The space Pt(F): frame morphisms F -> 2 with opens U(a) = {φ : φ[a] = 1}."""
 
     def __init__(self, frame, morphisms, space, u_sets):
         self.frame = frame
@@ -62,27 +61,20 @@ class PointSpace:
         return len(self.morphisms)
 
 
-def _kernel_label(f, phi):
-    members = [f.lattice.elements[a] for a in range(f.n) if phi(a) == 0]
-    return "{" + ",".join(members) + "}"
-
-
 def points(f, guard=None):
     """All points of the frame and the topology generated by the sets U(a).
 
     A point is a frame morphism F -> 2: it preserves arbitrary joins and
     finite meets, and every join over a finite carrier is a finite one, so
-    the points are the bounded-lattice morphisms F -> 2.
+    the points are the bounded-lattice morphisms F -> 2.  Each point is an
+    image tuple (``PointSpace.morphisms``), named by its kernel φ⁻¹(0).
     """
     morphisms = enumerate_morphisms(f.lattice, two(), "blat", guard)
-    labels = [_kernel_label(f, phi) for phi in morphisms]
-    u_sets = []
-    for a in range(f.n):
-        m = 0
-        for p, phi in enumerate(morphisms):
-            if phi(a) == 1:
-                m |= 1 << p
-        u_sets.append(m)
+    labels = [
+        ideal_label(f.lattice, sum(1 << a for a, v in enumerate(phi) if v == 0))
+        for phi in morphisms
+    ]
+    u_sets = [sum(phi[a] << p for p, phi in enumerate(morphisms)) for a in range(f.n)]
     # The U(a) are already closed under union and intersection.
     space = FiniteSpace(labels, set(u_sets) | {0, (1 << len(morphisms)) - 1})
     return PointSpace(f, morphisms, space, u_sets)
@@ -127,36 +119,30 @@ def is_spatial(f, guard=None):
 
 
 def restrict_along_principal(idl, psi):
-    """Restrict a morphism on Id(L) along a ↦ principal ideal of a."""
-    base = idl.base
-    mapping = []
-    for a in range(base.n):
-        k = idl.index_of_mask(base.down[a])
-        mapping.append(psi(k))
-    return tuple(mapping)
+    """Restrict ψ: Id(L) -> F, an image tuple, along a ↦ ↓a; returns φ: L -> F as a tuple."""
+    return tuple(psi[idl.index_of_mask(d)] for d in idl.base.down)
 
 
 def extend_morphism(l, f, phi):
-    """Extend a bounded-lattice morphism L -> F to the frame morphism Id(L) -> F.
+    """Extend a bounded-lattice morphism φ: L -> F to the frame morphism ψ: Id(L) -> F.
 
-    The extension sends an ideal I to the join of φ over its members;
-    restricting back along the principal-ideal embedding returns φ, and ψ
-    is certified against the frame-morphism laws, which on a finite carrier
-    are the bounded-lattice laws.  Requires l distributive.
+    Both are image tuples: φ over the elements of l, ψ over the ideals of
+    l in the order of all_ideals(l).  The extension sends an ideal I to the
+    join of φ over its members; restricting back along the principal-ideal
+    embedding returns φ, and ψ is certified against the frame-morphism
+    laws, which on a finite carrier are the bounded-lattice laws.  Requires
+    l distributive.
     """
     if not is_distributive(l):
         raise NotDistributive("the base lattice must be distributive")
     idl = all_ideals(l)
-    mapping = []
-    for ideal in idl.ideals:
-        img_mask = 0
-        for a in bits(ideal.members):
-            img_mask |= 1 << phi(a)
-        mapping.append(f.lattice.join_of_mask(img_mask))
-    psi = LatticeMorphism(idl.lattice, f.lattice, mapping, "blat")
-    if restrict_along_principal(idl, psi) != phi.mapping:
+    psi = tuple(
+        f.lattice.join_of_mask(sum(1 << v for v in {phi[a] for a in bits(members)}))
+        for members in idl.masks
+    )
+    if restrict_along_principal(idl, psi) != tuple(phi):
         raise ValueError("extension does not restrict back to the given morphism")
-    if not is_morphism(idl.lattice, f.lattice, mapping, "blat"):
+    if not is_morphism(idl.lattice, f.lattice, psi, "blat"):
         raise ValueError("extension is not a frame morphism")
     return psi
 

@@ -3,12 +3,7 @@
 from __future__ import annotations
 
 from .errors import KindMismatch
-from .order import (
-    LatticeMorphism,
-    SetLattice,
-    bits,
-    two,
-)
+from .order import SetLattice, bits, is_morphism, two
 
 
 class Ideal:
@@ -111,29 +106,29 @@ def prime_ideals(l):
     return [Ideal(l, m) for m in prime_masks(l)]
 
 
-def ideal_of_morphism(phi):
-    """The (prime) ideal phi^{-1}(0) of a morphism into the two-element lattice."""
-    tgt = phi.target
-    if tgt.n != 2 or tgt.bottom != 0 or phi.kind not in ("jsl", "blat"):
-        raise KindMismatch("expected a jsl or blat morphism into the 2-chain")
-    mask = 0
-    for i, v in enumerate(phi.mapping):
-        if v == tgt.bottom:
-            mask |= 1 << i
-    ideal = Ideal(phi.source, mask)
-    if phi.kind == "blat" and not is_prime(phi.source, mask):
-        raise KindMismatch("blat morphism kernel is not prime")  # cannot happen
-    return ideal
+def ideal_of_morphism(l, phi, kind="jsl"):
+    """The ideal phi^{-1}(0) of a morphism phi: l -> 2, given as an image tuple.
+
+    Raises KindMismatch unless phi has one image per element of l, takes
+    only the values 0 and 1, and is a morphism of the kind into two(); the
+    kernel of a blat morphism is then a prime ideal.
+    """
+    if len(phi) != l.n or not set(phi) <= {0, 1} or not is_morphism(l, two(), phi, kind):
+        raise KindMismatch(f"expected a {kind} morphism into the 2-chain")
+    return Ideal(l, sum(1 << i for i, v in enumerate(phi) if v == 0))
 
 
 def morphism_of_ideal(ideal, kind="jsl"):
-    """The characteristic morphism into the 2-chain with kernel the given ideal."""
+    """The image tuple of the characteristic map into two() with kernel the ideal.
+
+    It is a jsl morphism for every ideal, and a blat morphism iff the ideal
+    is prime; otherwise KindMismatch.
+    """
     l = ideal.lattice
-    tgt = two()
-    if kind == "blat" and not is_prime(l, ideal.members):
+    phi = tuple(0 if ideal.members >> i & 1 else 1 for i in range(l.n))
+    if not is_morphism(l, two(), phi, kind):
         raise KindMismatch("ideal is not prime, no blat morphism exists")
-    mapping = tuple(0 if ideal.members >> i & 1 else 1 for i in range(l.n))
-    return LatticeMorphism(l, tgt, mapping, kind)
+    return phi
 
 
 def join_irreducibles(l):

@@ -16,6 +16,16 @@ def _strings(value, what):
     return value
 
 
+def _point_mask(points, names, what):
+    """The mask of the named points; InputError naming what, UnknownName for a stranger."""
+    mask = 0
+    for p in _strings(names, what):
+        if p not in points:
+            raise UnknownName(f"unknown point {p!r}")
+        mask |= 1 << points.index(p)
+    return mask
+
+
 def poset_from_json(obj):
     """Parse the lattice JSON carrier: name, elements, leq pairs."""
     if not isinstance(obj, dict):
@@ -88,15 +98,7 @@ def space_from_json(obj):
         raise InputError(f"missing space field: {exc}") from exc
     if not isinstance(opens, list):
         raise InputError("opens must be a list")
-    idx = {p: i for i, p in enumerate(points)}
-    masks = []
-    for u in opens:
-        m = 0
-        for p in _strings(u, "each open"):
-            if p not in idx:
-                raise UnknownName(f"unknown point {p!r}")
-            m |= 1 << idx[p]
-        masks.append(m)
+    masks = [_point_mask(points, u, "each open") for u in opens]
     try:
         return FiniteSpace(points, masks)
     except ValueError as exc:
@@ -125,16 +127,10 @@ def datum_from_json(obj):
     if not isinstance(obj["sigma"], dict):
         raise InputError("sigma must be an object from elements to lists of points")
     sigma = []
-    idx = {p: i for i, p in enumerate(space.points)}
     for e in lattice.elements:
         if e not in obj["sigma"]:
             raise InputError(f"sigma missing element {e!r}")
-        m = 0
-        for p in _strings(obj["sigma"][e], "each sigma value"):
-            if p not in idx:
-                raise UnknownName(f"unknown point {p!r}")
-            m |= 1 << idx[p]
-        sigma.append(m)
+        sigma.append(_point_mask(space.points, obj["sigma"][e], "each sigma value"))
     return SupportDatum(lattice, space, sigma, flavor)
 
 

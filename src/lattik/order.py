@@ -127,23 +127,6 @@ def build_poset(names, leq_pairs):
     return Poset(names, up)
 
 
-def _lub(p, i, j):
-    """Least upper bound index of i,j in p, or None."""
-    ub = p.up[i] & p.up[j]
-    for k in bits(ub):
-        if not ub & ~p.up[k]:
-            return k
-    return None
-
-
-def _glb(p, i, j):
-    lb = p.down[i] & p.down[j]
-    for k in bits(lb):
-        if not lb & ~p.down[k]:
-            return k
-    return None
-
-
 class JoinSemilattice(Poset):
     """Poset with all finite joins, including the empty join (bottom)."""
 
@@ -169,47 +152,39 @@ class BoundedLattice(JoinSemilattice):
         self.meet = tuple(tuple(row) for row in meet)
 
 
-def _bottom_and_joins(p):
-    """The bottom index and join table of p, or raise NoBottom/NoJoin."""
-    bottom = None
-    for i in range(p.n):
-        if p.up[i] == p.full:
-            bottom = i
-            break
-    if bottom is None:
-        raise NoBottom("poset has no minimum element")
-    join = [[0] * p.n for _ in range(p.n)]
+def _bound_and_table(p, up, no_bound, no_pair):
+    """The least element and least-bound table of p read along ``up``.
+
+    With up = p.up these are the bottom and the join table; with p.down,
+    the top and the meet table.  Raises no_bound(message) when the bound
+    is missing and no_pair(a, b) for the first pair without a least bound.
+    """
+    bound = next((i for i in range(p.n) if up[i] == p.full), None)
+    if bound is None:
+        kind = "minimum" if up is p.up else "maximum"
+        raise no_bound(f"poset has no {kind} element")
+    table = [[0] * p.n for _ in range(p.n)]
     for i in range(p.n):
         for j in range(i, p.n):
-            k = _lub(p, i, j)
-            if k is None:
-                raise NoJoin(p.elements[i], p.elements[j])
-            join[i][j] = join[j][i] = k
-    return bottom, join
+            common = up[i] & up[j]
+            for k in bits(common):
+                if not common & ~up[k]:
+                    break
+            else:
+                raise no_pair(p.elements[i], p.elements[j])
+            table[i][j] = table[j][i] = k
+    return bound, table
 
 
 def as_join_semilattice(p):
     """Compute the join table and bottom of p, or raise NoJoin/NoBottom."""
-    return JoinSemilattice(p.elements, p.up, *_bottom_and_joins(p))
+    return JoinSemilattice(p.elements, p.up, *_bound_and_table(p, p.up, NoBottom, NoJoin))
 
 
 def as_bounded_lattice(p):
     """Compute join and meet tables plus 0 and 1, or raise the missing-piece error."""
-    bottom, join = _bottom_and_joins(p)
-    top = None
-    for i in range(p.n):
-        if p.down[i] == p.full:
-            top = i
-            break
-    if top is None:
-        raise NoTop("poset has no maximum element")
-    meet = [[0] * p.n for _ in range(p.n)]
-    for i in range(p.n):
-        for j in range(i, p.n):
-            k = _glb(p, i, j)
-            if k is None:
-                raise NoMeet(p.elements[i], p.elements[j])
-            meet[i][j] = meet[j][i] = k
+    bottom, join = _bound_and_table(p, p.up, NoBottom, NoJoin)
+    top, meet = _bound_and_table(p, p.down, NoTop, NoMeet)
     return BoundedLattice(p.elements, p.up, bottom, join, top, meet)
 
 
@@ -319,38 +294,6 @@ def two():
 MORPHISM_KINDS = ("jsl", "blat")
 
 
-class LatticeMorphism:
-    """A structure-preserving map, stored as an image tuple over source indices."""
-
-    def __init__(self, source, target, mapping, kind):
-        if kind not in MORPHISM_KINDS:
-            raise ValueError(f"unknown morphism kind {kind!r}")
-        self.source = source
-        self.target = target
-        self.mapping = tuple(mapping)
-        self.kind = kind
-
-    def __call__(self, i):
-        return self.mapping[i]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LatticeMorphism)
-            and self.mapping == other.mapping
-            and self.kind == other.kind
-        )
-
-    def __hash__(self):
-        return hash((self.mapping, self.kind))
-
-    def __repr__(self):
-        pairs = ", ".join(
-            f"{a}->{self.target.elements[m]}"
-            for a, m in zip(self.source.elements, self.mapping)
-        )
-        return f"LatticeMorphism[{self.kind}]({pairs})"
-
-
 def is_morphism(src, tgt, mapping, kind):
     """Check the preservation laws of the given kind for an image tuple."""
     if kind not in MORPHISM_KINDS:
@@ -424,7 +367,10 @@ def scheduled_search(order, width, start, pairs, triples, bound=None):
 
 
 def enumerate_morphisms(src, tgt, kind, guard=None):
-    """All morphisms src -> tgt of the given kind, sorted by image tuple.
+    """All morphisms src -> tgt of the given kind, as sorted image tuples.
+
+    A morphism φ is the tuple of its images: φ[a] is the target index of
+    source element a, as for the continuous maps of enumerate_continuous.
 
     A scheduled_search assigns images in a linear extension of src.  Each
     preservation law is tested once, at the depth where its last
@@ -473,8 +419,7 @@ def enumerate_morphisms(src, tgt, kind, guard=None):
             if need_meet:
                 first, last = (a, b) if pos[a] < pos[b] else (b, a)
                 triples[pos[last]].append((first, src.meet[a][b], meet_to))
-    results = sorted(scheduled_search(order, tgt.n, start, pairs, triples, bound))
-    return [LatticeMorphism(src, tgt, m, kind) for m in results]
+    return sorted(scheduled_search(order, tgt.n, start, pairs, triples, bound))
 
 
 def _refine_classes(p):

@@ -53,7 +53,7 @@ def enumerate_support_data(l, x, flavor, guard=None):
         setlat, kind = omega_lattice(x), "blat"
     data = []
     for phi in enumerate_morphisms(l, setlat.lattice, kind, guard):
-        sigma = tuple(setlat.masks[phi(a)] for a in range(l.n))
+        sigma = tuple(setlat.masks[v] for v in phi)
         data.append(SupportDatum(l, x, sigma, flavor))
     data.sort(key=lambda d: d.sigma)
     return data

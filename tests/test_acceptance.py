@@ -155,7 +155,7 @@ def test_criterion_5_frames(corpus):
                 ok = False
                 continue
             restricted = {restrict_along_principal(idl, psi) for psi in frm}
-            if restricted != {phi.mapping for phi in blat}:
+            if restricted != {phi for phi in blat}:
                 ok = False
     report(
         5,

@@ -131,7 +131,7 @@ class TestFrameMorphisms:
                 for f in product(range(tgt.n), repeat=l.n)
                 if preserves_frame_laws(l, tgt, f)
             ]
-            assert literal == [m.mapping for m in enumerate_morphisms(l, tgt, "blat")]
+            assert literal == [m for m in enumerate_morphisms(l, tgt, "blat")]
 
 
 class TestPoints:
@@ -171,7 +171,7 @@ class TestPoints:
             if not is_distributive(l):
                 continue
             pt = points(as_frame(l))
-            kernels = [ideal_of_morphism(phi).members for phi in pt.morphisms]
+            kernels = [ideal_of_morphism(l, phi, "blat").members for phi in pt.morphisms]
             assert sorted(kernels) == sorted(prime_masks(l))
 
 
@@ -201,7 +201,7 @@ class TestExtension:
             frame_target = as_frame(b2())
             for phi in enumerate_morphisms(l, frame_target.lattice, "blat"):
                 psi = extend_morphism(l, frame_target, phi)
-                assert restrict_along_principal(idl, psi) == phi.mapping
+                assert restrict_along_principal(idl, psi) == phi
 
     def test_extension_is_an_enumerated_morphism(self, corpus4):
         for l in corpus4:
@@ -210,12 +210,12 @@ class TestExtension:
             idl = all_ideals(l)
             f = as_frame(b2())
             enumerated = {
-                psi.mapping: psi
+                psi: psi
                 for psi in enumerate_morphisms(idl.lattice, f.lattice, "blat")
             }
             for phi in enumerate_morphisms(l, f.lattice, "blat"):
                 psi = extend_morphism(l, f, phi)
-                assert psi == enumerated[psi.mapping]
+                assert psi == enumerated[psi]
 
     def test_counts_match(self, corpus4):
         # |Hom_Frm(Id(L), F)| = |Hom_BLat(L, F)|
@@ -230,7 +230,7 @@ class TestExtension:
                 assert len(frm) == len(blat)
                 # restriction is the inverse bijection
                 restricted = {restrict_along_principal(idl, psi) for psi in frm}
-                assert restricted == {phi.mapping for phi in blat}
+                assert restricted == {phi for phi in blat}
 
     def test_both_roundtrips(self, corpus4):
         for l in corpus4:
@@ -239,11 +239,11 @@ class TestExtension:
             idl = all_ideals(l)
             f = as_frame(b2())
             extended = {
-                extend_morphism(l, f, phi).mapping
+                extend_morphism(l, f, phi)
                 for phi in enumerate_morphisms(l, f.lattice, "blat")
             }
             enumerated = {
-                psi.mapping
+                psi
                 for psi in enumerate_morphisms(idl.lattice, f.lattice, "blat")
             }
             assert extended == enumerated

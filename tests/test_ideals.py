@@ -166,32 +166,32 @@ class TestPrimeIdeals:
 class TestMorphismIdealDictionary:
     def test_identity_blat_gives_zero_ideal(self):
         phi = enumerate_morphisms(two(), two(), "blat")[0]
-        assert ideal_of_morphism(phi).names() == ["0"]
+        assert ideal_of_morphism(two(), phi, "blat").names() == ["0"]
 
     def test_constant_bottom_jsl_gives_whole_lattice(self):
         constant = enumerate_morphisms(two(), two(), "jsl")[0]
-        assert constant.mapping == (0, 0)
-        assert ideal_of_morphism(constant).names() == ["0", "1"]
+        assert constant == (0, 0)
+        assert ideal_of_morphism(two(), constant).names() == ["0", "1"]
 
     def test_b2_preimage(self):
         l = b2()
         phi = next(
             m
             for m in enumerate_morphisms(l, two(), "blat")
-            if m.mapping[l.index("a")] == 1
+            if m[l.index("a")] == 1
         )
-        assert ideal_of_morphism(phi).label() == "{0,b}"
+        assert ideal_of_morphism(l, phi, "blat").label() == "{0,b}"
 
     def test_roundtrips(self, corpus5):
         for l in corpus5:
             for kind in ("jsl", "blat"):
                 for phi in enumerate_morphisms(l, two(), kind):
-                    ideal = ideal_of_morphism(phi)
+                    ideal = ideal_of_morphism(l, phi, kind)
                     back = morphism_of_ideal(ideal, kind)
-                    assert back.mapping == phi.mapping
+                    assert back == phi
             for p in prime_ideals(l):
                 phi = morphism_of_ideal(p, "blat")
-                assert ideal_of_morphism(phi).members == p.members
+                assert ideal_of_morphism(l, phi, "blat").members == p.members
 
     def test_counts_match_blat_homs(self, corpus6):
         for l in corpus6:
@@ -203,6 +203,24 @@ class TestMorphismIdealDictionary:
         assert whole.members == l.full
         with pytest.raises(KindMismatch):
             morphism_of_ideal(whole, "blat")
+
+    def test_wrong_length_is_rejected(self):
+        with pytest.raises(KindMismatch):
+            ideal_of_morphism(b2(), (0, 1, 1))
+
+    def test_value_outside_two_is_rejected(self):
+        # (0, 2) is a jsl morphism of two() into the 3-chain, not into two()
+        with pytest.raises(KindMismatch):
+            ideal_of_morphism(two(), (0, 2))
+
+    def test_jsl_morphism_breaking_meets_is_rejected_as_blat(self):
+        l = b2()
+        phi = tuple(0 if e == "0" else 1 for e in l.elements)
+        assert is_morphism(l, two(), phi, "jsl")
+        assert not is_morphism(l, two(), phi, "blat")
+        assert ideal_of_morphism(l, phi).names() == ["0"]
+        with pytest.raises(KindMismatch):
+            ideal_of_morphism(l, phi, "blat")
 
     def test_prime_iff_characteristic_map_preserves_meets(self, corpus5):
         for l in corpus5:
