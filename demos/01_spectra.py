@@ -6,8 +6,8 @@ dual, each with its support sets.
 """
 
 from lattik.corpus import b2, m3
-from lattik.ideals import all_ideals, prime_ideals
-from lattik.order import dual
+from lattik.ideals import all_ideals, prime_masks
+from lattik.order import dual, set_label
 from lattik.topology import hochster_dual, sp_space, spc_space, specialization_order
 
 
@@ -24,8 +24,8 @@ def main():
     print("lattice B2 on", list(l.elements))
 
     idl = all_ideals(l)
-    print("\nideals:", [i.label() for i in idl.ideals])
-    print("prime ideals:", [p.label() for p in prime_ideals(l)])
+    print("\nideals:", list(idl.lattice.elements))
+    print("prime ideals:", [set_label(l.elements, m) for m in prime_masks(l)])
 
     show_spectrum("Sp(B2) - all ideals, supp closed", sp_space(l))
     show_spectrum("Spc(B2) - prime ideals, supp closed", spc_space(l))
@@ -40,12 +40,12 @@ def main():
                 print(f"  {order.elements[i]} < {order.elements[j]}")
 
     # M3 has no prime ideals at all: its prime spectrum is empty
-    print("\nprime ideals of M3:", prime_ideals(m3()))
+    print("\nprime ideals of M3:", prime_masks(m3()))
     print("Spc(M3) has", spc_space(m3()).space.n, "points")
 
     # and primes of the dual lattice are exactly the complements
-    primes = {p.members for p in prime_ideals(l)}
-    dual_primes = {p.members for p in prime_ideals(dual(l))}
+    primes = set(prime_masks(l))
+    dual_primes = set(prime_masks(dual(l)))
     print("\ncomplement duality on primes:", dual_primes == {l.full & ~m for m in primes})
 
 

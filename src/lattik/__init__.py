@@ -13,14 +13,10 @@ from .order import (
     two,
 )
 from .ideals import (
-    Ideal,
-    IdealLattice,
     all_ideals,
     ideal_of_morphism,
     join_irreducibles,
     morphism_of_ideal,
-    prime_ideals,
-    principal_ideal,
 )
 from .topology import (
     FiniteSpace,

@@ -16,7 +16,7 @@ from . import support as supportmod
 from . import tensor as tensormod
 from . import topology as topomod
 from .errors import InputError, LattikError, NotAFrame, TensorAxiomError
-from .ideals import all_ideals, prime_ideals
+from .ideals import ideal_masks, prime_masks
 from .jsonio import (
     datum_from_json,
     lattice_from_json,
@@ -27,7 +27,7 @@ from .jsonio import (
     space_to_json,
     tensor_from_json,
 )
-from .order import is_distributive, is_morphism
+from .order import is_distributive, is_morphism, set_label
 
 
 class CheckFailure(LattikError):
@@ -40,7 +40,7 @@ class CheckFailure(LattikError):
 
 def _load_json(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
@@ -48,6 +48,10 @@ def _load_json(path):
         raise InputError(
             f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except RecursionError as exc:
+        raise InputError(f"JSON in {path} is nested too deeply") from exc
 
 
 def _load_lattice(path):
@@ -92,11 +96,11 @@ def cmd_validate(args):
 
 def cmd_ideals(args):
     name, lattice = _load_lattice(args.file)
-    idl = all_ideals(lattice)
+    masks = ideal_masks(lattice)
     return {
         "name": name,
-        "count": len(idl),
-        "ideals": [i.names() for i in idl.ideals],
+        "count": len(masks),
+        "ideals": [lattice.subset_names(m) for m in masks],
     }
 
 
@@ -104,7 +108,7 @@ def cmd_primes(args):
     name, lattice = _load_lattice(args.file)
     return {
         "name": name,
-        "primes": [p.names() for p in prime_ideals(lattice)],
+        "primes": [lattice.subset_names(m) for m in prime_masks(lattice)],
     }
 
 
@@ -140,14 +144,16 @@ def cmd_support_check(args):
 
 def cmd_adjunction(args):
     flavors = [args.flavor] if args.flavor else list(supportmod.FLAVORS)
-    if args.corpus_max_n:
+    if args.corpus_max_n is not None:
         if args.lattice or args.space:
             raise InputError("give LATTICE and SPACE files or --corpus-max-n, not both")
         lattices = corpusmod.lattice_corpus(args.corpus_max_n)
-        spaces = corpusmod.space_corpus(args.space_points)
+        spaces = corpusmod.space_corpus(3 if args.space_points is None else args.space_points)
     else:
         if not (args.lattice and args.space):
             raise InputError("need LATTICE and SPACE files, or --corpus-max-n")
+        if args.space_points is not None:
+            raise InputError("--space-points needs --corpus-max-n, not LATTICE and SPACE files")
         lattices = [_load_lattice(args.lattice)[1]]
         spaces = [space_from_json(_load_json(args.space))]
     certs = [
@@ -221,7 +227,7 @@ def cmd_extend(args):
             }
         )
     psi = framesmod.extend_morphism(lattice, frame, phi)
-    ideals = all_ideals(lattice).lattice.elements
+    ideals = [set_label(lattice.elements, m) for m in ideal_masks(lattice)]
     return {"extension": {i: frame_lattice.elements[v] for i, v in zip(ideals, psi)}}
 
 
@@ -390,8 +396,8 @@ def build_parser():
     p.add_argument("lattice", nargs="?")
     p.add_argument("space", nargs="?")
     p.add_argument("--flavor", choices=list(supportmod.FLAVORS), default=None)
-    p.add_argument("--corpus-max-n", type=int, default=0, metavar="N")
-    p.add_argument("--space-points", type=int, default=3, metavar="K")
+    p.add_argument("--corpus-max-n", type=int, default=None, metavar="N")
+    p.add_argument("--space-points", type=int, default=None, metavar="K")
 
     for verb in ("tensor-lemma", "classify"):
         p = add(verb, cmd_certify)

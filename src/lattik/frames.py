@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import NotAFrame, NotDistributive
-from .ideals import all_ideals, ideal_label, ideal_masks
+from .ideals import all_ideals, ideal_masks
 from .order import (
     Certificate,
     bits,
@@ -12,6 +12,7 @@ from .order import (
     inclusion_isomorphism_failure,
     is_distributive,
     is_morphism,
+    set_label,
     two,
 )
 from .topology import FiniteSpace, hochster_dual, is_homeomorphism
@@ -71,7 +72,7 @@ def points(f, guard=None):
     """
     morphisms = enumerate_morphisms(f.lattice, two(), "blat", guard)
     labels = [
-        ideal_label(f.lattice, sum(1 << a for a, v in enumerate(phi) if v == 0))
+        set_label(f.lattice.elements, sum(1 << a for a, v in enumerate(phi) if v == 0))
         for phi in morphisms
     ]
     u_sets = [sum(phi[a] << p for p, phi in enumerate(morphisms)) for a in range(f.n)]
@@ -118,9 +119,9 @@ def is_spatial(f, guard=None):
     return SpatialityCertificate(f, injective, surjective, witness)
 
 
-def restrict_along_principal(idl, psi):
+def restrict_along_principal(l, idl, psi):
     """Restrict ψ: Id(L) -> F, an image tuple, along a ↦ ↓a; returns φ: L -> F as a tuple."""
-    return tuple(psi[idl.index_of_mask(d)] for d in idl.base.down)
+    return tuple(psi[idl.index_of_mask(d)] for d in l.down)
 
 
 def extend_morphism(l, f, phi):
@@ -140,7 +141,7 @@ def extend_morphism(l, f, phi):
         f.lattice.join_of_mask(sum(1 << v for v in {phi[a] for a in bits(members)}))
         for members in idl.masks
     )
-    if restrict_along_principal(idl, psi) != tuple(phi):
+    if restrict_along_principal(l, idl, psi) != tuple(phi):
         raise ValueError("extension does not restrict back to the given morphism")
     if not is_morphism(idl.lattice, f.lattice, psi, "blat"):
         raise ValueError("extension is not a frame morphism")
@@ -161,7 +162,7 @@ def pt_ideal_vs_hochster(l, guard=None):
     dualspec = hochster_dual(l)
     mapping = []
     for phi in pt.morphisms:
-        restricted = restrict_along_principal(idl, phi)
+        restricted = restrict_along_principal(l, idl, phi)
         members = sum(1 << a for a, v in enumerate(restricted) if v == 0)
         try:
             mapping.append(dualspec.point_of_ideal(members))

@@ -3,39 +3,7 @@
 from __future__ import annotations
 
 from .errors import KindMismatch
-from .order import SetLattice, bits, is_morphism, two
-
-
-class Ideal:
-    """A downward-closed, join-closed subset of a (semi)lattice, as a bitmask."""
-
-    def __init__(self, lattice, members):
-        if not is_ideal(lattice, members):
-            raise ValueError(f"{lattice.subset_names(members)} is not an ideal")
-        self.lattice = lattice
-        self.members = members
-
-    def names(self):
-        return self.lattice.subset_names(self.members)
-
-    def label(self):
-        return ideal_label(self.lattice, self.members)
-
-    def __contains__(self, i):
-        return bool(self.members >> i & 1)
-
-    def __eq__(self, other):
-        return isinstance(other, Ideal) and self.members == other.members
-
-    def __hash__(self):
-        return hash(self.members)
-
-    def __repr__(self):
-        return f"Ideal({self.label()})"
-
-
-def ideal_label(lattice, members):
-    return "{" + ",".join(lattice.subset_names(members)) + "}"
+from .order import SetLattice, bits, is_morphism, set_label, two
 
 
 def is_ideal(l, mask):
@@ -61,24 +29,9 @@ def ideal_masks(l):
     return sorted(l.down, key=lambda m: (bin(m).count("1"), m))
 
 
-class IdealLattice(SetLattice):
-    """All ideals of a (semi)lattice, assembled into a bounded lattice by inclusion."""
-
-    def __init__(self, base, masks):
-        super().__init__(masks, lambda m: ideal_label(base, m))
-        self.base = base
-        self.ideals = [Ideal(base, m) for m in self.masks]
-
-
 def all_ideals(l):
-    """The ideal lattice Id(l): meet is intersection, join is the least ideal above."""
-    return IdealLattice(l, ideal_masks(l))
-
-
-def principal_ideal(l, a):
-    """The down-set of a; a may be an element name or index."""
-    i = l.index(a) if isinstance(a, str) else a
-    return Ideal(l, l.down[i])
+    """Id(l) on the ideal masks: meet is intersection, join is the least ideal above."""
+    return SetLattice(ideal_masks(l), lambda m: set_label(l.elements, m))
 
 
 def is_prime(l, mask):
@@ -101,13 +54,8 @@ def prime_masks(l):
     return [m for m in ideal_masks(l) if is_prime(l, m)]
 
 
-def prime_ideals(l):
-    """All prime ideals of a bounded lattice, canonically sorted."""
-    return [Ideal(l, m) for m in prime_masks(l)]
-
-
 def ideal_of_morphism(l, phi, kind="jsl"):
-    """The ideal phi^{-1}(0) of a morphism phi: l -> 2, given as an image tuple.
+    """The mask of the ideal phi^{-1}(0) of a morphism phi: l -> 2, an image tuple.
 
     Raises KindMismatch unless phi has one image per element of l, takes
     only the values 0 and 1, and is a morphism of the kind into two(); the
@@ -115,17 +63,19 @@ def ideal_of_morphism(l, phi, kind="jsl"):
     """
     if len(phi) != l.n or not set(phi) <= {0, 1} or not is_morphism(l, two(), phi, kind):
         raise KindMismatch(f"expected a {kind} morphism into the 2-chain")
-    return Ideal(l, sum(1 << i for i, v in enumerate(phi) if v == 0))
+    return sum(1 << i for i, v in enumerate(phi) if v == 0)
 
 
-def morphism_of_ideal(ideal, kind="jsl"):
-    """The image tuple of the characteristic map into two() with kernel the ideal.
+def morphism_of_ideal(l, mask, kind="jsl"):
+    """The image tuple of the characteristic map into two() with kernel the ideal mask.
 
-    It is a jsl morphism for every ideal, and a blat morphism iff the ideal
-    is prime; otherwise KindMismatch.
+    ValueError if the mask is no ideal of l.  The map is a jsl morphism for
+    every ideal, and a blat morphism iff the ideal is prime; otherwise
+    KindMismatch.
     """
-    l = ideal.lattice
-    phi = tuple(0 if ideal.members >> i & 1 else 1 for i in range(l.n))
+    if not is_ideal(l, mask):
+        raise ValueError(f"{l.subset_names(mask)} is not an ideal")
+    phi = tuple(0 if mask >> i & 1 else 1 for i in range(l.n))
     if not is_morphism(l, two(), phi, kind):
         raise KindMismatch("ideal is not prime, no blat morphism exists")
     return phi

@@ -67,25 +67,16 @@ def tensor_from_json(obj):
     return name, TensorLattice(jsl, product, unit)
 
 
-def lattice_to_json(lattice, name="", tensor=None):
+def lattice_to_json(lattice, name=""):
     pairs = []
     for i in range(lattice.n):
         for j in bits(lattice.covers(i)):
             pairs.append([lattice.elements[i], lattice.elements[j]])
-    obj = {
+    return {
         "name": name,
         "elements": list(lattice.elements),
         "leq": pairs,
     }
-    if tensor is not None:
-        obj["tensor"] = {
-            "unit": lattice.elements[tensor.unit],
-            "table": [
-                [lattice.elements[tensor.product[i][j]] for j in range(lattice.n)]
-                for i in range(lattice.n)
-            ],
-        }
-    return obj
 
 
 def space_from_json(obj):

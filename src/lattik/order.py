@@ -37,6 +37,11 @@ def bits(mask):
         mask ^= low
 
 
+def set_label(names, mask):
+    """The members of mask, named by ``names``, in braces: {0,a}."""
+    return "{" + ",".join(names[i] for i in bits(mask)) + "}"
+
+
 class Poset:
     """Immutable finite poset; validates the order axioms on construction."""
 

@@ -11,13 +11,14 @@ from .errors import (
     ZeroLawFails,
 )
 from .frames import id_vs_omega_dual
-from .ideals import ideal_label, ideal_masks, is_ideal, join_irreducibles
+from .ideals import ideal_masks, is_ideal, join_irreducibles
 from .order import (
     Certificate,
     SetLattice,
     bits,
     inclusion_isomorphism_failure,
     is_distributive,
+    set_label,
 )
 
 
@@ -148,11 +149,6 @@ def generated_ideals(t):
     return [close(1 << a) for a in range(t.n)]
 
 
-def generated_ideal(t, a):
-    """The radical tensor ideal generated by a single element."""
-    return generated_ideals(t)[a]
-
-
 def radical_masks(t):
     """Masks of the radical tensor ideals, in ideal_masks order."""
     return [m for m in ideal_masks(t.base) if is_radical_tensor_ideal(t, m)]
@@ -167,7 +163,7 @@ def all_radical_tensor_ideals(t):
     neither description, the tests check the join.
     """
     masks = radical_masks(t)
-    return masks, SetLattice(masks, lambda m: ideal_label(t.base, m)).lattice
+    return masks, SetLattice(masks, lambda m: set_label(t.base.elements, m)).lattice
 
 
 class QuotientFormulaError(ValueError):

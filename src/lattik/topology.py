@@ -10,9 +10,10 @@ from .order import (
     _relation_bijection,
     bits,
     scheduled_search,
+    set_label,
     size_guard,
 )
-from .ideals import ideal_label, ideal_masks, prime_masks
+from .ideals import ideal_masks, prime_masks
 
 
 class FiniteSpace:
@@ -119,10 +120,6 @@ def space_from_open_basis(points, basis):
 
 def discrete_space(points):
     return FiniteSpace(points, range(1 << len(points)))
-
-
-def set_label(points, mask):
-    return "{" + ",".join(points[i] for i in bits(mask)) + "}"
 
 
 def omega_lattice(x):
@@ -245,7 +242,7 @@ def _spectrum(l, masks, flavor):
     the flavor on that space; validate_support_datum checks it, and a failure
     raises InvalidDatum naming the axiom and its witness.
     """
-    labels = [ideal_label(l, m) for m in masks]
+    labels = [set_label(l.elements, m) for m in masks]
     supp = [sum(1 << p for p, m in enumerate(masks) if not m >> a & 1) for a in range(l.n)]
     if flavor == "lattice-open":
         space = space_from_open_basis(labels, supp)

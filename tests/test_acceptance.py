@@ -26,7 +26,7 @@ from lattik.frames import (
     restrict_along_principal,
     support_union_map,
 )
-from lattik.ideals import all_ideals, join_irreducibles, prime_ideals
+from lattik.ideals import all_ideals, join_irreducibles, prime_masks
 from lattik.order import dual, enumerate_morphisms, is_distributive
 from lattik.support import check_adjunction, enumerate_support_data
 from lattik.tensor import (
@@ -154,7 +154,7 @@ def test_criterion_5_frames(corpus):
             if len(frm) != len(blat):
                 ok = False
                 continue
-            restricted = {restrict_along_principal(idl, psi) for psi in frm}
+            restricted = {restrict_along_principal(l, idl, psi) for psi in frm}
             if restricted != {phi for phi in blat}:
                 ok = False
     report(
@@ -166,7 +166,7 @@ def test_criterion_5_frames(corpus):
 
 def test_criterion_6_birkhoff(corpus):
     ok = all(
-        len(prime_ideals(l)) == len(join_irreducibles(l))
+        len(prime_masks(l)) == len(join_irreducibles(l))
         for l in corpus
         if is_distributive(l)
     )

@@ -171,6 +171,17 @@ class TestAdjunctionVerb:
         assert code == 2 and out == ""
         assert "max_points >= 0" in err
 
+    @pytest.mark.parametrize("flag", [["--space-points", "9"], ["--corpus-max-n", "0"]])
+    def test_corpus_flag_with_files_is_input_error(self, capsys, b2_file, sierp_file, flag):
+        code, out, err = run(capsys, "adjunction", b2_file, sierp_file, *flag)
+        assert code == 2 and out == ""
+        assert flag[0] in err
+
+    def test_corpus_mode_defaults_to_three_points(self, capsys):
+        explicit = run(capsys, "adjunction", "--corpus-max-n", "2", "--space-points", "3")
+        assert run(capsys, "adjunction", "--corpus-max-n", "2") == explicit
+        assert explicit[0] == 0
+
     @pytest.mark.parametrize(
         "files", [["/nonexistent.json"], ["/nonexistent.json", "/nope.json"]]
     )
@@ -762,6 +773,27 @@ def _valid_inputs():
 
 
 VALID_INPUTS = _valid_inputs()
+
+
+def unreadable(obj, kind):
+    """The bytes of a file holding obj, made non-UTF-8, truncated, or nested too deeply."""
+    text = json.dumps(obj)
+    if kind == "non-utf8":
+        return text.replace('"', '"\xe9', 1).encode("latin-1")
+    if kind == "truncated":
+        return text[: len(text) // 2].encode()
+    return b"[" * 100000
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("kind", ["non-utf8", "truncated", "deeply-nested"])
+    @pytest.mark.parametrize("verb, obj", VALID_INPUTS, ids=[v for v, _ in VALID_INPUTS])
+    def test_input_error_without_traceback(self, capsys, tmp_path, verb, obj, kind):
+        path = tmp_path / "input.json"
+        path.write_bytes(unreadable(obj, kind))
+        code, out, err = run(capsys, verb, str(path))
+        assert code == 2 and out == ""
+        assert "Traceback" not in err and "input error" in err
 RETYPED = [3, "p", [], {}, None, True, ["p"], [["p"]]]
 RENAMED = ["z", "", "0", "1", "a", "p", "u", "m1"]
 

@@ -171,7 +171,7 @@ class TestPoints:
             if not is_distributive(l):
                 continue
             pt = points(as_frame(l))
-            kernels = [ideal_of_morphism(l, phi, "blat").members for phi in pt.morphisms]
+            kernels = [ideal_of_morphism(l, phi, "blat") for phi in pt.morphisms]
             assert sorted(kernels) == sorted(prime_masks(l))
 
 
@@ -201,7 +201,7 @@ class TestExtension:
             frame_target = as_frame(b2())
             for phi in enumerate_morphisms(l, frame_target.lattice, "blat"):
                 psi = extend_morphism(l, frame_target, phi)
-                assert restrict_along_principal(idl, psi) == phi
+                assert restrict_along_principal(l, idl, psi) == phi
 
     def test_extension_is_an_enumerated_morphism(self, corpus4):
         for l in corpus4:
@@ -229,7 +229,7 @@ class TestExtension:
                 blat = enumerate_morphisms(l, f.lattice, "blat")
                 assert len(frm) == len(blat)
                 # restriction is the inverse bijection
-                restricted = {restrict_along_principal(idl, psi) for psi in frm}
+                restricted = {restrict_along_principal(l, idl, psi) for psi in frm}
                 assert restricted == {phi for phi in blat}
 
     def test_both_roundtrips(self, corpus4):

@@ -13,8 +13,7 @@ from lattik.ideals import (
     is_ideal,
     join_irreducibles,
     morphism_of_ideal,
-    prime_ideals,
-    principal_ideal,
+    prime_masks,
 )
 from lattik.order import (
     Poset,
@@ -25,6 +24,7 @@ from lattik.order import (
     is_distributive,
     is_isomorphic,
     is_morphism,
+    set_label,
     two,
 )
 
@@ -51,7 +51,7 @@ def subset_filter_ideals(l):
 class TestAllIdeals:
     def test_id_two_is_two(self):
         idl = all_ideals(two())
-        assert [i.names() for i in idl.ideals] == [["0"], ["0", "1"]]
+        assert [two().subset_names(m) for m in idl.masks] == [["0"], ["0", "1"]]
         assert is_isomorphic(idl.lattice, two())
 
     def test_id_c3_is_c3(self):
@@ -63,14 +63,14 @@ class TestAllIdeals:
         l = m3()
         idl = all_ideals(l)
         assert len(idl) == 5
-        members = {i.label() for i in idl.ideals}
+        members = set(idl.lattice.elements)
         assert members == {"{0}", "{0,a}", "{0,b}", "{0,c}", "{0,a,b,c,1}"}
         assert is_isomorphic(idl.lattice, l)
 
     def test_matches_subset_oracle(self, corpus5):
         for l in corpus5:
             idl = all_ideals(l)
-            assert [i.members for i in idl.ideals] == subset_filter_ideals(l)
+            assert list(idl.masks) == subset_filter_ideals(l)
 
     def test_matches_subset_oracle_on_join_semilattices(self):
         # tensor_from_json hands ideal_masks a JoinSemilattice (no top, no
@@ -95,14 +95,14 @@ class TestAllIdeals:
         for l in corpus6:
             idl = all_ideals(l)
             assert len(idl) == l.n
-            for ideal in idl.ideals:
-                top = l.join_of_mask(ideal.members)
-                assert ideal.members == l.down[top]
+            for mask in idl.masks:
+                top = l.join_of_mask(mask)
+                assert mask == l.down[top]
 
     def test_principal_map_is_isomorphism(self, corpus6):
         for l in corpus6:
             idl = all_ideals(l)
-            pos = {ideal.members: k for k, ideal in enumerate(idl.ideals)}
+            pos = {mask: k for k, mask in enumerate(idl.masks)}
             witness = [pos[l.down[a]] for a in range(l.n)]
             for a in range(l.n):
                 for b in range(l.n):
@@ -112,16 +112,16 @@ class TestAllIdeals:
 class TestPrincipalIdeal:
     def test_b2(self):
         l = b2()
-        assert principal_ideal(l, "a").names() == ["0", "a"]
+        assert l.subset_names(l.down[l.index("a")]) == ["0", "a"]
 
     def test_bottom_and_top(self):
         l = n5()
-        assert principal_ideal(l, "0").names() == ["0"]
-        assert set(principal_ideal(l, "1").names()) == set(l.elements)
+        assert l.subset_names(l.down[l.index("0")]) == ["0"]
+        assert set(l.subset_names(l.down[l.index("1")])) == set(l.elements)
 
     def test_unknown(self):
         with pytest.raises(UnknownName):
-            principal_ideal(b2(), "zz")
+            b2().down[b2().index("zz")]
 
 
 class TestPrimeIdeals:
@@ -143,35 +143,35 @@ class TestPrimeIdeals:
         return out
 
     def test_two(self):
-        assert [p.names() for p in prime_ideals(two())] == [["0"]]
+        assert [two().subset_names(m) for m in prime_masks(two())] == [["0"]]
 
     def test_m3_empty_spectrum(self):
-        assert prime_ideals(m3()) == []
+        assert prime_masks(m3()) == []
 
     def test_n5(self):
-        assert [p.label() for p in prime_ideals(n5())] == ["{0,a}", "{0,b,c}"]
+        assert [set_label(n5().elements, m) for m in prime_masks(n5())] == ["{0,a}", "{0,b,c}"]
 
     def test_matches_brute_force(self, corpus5):
         for l in corpus5:
-            assert [p.members for p in prime_ideals(l)] == self.brute_primes(l)
+            assert prime_masks(l) == self.brute_primes(l)
 
     def test_primes_of_dual_are_complements(self, corpus5):
         for l in corpus5:
             d = dual(l)
-            primes_l = {p.members for p in prime_ideals(l)}
-            primes_d = {p.members for p in prime_ideals(d)}
+            primes_l = set(prime_masks(l))
+            primes_d = set(prime_masks(d))
             assert primes_d == {l.full & ~m for m in primes_l}
 
 
 class TestMorphismIdealDictionary:
     def test_identity_blat_gives_zero_ideal(self):
         phi = enumerate_morphisms(two(), two(), "blat")[0]
-        assert ideal_of_morphism(two(), phi, "blat").names() == ["0"]
+        assert two().subset_names(ideal_of_morphism(two(), phi, "blat")) == ["0"]
 
     def test_constant_bottom_jsl_gives_whole_lattice(self):
         constant = enumerate_morphisms(two(), two(), "jsl")[0]
         assert constant == (0, 0)
-        assert ideal_of_morphism(two(), constant).names() == ["0", "1"]
+        assert two().subset_names(ideal_of_morphism(two(), constant)) == ["0", "1"]
 
     def test_b2_preimage(self):
         l = b2()
@@ -180,29 +180,47 @@ class TestMorphismIdealDictionary:
             for m in enumerate_morphisms(l, two(), "blat")
             if m[l.index("a")] == 1
         )
-        assert ideal_of_morphism(l, phi, "blat").label() == "{0,b}"
+        assert set_label(l.elements, ideal_of_morphism(l, phi, "blat")) == "{0,b}"
 
     def test_roundtrips(self, corpus5):
         for l in corpus5:
             for kind in ("jsl", "blat"):
                 for phi in enumerate_morphisms(l, two(), kind):
-                    ideal = ideal_of_morphism(l, phi, kind)
-                    back = morphism_of_ideal(ideal, kind)
+                    mask = ideal_of_morphism(l, phi, kind)
+                    back = morphism_of_ideal(l, mask, kind)
                     assert back == phi
-            for p in prime_ideals(l):
-                phi = morphism_of_ideal(p, "blat")
-                assert ideal_of_morphism(l, phi, "blat").members == p.members
+            for p in prime_masks(l):
+                phi = morphism_of_ideal(l, p, "blat")
+                assert ideal_of_morphism(l, phi, "blat") == p
+
+    def test_every_ideal_and_prime_roundtrips(self, corpus6):
+        for l in corpus6:
+            for kind, masks in (("jsl", ideal_masks(l)), ("blat", prime_masks(l))):
+                for m in masks:
+                    assert ideal_of_morphism(l, morphism_of_ideal(l, m, kind), kind) == m
+
+    def test_non_ideal_mask_is_rejected(self):
+        l = b2()
+        with pytest.raises(ValueError, match="is not an ideal"):
+            morphism_of_ideal(l, 1 << l.index("a"))
+
+    def test_non_prime_ideal_is_rejected_as_blat(self):
+        l = m3()
+        bottom = l.down[l.bottom]
+        assert morphism_of_ideal(l, bottom) == tuple(int(a != l.bottom) for a in range(l.n))
+        with pytest.raises(KindMismatch, match="not prime"):
+            morphism_of_ideal(l, bottom, "blat")
 
     def test_counts_match_blat_homs(self, corpus6):
         for l in corpus6:
-            assert len(prime_ideals(l)) == len(enumerate_morphisms(l, two(), "blat"))
+            assert len(prime_masks(l)) == len(enumerate_morphisms(l, two(), "blat"))
 
     def test_kind_mismatch(self):
         l = m3()
-        whole = all_ideals(l).ideals[-1]
-        assert whole.members == l.full
+        whole = all_ideals(l).masks[-1]
+        assert whole == l.full
         with pytest.raises(KindMismatch):
-            morphism_of_ideal(whole, "blat")
+            morphism_of_ideal(l, whole, "blat")
 
     def test_wrong_length_is_rejected(self):
         with pytest.raises(KindMismatch):
@@ -218,21 +236,21 @@ class TestMorphismIdealDictionary:
         phi = tuple(0 if e == "0" else 1 for e in l.elements)
         assert is_morphism(l, two(), phi, "jsl")
         assert not is_morphism(l, two(), phi, "blat")
-        assert ideal_of_morphism(l, phi).names() == ["0"]
+        assert l.subset_names(ideal_of_morphism(l, phi)) == ["0"]
         with pytest.raises(KindMismatch):
             ideal_of_morphism(l, phi, "blat")
 
     def test_prime_iff_characteristic_map_preserves_meets(self, corpus5):
         for l in corpus5:
             tgt = two()
-            for ideal in all_ideals(l).ideals:
+            for mask in all_ideals(l).masks:
                 mapping = tuple(
-                    0 if ideal.members >> i & 1 else 1 for i in range(l.n)
+                    0 if mask >> i & 1 else 1 for i in range(l.n)
                 )
                 blat_ok = is_morphism(l, tgt, mapping, "blat")
                 from lattik.ideals import is_prime
 
-                assert blat_ok == is_prime(l, ideal.members)
+                assert blat_ok == is_prime(l, mask)
 
 
 class TestBirkhoffOracle:
@@ -259,7 +277,7 @@ class TestBirkhoffOracle:
     def test_birkhoff_count_on_distributive(self, corpus6):
         for l in corpus6:
             if is_distributive(l):
-                assert len(prime_ideals(l)) == len(join_irreducibles(l))
+                assert len(prime_masks(l)) == len(join_irreducibles(l))
 
 
 def is_compact(lat, k):

@@ -25,7 +25,6 @@ from lattik.tensor import (
     check_classification,
     check_tensor_lemma,
     fuzz_tensor_lattices,
-    generated_ideal,
     generated_ideals,
     is_associative,
     is_radical_tensor_ideal,
@@ -99,8 +98,9 @@ class TestRadicalClosure:
     def test_meet_tensor_closure_is_principal_downset(self):
         l = b2()
         t = meet_tensor(l)
+        gen = generated_ideals(t)
         for a in range(l.n):
-            assert generated_ideal(t, a) == l.down[a]
+            assert gen[a] == l.down[a]
 
     def test_accepts_names(self):
         t = meet_tensor(b2())
@@ -128,8 +128,9 @@ class TestRadicalClosure:
 
     def test_closure_is_radical_ideal(self):
         for t in self.closure_examples():
+            gen = generated_ideals(t)
             for a in range(t.n):
-                assert is_radical_tensor_ideal(t, generated_ideal(t, a))
+                assert is_radical_tensor_ideal(t, gen[a])
 
 
 class TestRadicalIdeals:
@@ -204,9 +205,9 @@ class TestTensorLemma:
     def test_unit_pairs(self):
         # ⟨1⟩ ∩ ⟨b⟩ = ⟨b⟩ is the unit instance of the lemma
         t = meet_tensor(b2())
-        whole = generated_ideal(t, t.unit)
+        gen = generated_ideals(t)
         for b in range(t.n):
-            assert whole & generated_ideal(t, b) == generated_ideal(t, b)
+            assert gen[t.unit] & gen[b] == gen[b]
 
 
 class TestClassification:

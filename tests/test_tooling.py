@@ -1,13 +1,16 @@
 """Source-level checks on the lattik package."""
 
 import ast
+import contextlib
 import importlib
+import io
 from functools import reduce
 from pathlib import Path
 
 import lattik
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def unread_guards():
@@ -72,3 +75,22 @@ def test_bench_tracer_names_resolve():
         module, *path = name.split(".")
         obj = reduce(getattr, path, importlib.import_module(f"lattik.{module}"))
         assert callable(obj), name
+
+
+def readme_usage():
+    """The lines of the ```python block under the README's Usage heading."""
+    text = (ROOT / "README.md").read_text().split("## Usage", 1)[1]
+    return text.split("```python\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+def test_readme_usage_runs_and_prints_its_comments():
+    lines = readme_usage()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec("\n".join(lines), {})
+    printed = out.getvalue().splitlines()
+    prints = [line for line in lines if line.startswith("print(")]
+    assert len(printed) == len(prints)
+    for line, got in zip(prints, printed):
+        if "# " in line:
+            assert got == line.split("# ", 1)[1]
