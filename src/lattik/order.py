@@ -139,6 +139,20 @@ class JoinSemilattice(Poset):
         super().__init__(elements, up)
         self.bottom = bottom
         self.join = tuple(tuple(row) for row in join)
+        self._join_pairs = None
+        self._join_to = None
+
+    def join_pairs(self):
+        """(a, b, a ∨ b) for every pair a < b, in the order of a, then b; built on first use."""
+        if self._join_pairs is None:
+            self._join_pairs = _pairs_with(self.join)
+        return self._join_pairs
+
+    def join_to(self):
+        """join_to[x][y]: the one-bit mask of x ∨ y; built on first use."""
+        if self._join_to is None:
+            self._join_to = tuple(tuple(1 << v for v in row) for row in self.join)
+        return self._join_to
 
     def join_of_mask(self, mask):
         """Join of a subset; the empty join is the bottom element."""
@@ -155,6 +169,30 @@ class BoundedLattice(JoinSemilattice):
         super().__init__(elements, up, bottom, join)
         self.top = top
         self.meet = tuple(tuple(row) for row in meet)
+        self._meet_pairs = None
+        self._meet_to = None
+
+    def meet_pairs(self):
+        """(a, b, a ∧ b) for every pair a < b, in the order of a, then b; built on first use."""
+        if self._meet_pairs is None:
+            self._meet_pairs = _pairs_with(self.meet)
+        return self._meet_pairs
+
+    def meet_to(self):
+        """meet_to[x][y]: the mask of the v with x ∧ v = y, read off the meet table once."""
+        if self._meet_to is None:
+            out = [[0] * self.n for _ in range(self.n)]
+            for x, row in enumerate(self.meet):
+                for v, y in enumerate(row):
+                    out[x][y] |= 1 << v
+            self._meet_to = tuple(map(tuple, out))
+        return self._meet_to
+
+
+def _pairs_with(table):
+    """(a, b, table[a][b]) for every pair a < b."""
+    n = len(table)
+    return tuple((a, b, table[a][b]) for a in range(n) for b in range(a + 1, n))
 
 
 def _bound_and_table(p, up, no_bound, no_pair):
@@ -391,7 +429,8 @@ def enumerate_morphisms(src, tgt, kind, guard=None):
     monotonicity.  The search therefore prunes exactly the partial
     extensions on which some already-determined equation fails.  Raises
     SizeGuardExceeded when the attempted partial extensions, tgt.n per
-    expanded node, pass the guard.
+    expanded node, pass the guard.  The candidate tables ``tgt.join_to()``
+    and, for blat, ``tgt.meet_to()`` are built once per target lattice.
     """
     if kind not in MORPHISM_KINDS:
         raise ValueError(f"unknown morphism kind {kind!r}")
@@ -401,12 +440,6 @@ def enumerate_morphisms(src, tgt, kind, guard=None):
     pos = [0] * src.n
     for s, e in enumerate(order):
         pos[e] = s
-    values = range(tgt.n)
-    join_to = tuple(tuple(1 << tgt.join[x][y] for y in values) for x in values)
-    meet_to = tuple(
-        tuple(sum(1 << v for v in values if tgt.meet[x][v] == y) for y in values)
-        for x in values
-    )
     start = [(1 << tgt.n) - 1] * src.n
     start[pos[src.bottom]] &= 1 << tgt.bottom
     if need_meet:
@@ -420,10 +453,10 @@ def enumerate_morphisms(src, tgt, kind, guard=None):
             if src.leq(a, b) or src.leq(b, a):
                 continue
             j = src.join[a][b]
-            triples[pos[j]].append((a, b, join_to))
+            triples[pos[j]].append((a, b, tgt.join_to()))
             if need_meet:
                 first, last = (a, b) if pos[a] < pos[b] else (b, a)
-                triples[pos[last]].append((first, src.meet[a][b], meet_to))
+                triples[pos[last]].append((first, src.meet[a][b], tgt.meet_to()))
     return sorted(scheduled_search(order, tgt.n, start, pairs, triples, bound))
 
 

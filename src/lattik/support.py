@@ -60,13 +60,28 @@ def enumerate_support_data(l, x, flavor, guard=None):
 
 
 def sigma_of_map(f, x, spectrum):
-    """Σ(f): the support datum a ↦ f^{-1}(supp(a)) of a continuous map into the spectrum."""
+    """Σ(f): the support datum a ↦ f^{-1}(supp(a)) of a continuous map into the spectrum.
+
+    Continuity is checked literally: every open of the spectrum is pulled
+    back along f and looked up in O(X), and NotContinuous is raised when
+    one preimage is not open.  The supp(a) and the opens are pulled back
+    together, as the column sums of the spectrum's pull-back rows that f
+    picks.
+    """
     f = tuple(f)
-    if not is_continuous(f, x, spectrum.space):
-        raise NotContinuous("map into the spectrum is not continuous")
+    if len(f) != x.n:
+        raise ValueError("map must be total on the points of the source")
+    if f and not 0 <= min(f) <= max(f) < spectrum.space.n:
+        raise ValueError("map must send every point to a point of the spectrum")
     l = spectrum.lattice
-    sigma = tuple(preimage(f, spectrum.supp.sigma[a], x.n) for a in range(l.n))
-    return SupportDatum(l, x, sigma, spectrum.supp.flavor)
+    if f:
+        rows = spectrum.pullbacks(x.n)
+        pulled = list(map(sum, zip(*[rows[i][v] for i, v in enumerate(f)])))
+    else:
+        pulled = [0] * (l.n + len(spectrum.space.opens))
+    if not x.openset.issuperset(pulled[l.n :]):
+        raise NotContinuous("map into the spectrum is not continuous")
+    return SupportDatum(l, x, pulled[: l.n], spectrum.supp.flavor)
 
 
 def map_of_sigma(d, spectrum):
@@ -122,11 +137,18 @@ class AdjunctionCertificate:
         self.bijection = bijection
 
     def to_json(self):
+        names = {}  # each distinct mask is named once; every entry gets its own list
+
+        def named(mask):
+            if mask not in names:
+                names[mask] = self.space.subset_names(mask)
+            return list(names[mask])
+
         return {
             "lattice": list(self.lattice.elements),
             "space": {
                 "points": list(self.space.points),
-                "opens": [self.space.subset_names(u) for u in self.space.opens],
+                "opens": [named(u) for u in self.space.opens],
             },
             "flavor": self.flavor,
             "map_count": self.map_count,
@@ -135,7 +157,7 @@ class AdjunctionCertificate:
             "witness_pairs": [
                 {
                     "map": list(f),
-                    "sigma": [self.space.subset_names(s) for s in sigma],
+                    "sigma": [named(s) for s in sigma],
                 }
                 for f, sigma in self.matching
             ],
@@ -146,9 +168,14 @@ def check_adjunction(l, x, flavor, guard=None):
     """Certify that Σ is a bijection between continuous maps and support data.
 
     Both sides are enumerated independently.  Every map f goes through
-    sigma_of_map, whose literal continuity check is the one check per map;
-    Σ(f) is validated, looked up among the data, and
-    map_of_sigma(sigma_of_map(f)) = f is checked pointwise.
+    sigma_of_map, whose literal continuity check is the one check per map:
+    every open of the spectrum is pulled back along f and looked up in
+    O(X).  Σ(f) is validated literally (each σ(a) is looked up in the
+    flavor's family, and every pair a < b is checked for join and, in the
+    lattice flavors, meet), looked up among the data, and
+    map_of_sigma(sigma_of_map(f)) = f is checked pointwise.  The tables
+    these checks read (pull-back rows, pair lists, membership sets) depend
+    on one spectrum, lattice or space each; no check result is kept.
 
     The roundtrip sigma_of_map(map_of_sigma(d)) = d is run literally only for
     the data that no map reached.  If Σ(f) validated, equals a datum d seen
@@ -193,16 +220,14 @@ def datum_morphisms_to_final(d, spectrum):
     """All morphisms of support data (X,σ) -> (spectrum, supp).
 
     A morphism of support data is a continuous map f with σ(a) = f^{-1}(supp(a))
-    for every a; finality of the spectrum means there is exactly one.
+    for every a, that is Σ(f) = σ; finality of the spectrum means there is
+    exactly one.
     """
-    out = []
-    for f in enumerate_continuous(d.space, spectrum.space):
-        if all(
-            preimage(f, spectrum.supp.sigma[a], d.space.n) == d.sigma[a]
-            for a in range(d.lattice.n)
-        ):
-            out.append(f)
-    return out
+    return [
+        f
+        for f in enumerate_continuous(d.space, spectrum.space)
+        if sigma_of_map(f, d.space, spectrum).sigma == d.sigma
+    ]
 
 
 class NaturalityCertificate:

@@ -33,7 +33,7 @@ class FiniteSpace:
         family = sorted(set(opens), key=lambda m: (bin(m).count("1"), m))
         if 0 not in family or full not in family:
             raise ValueError("opens must contain the empty and full sets")
-        fam = set(family)
+        fam = frozenset(family)
         for a in family:
             if a & ~full:
                 raise ValueError("open set references unknown point")
@@ -44,7 +44,9 @@ class FiniteSpace:
         self.n = n
         self.full = full
         self.opens = tuple(family)
+        self.openset = fam
         self._closed = None
+        self._closedset = None
         self._cl = None
         self._omega = None
 
@@ -55,6 +57,12 @@ class FiniteSpace:
                 sorted((self.full & ~u for u in self.opens), key=lambda m: (bin(m).count("1"), m))
             )
         return self._closed
+
+    def closedset(self):
+        """The closed sets as a frozenset, for membership tests; built on first use."""
+        if self._closedset is None:
+            self._closedset = frozenset(self.closed_sets())
+        return self._closedset
 
     def closure(self, mask):
         """Smallest closed superset of mask."""
@@ -175,32 +183,38 @@ class SupportDatum:
 def validate_support_datum(d):
     """Check the axioms of d's flavor; report the first violation with a witness.
 
-    The Certificate's detail names the violated axiom ("closed" or "open",
-    "empty", "join", "full", "meet") and its witness, both None on success.
+    Every check is literal: each σ(a) is looked up in the flavor's family
+    (the closed sets, or the opens), σ(0) = ∅, and σ(a ∨ b) = σ(a) ∪ σ(b)
+    for every pair a < b; the bounded-lattice flavors also check σ(1) = X
+    and σ(a ∧ b) = σ(a) ∩ σ(b) for every pair a < b.  The pairs are read
+    from the lattice's ``join_pairs()`` and ``meet_pairs()``.  The Certificate's
+    detail names the first violated axiom ("closed" or "open", "empty",
+    "join", "full", "meet") in that order, and its witness, both None on
+    success.
     """
     l, x, sigma = d.lattice, d.space, d.sigma
 
     def fail(axiom, witness):
         return Certificate(False, {"axiom": axiom, "witness": witness})
 
-    sets = x.closed_sets() if d.flavor != "lattice-open" else x.opens
-    kindname = "open" if d.flavor == "lattice-open" else "closed"
+    if d.flavor == "lattice-open":
+        sets, kindname = x.openset, "open"
+    else:
+        sets, kindname = x.closedset(), "closed"
     for a, s in enumerate(sigma):
         if s not in sets:
             return fail(kindname, l.elements[a])
     if sigma[l.bottom] != 0:
         return fail("empty", l.elements[l.bottom])
-    for a in range(l.n):
-        for b in range(a + 1, l.n):
-            if sigma[l.join[a][b]] != sigma[a] | sigma[b]:
-                return fail("join", (l.elements[a], l.elements[b]))
+    for a, b, j in l.join_pairs():
+        if sigma[j] != sigma[a] | sigma[b]:
+            return fail("join", (l.elements[a], l.elements[b]))
     if d.flavor in ("lattice-closed", "lattice-open"):
         if sigma[l.top] != x.full:
             return fail("full", l.elements[l.top])
-        for a in range(l.n):
-            for b in range(a + 1, l.n):
-                if sigma[l.meet[a][b]] != sigma[a] & sigma[b]:
-                    return fail("meet", (l.elements[a], l.elements[b]))
+        for a, b, m in l.meet_pairs():
+            if sigma[m] != sigma[a] & sigma[b]:
+                return fail("meet", (l.elements[a], l.elements[b]))
     return Certificate(True, {"axiom": None, "witness": None})
 
 
@@ -218,6 +232,8 @@ class Spectrum:
     def __init__(self, supp, point_ideals):
         self.supp = supp
         self.point_ideals = tuple(point_ideals)  # base-lattice mask per point
+        self._point = {m: p for p, m in enumerate(self.point_ideals)}
+        self._pullbacks = {}
 
     @property
     def lattice(self):
@@ -228,7 +244,27 @@ class Spectrum:
         return self.supp.space
 
     def point_of_ideal(self, members):
-        return self.point_ideals.index(members)
+        """The point whose ideal has the member mask; ValueError if there is none."""
+        try:
+            return self._point[members]
+        except KeyError:
+            raise ValueError(f"no point with ideal mask {members:b}") from None
+
+    def pullbacks(self, n):
+        """Pull-back rows for maps from an n-point space; built on first use per n.
+
+        ``rows[i][v]`` is bit i of each supp(a), then of each open of the
+        space, pulled back along a map with f(i) = v: 1 << i where v lies in
+        the set, else 0.  The column sums of the n rows that f picks are
+        f^{-1}(supp(a)) for each a, then the preimages of the opens.
+        """
+        if n not in self._pullbacks:
+            masks = self.supp.sigma + self.space.opens
+            self._pullbacks[n] = tuple(
+                tuple(tuple((m >> v & 1) << i for m in masks) for v in range(self.space.n))
+                for i in range(n)
+            )
+        return self._pullbacks[n]
 
 
 def _spectrum(l, masks, flavor):
@@ -298,9 +334,8 @@ def is_continuous(f, x, y):
     f = tuple(f)
     if len(f) != x.n:
         raise ValueError("map must be total on the points of the source")
-    openset = set(x.opens)
     for u in y.opens:
-        if preimage(f, u, x.n) not in openset:
+        if preimage(f, u, x.n) not in x.openset:
             return False
     return True
 

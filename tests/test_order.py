@@ -297,6 +297,12 @@ class TestLatticeLaws:
                         assert l.join[l.join[a][b]][c] == l.join[a][l.join[b][c]]
                         assert l.meet[l.meet[a][b]][c] == l.meet[a][l.meet[b][c]]
 
+    def test_pairs_follow_the_nested_scan(self, corpus5):
+        for l in corpus5:
+            pairs = [(a, b) for a in range(l.n) for b in range(a + 1, l.n)]
+            assert l.join_pairs() == tuple((a, b, l.join[a][b]) for a, b in pairs)
+            assert l.meet_pairs() == tuple((a, b, l.meet[a][b]) for a, b in pairs)
+
     def test_order_join_meet_agree(self, corpus5):
         for l in corpus5:
             for a in range(l.n):
@@ -351,6 +357,41 @@ class TestMorphisms:
         enumerate_morphisms(src, tgt, kind, guard=smallest)
         with pytest.raises(SizeGuardExceeded):
             enumerate_morphisms(src, tgt, kind, guard=smallest - 1)
+
+    def test_kept_tables_do_not_depend_on_first_use(self, corpus4):
+        # a target keeps join_to and meet_to: use it as jsl first, then as blat,
+        # and the reverse, across sources, against the unpruned filter
+        runs = [(src, kind) for src in corpus4 for kind in ("jsl", "blat")]
+        for t in corpus4:
+            expected = {
+                (src, kind): [
+                    f
+                    for f in product(range(t.n), repeat=src.n)
+                    if is_morphism(src, t, f, kind)
+                ]
+                for src, kind in runs
+            }
+            for order in (runs, runs[::-1]):
+                kept = as_bounded_lattice(Poset(t.elements, t.up))
+                for src, kind in order:
+                    assert enumerate_morphisms(src, kept, kind) == expected[src, kind]
+
+    def test_meet_to_inverts_the_meet_table(self, corpus5):
+        for l in corpus5:
+            for x in range(l.n):
+                for y in range(l.n):
+                    below = sum(1 << v for v in range(l.n) if l.meet[x][v] == y)
+                    assert l.meet_to()[x][y] == below
+
+    def test_join_semilattice_target(self, corpus4):
+        # a JoinSemilattice has no meet table, and the jsl search reads none
+        for t in [*corpus4, CL_D3]:
+            jt = as_join_semilattice(Poset(t.elements, t.up))
+            assert not hasattr(jt, "meet")
+            for src in corpus4:
+                assert enumerate_morphisms(src, jt, "jsl") == enumerate_morphisms(
+                    src, t, "jsl"
+                )
 
     def test_lexicographic_order(self, corpus4):
         for src in corpus4:

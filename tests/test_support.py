@@ -1,14 +1,15 @@
 """Support data, validation, the Sigma adjunction, translation, and naturality."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
 
-from lattik import support
-from lattik.corpus import b2, chain, m3, n5
+from lattik import support, topology
+from lattik.corpus import b2, chain, m3, n5, space_corpus
 from lattik.errors import InvalidDatum, NotContinuous
 from lattik.ideals import is_prime
-from lattik.order import dual, two
+from lattik.order import Certificate, dual, two
 from lattik.support import (
     FLAVORS,
     SupportDatum,
@@ -26,6 +27,8 @@ from lattik.topology import (
     FiniteSpace,
     discrete_space,
     enumerate_continuous,
+    is_continuous,
+    preimage,
     sp_space,
     space_from_closed_basis,
 )
@@ -59,6 +62,49 @@ def brute_support_data(l, x, flavor):
                 continue
         out.append(sigma)
     return sorted(out)
+
+
+def nested_scan_report(d):
+    """The validator as a nested scan over index pairs: the oracle for its first witness."""
+    l, x, sigma = d.lattice, d.space, d.sigma
+
+    def fail(axiom, witness):
+        return Certificate(False, {"axiom": axiom, "witness": witness})
+
+    sets = x.closed_sets() if d.flavor != "lattice-open" else x.opens
+    kindname = "open" if d.flavor == "lattice-open" else "closed"
+    for a, s in enumerate(sigma):
+        if s not in sets:
+            return fail(kindname, l.elements[a])
+    if sigma[l.bottom] != 0:
+        return fail("empty", l.elements[l.bottom])
+    for a in range(l.n):
+        for b in range(a + 1, l.n):
+            if sigma[l.join[a][b]] != sigma[a] | sigma[b]:
+                return fail("join", (l.elements[a], l.elements[b]))
+    if d.flavor in ("lattice-closed", "lattice-open"):
+        if sigma[l.top] != x.full:
+            return fail("full", l.elements[l.top])
+        for a in range(l.n):
+            for b in range(a + 1, l.n):
+                if sigma[l.meet[a][b]] != sigma[a] & sigma[b]:
+                    return fail("meet", (l.elements[a], l.elements[b]))
+    return Certificate(True, {"axiom": None, "witness": None})
+
+
+def mutants(d):
+    """d read with each flavor, and every single-bit flip of each σ(a) and each σ(a)
+    replaced by a set outside the family."""
+    x = d.space
+    for flavor in FLAVORS:
+        yield SupportDatum(d.lattice, x, d.sigma, flavor)
+    family = x.opens if d.flavor == "lattice-open" else x.closed_sets()
+    outside = [m for m in range(1 << x.n) if m not in family]
+    for a in range(d.lattice.n):
+        for new in [d.sigma[a] ^ (1 << p) for p in range(x.n)] + outside:
+            sigma = list(d.sigma)
+            sigma[a] = new
+            yield SupportDatum(d.lattice, x, sigma, d.flavor)
 
 
 class TestValidation:
@@ -113,8 +159,63 @@ class TestValidation:
                     )
                     assert fast == brute_support_data(l, x, flavor)
 
+    def test_first_witness_matches_the_nested_scan(self, corpus5):
+        # lattice_corpus(5) holds M3 and N5, whose meet failures can differ in witness
+        failures = Counter()
+        for l in corpus5:
+            for x in space_corpus(2):
+                for flavor in FLAVORS:
+                    for d in enumerate_support_data(l, x, flavor):
+                        assert validate_support_datum(d).ok
+                        for bad in mutants(d):
+                            report = validate_support_datum(bad)
+                            oracle = nested_scan_report(bad)
+                            assert (report.ok, report.detail) == (oracle.ok, oracle.detail)
+                            failures[report.detail["axiom"]] += 1
+        # every axiom, in both family spellings, is the first failure somewhere;
+        # None counts the flips that land on another valid datum
+        assert set(failures) == {"closed", "open", "empty", "join", "full", "meet", None}
+
+
+def preimage_sigma(f, x, spectrum):
+    """Σ(f) by its definition, a ↦ f^{-1}(supp(a)), after the literal is_continuous."""
+    if not is_continuous(f, x, spectrum.space):
+        raise NotContinuous("map into the spectrum is not continuous")
+    return tuple(preimage(f, s, x.n) for s in spectrum.supp.sigma)
+
 
 class TestSigmaOfMap:
+    def test_matches_the_preimage_definition_on_every_map(self, corpus5, spaces3):
+        continuous = discontinuous = 0
+        for l in corpus5:
+            for flavor in FLAVORS:
+                spec = spectrum_for(l, flavor)
+                for x in spaces3:
+                    for f in product(range(spec.space.n), repeat=x.n):
+                        if is_continuous(f, x, spec.space):
+                            assert sigma_of_map(f, x, spec).sigma == preimage_sigma(f, x, spec)
+                            continuous += 1
+                        else:
+                            with pytest.raises(NotContinuous):
+                                sigma_of_map(f, x, spec)
+                            discontinuous += 1
+        assert continuous and discontinuous
+
+    def test_empty_source_into_every_spectrum(self, corpus5):
+        empty = FiniteSpace([], [0])
+        for l in corpus5:
+            for flavor in FLAVORS:
+                spec = spectrum_for(l, flavor)
+                assert sigma_of_map((), empty, spec).sigma == (0,) * l.n
+        # Spc(M3) has no point, so the empty map is the only map into it
+        assert spectrum_for(m3(), "lattice-closed").space.n == 0
+
+    @pytest.mark.parametrize("f", [(0,), (0, 0, 0), (0, 2), (-1, 0)])
+    def test_map_off_the_points_is_rejected(self, f):
+        spec = sp_space(two())
+        with pytest.raises(ValueError, match="map must"):
+            sigma_of_map(f, sierpinski(), spec)
+
     def test_identity_on_spectrum_recovers_supp(self, corpus5):
         for l in corpus5:
             for flavor in FLAVORS:
@@ -228,6 +329,28 @@ def backward_roundtrips(monkeypatch):
     return calls
 
 
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_every_map_is_certified_through_the_traced_functions(monkeypatch, flavor):
+    # bench/tracer.py reads its per-layer rows off these two names
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(support, "sigma_of_map", counting("sigma_of_map", sigma_of_map))
+    validating = counting("validate_support_datum", validate_support_datum)
+    monkeypatch.setattr(support, "validate_support_datum", validating)
+    monkeypatch.setattr(topology, "validate_support_datum", validating)
+    cert = check_adjunction(chain(3), discrete_space(["p", "q"]), flavor)
+    assert cert.bijection and cert.map_count > 0
+    assert calls["sigma_of_map"] == cert.map_count
+    assert calls["validate_support_datum"] >= cert.map_count
+
+
 class TestAdjunction:
     def test_two_sierpinski_semilattice(self):
         cert = check_adjunction(two(), sierpinski(), "semilattice-closed")
@@ -265,6 +388,13 @@ class TestAdjunction:
         j = cert.to_json()
         assert j["bijection"] is True
         assert j["map_count"] == 3 and len(j["witness_pairs"]) == 3
+
+    def test_certificate_json_hands_out_a_list_per_entry(self):
+        x = discrete_space(["p", "q"])
+        j = check_adjunction(chain(3), x, "semilattice-closed").to_json()
+        lists = j["space"]["opens"] + [s for pair in j["witness_pairs"] for s in pair["sigma"]]
+        assert len({id(s) for s in lists}) == len(lists)
+        assert j["space"]["opens"] == [x.subset_names(u) for u in x.opens]
 
     def test_sweep_corpus4_small_spaces(self, corpus4, spaces3):
         for l in corpus4:

@@ -95,6 +95,11 @@ class TestSpaceConstruction:
         with pytest.raises(ValueError):
             FiniteSpace(["p", "q", "r"], [0, 0b001, 0b010, 0b111])
 
+    def test_membership_sets_match_the_families(self, spaces3):
+        for x in spaces3:
+            assert x.openset == set(x.opens)
+            assert x.closedset() == set(x.closed_sets())
+
     def test_empty_space(self):
         x = FiniteSpace([], [0])
         assert x.opens == (0,) and x.n == 0
@@ -190,6 +195,15 @@ class TestSpcSpace:
                 for b in range(l.n):
                     assert supp[l.meet[a][b]] == supp[a] & supp[b]
             assert supp[l.top] == spec.space.full
+
+    def test_point_of_ideal(self, corpus5):
+        for l in corpus5:
+            spec = spc_space(l)
+            for p, members in enumerate(spec.point_ideals):
+                assert spec.point_of_ideal(members) == p
+            # a prime ideal is proper, so the full mask is never a point
+            with pytest.raises(ValueError):
+                spec.point_of_ideal(l.full)
 
     def test_all_ideals_fail_the_lattice_axioms(self):
         # B2 itself is an ideal that no supp(a) leaves out, so supp(1) misses it
