@@ -14,6 +14,7 @@ from .topology import (
     is_continuous,
     omega_lattice,
     preimage,
+    pull_back_opens,
     sp_space,
     spc_space,
     validate_support_datum,  # re-exported: the datum and its validator live by the spectra
@@ -33,7 +34,9 @@ def spectrum_for(l, flavor):
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    spectra = vars(l).setdefault("_spectra", {})
+    spectra = getattr(l, "_spectra", None)
+    if spectra is None:
+        spectra = l._spectra = {}
     if flavor not in spectra:
         spectra[flavor] = _SPECTRUM_OF_FLAVOR[flavor](l)
     return spectra[flavor]
@@ -45,12 +48,8 @@ def enumerate_support_data(l, x, flavor, guard=None):
     Per definition a datum is a lattice morphism into Cl(X) (or Ω(X) for the
     open flavor), so the enumeration runs over those morphisms.
     """
-    if flavor == "semilattice-closed":
-        setlat, kind = cl_lattice(x), "jsl"
-    elif flavor == "lattice-closed":
-        setlat, kind = cl_lattice(x), "blat"
-    else:
-        setlat, kind = omega_lattice(x), "blat"
+    setlat = omega_lattice(x) if flavor == "lattice-open" else cl_lattice(x)
+    kind = "jsl" if flavor == "semilattice-closed" else "blat"
     data = []
     for phi in enumerate_morphisms(l, setlat.lattice, kind, guard):
         sigma = tuple(setlat.masks[v] for v in phi)
@@ -62,26 +61,18 @@ def enumerate_support_data(l, x, flavor, guard=None):
 def sigma_of_map(f, x, spectrum):
     """Σ(f): the support datum a ↦ f^{-1}(supp(a)) of a continuous map into the spectrum.
 
-    Continuity is checked literally: every open of the spectrum is pulled
-    back along f and looked up in O(X), and NotContinuous is raised when
-    one preimage is not open.  The supp(a) and the opens are pulled back
-    together, as the column sums of the spectrum's pull-back rows that f
-    picks.
+    Continuity is checked literally, as in is_continuous: every open of the
+    spectrum is pulled back along f and looked up in O(X), and
+    NotContinuous is raised when one preimage is not open.  σ(a) is the
+    preimage of the open ``spectrum.supp_opens[a]``, or of its complement
+    for the closed flavors.
     """
-    f = tuple(f)
-    if len(f) != x.n:
-        raise ValueError("map must be total on the points of the source")
-    if f and not 0 <= min(f) <= max(f) < spectrum.space.n:
-        raise ValueError("map must send every point to a point of the spectrum")
-    l = spectrum.lattice
-    if f:
-        rows = spectrum.pullbacks(x.n)
-        pulled = list(map(sum, zip(*[rows[i][v] for i, v in enumerate(f)])))
-    else:
-        pulled = [0] * (l.n + len(spectrum.space.opens))
-    if not x.openset.issuperset(pulled[l.n :]):
+    pulled = pull_back_opens(f, x, spectrum.space)
+    if not x.openset.issuperset(pulled):
         raise NotContinuous("map into the spectrum is not continuous")
-    return SupportDatum(l, x, pulled[: l.n], spectrum.supp.flavor)
+    flip = 0 if spectrum.supp.flavor == "lattice-open" else x.full
+    sigma = [pulled[k] ^ flip for k in spectrum.supp_opens]
+    return SupportDatum(spectrum.lattice, x, sigma, spectrum.supp.flavor)
 
 
 def map_of_sigma(d, spectrum):
@@ -99,10 +90,7 @@ def _point_map(d, spectrum):
     l = d.lattice
     f = []
     for p in range(d.space.n):
-        members = 0
-        for a in range(l.n):
-            if not d.sigma[a] >> p & 1:
-                members |= 1 << a
+        members = sum(1 << a for a, s in enumerate(d.sigma) if not s >> p & 1)
         try:
             f.append(spectrum.point_of_ideal(members))
         except ValueError:
@@ -167,53 +155,36 @@ class AdjunctionCertificate:
 def check_adjunction(l, x, flavor, guard=None):
     """Certify that Σ is a bijection between continuous maps and support data.
 
-    Both sides are enumerated independently.  Every map f goes through
-    sigma_of_map, whose literal continuity check is the one check per map:
-    every open of the spectrum is pulled back along f and looked up in
-    O(X).  Σ(f) is validated literally (each σ(a) is looked up in the
-    flavor's family, and every pair a < b is checked for join and, in the
-    lattice flavors, meet), looked up among the data, and
-    map_of_sigma(sigma_of_map(f)) = f is checked pointwise.  The tables
-    these checks read (pull-back rows, pair lists, membership sets) depend
-    on one spectrum, lattice or space each; no check result is kept.
+    Both sides are enumerated independently, then certified in one pass over
+    the maps.  Every map f goes through sigma_of_map, whose literal
+    continuity check is the one check per map: every open of the spectrum
+    is pulled back along f and looked up in O(X).  Σ(f) is validated
+    literally (each σ(a) is looked up in the flavor's family, and every
+    pair a < b is checked for join and, in the lattice flavors, meet), must
+    be a datum that no earlier map reached, and must map back:
+    map_of_sigma(Σ(f)) = f is checked pointwise.  The tables these checks read (pull-back rows, pair
+    lists, membership sets) depend on one space, lattice or spectrum each;
+    no check result is kept.
 
-    The roundtrip sigma_of_map(map_of_sigma(d)) = d is run literally only for
-    the data that no map reached.  If Σ(f) validated, equals a datum d seen
-    for the first time, and maps back to f, then map_of_sigma(d) and Σ of its
-    result are deterministic functions of inputs already evaluated (the same
-    sigma, lattice, space and flavor): they give f and Σ(f) = d again, so the
-    roundtrip of d is known to pass.
+    The bijection holds iff there are as many maps as data and every datum
+    is reached.  Then every datum d is Σ(f) for exactly one map f, and
+    map_of_sigma(d) = f was checked, so Σ(map_of_sigma(d)) = Σ(f) = d holds
+    too: both roundtrips are certified without a second pass over the data.
     """
     spectrum = spectrum_for(l, flavor)
     maps = enumerate_continuous(x, spectrum.space, guard)
     data = enumerate_support_data(l, x, flavor, guard)
+    unreached = {d.sigma for d in data}
     matching = []
-    seen = set()
-    roundtripped = set()
-    known = set(data)
     ok = len(maps) == len(data)
     for f in maps:
         d = sigma_of_map(f, x, spectrum)
         _require_valid(d)
-        first = d in known and d.sigma not in seen
-        if first:
-            seen.add(d.sigma)
-        else:
+        if d.sigma not in unreached or _point_map(d, spectrum) != f:
             ok = False
-        if _point_map(d, spectrum) != f:
-            ok = False
-        elif first:
-            roundtripped.add(d.sigma)
+        unreached.discard(d.sigma)
         matching.append((f, d.sigma))
-    for d in data:
-        if d.sigma in roundtripped:
-            continue
-        f = map_of_sigma(d, spectrum)
-        if sigma_of_map(f, x, spectrum) != d:
-            ok = False
-    if len(seen) != len(data):
-        ok = False
-    return AdjunctionCertificate(l, x, flavor, maps, data, matching, ok)
+    return AdjunctionCertificate(l, x, flavor, maps, data, matching, ok and not unreached)
 
 
 def datum_morphisms_to_final(d, spectrum):

@@ -296,7 +296,7 @@ def random_tensor_lattice(base, rng):
     of the axioms rejects the draw.
     """
     n = base.n
-    if "_ji" not in vars(base):
+    if not hasattr(base, "_ji"):
         # per element, the positions in base._ji of the join-irreducibles below it
         base._ji = ji = join_irreducibles(base)
         base._ji_below = [[k for k, i in enumerate(ji) if base.leq(i, a)] for a in range(n)]

@@ -46,9 +46,9 @@ class FiniteSpace:
         self.opens = tuple(family)
         self.openset = fam
         self._closed = None
-        self._closedset = None
         self._cl = None
         self._omega = None
+        self._pullbacks = {}
 
     def closed_sets(self):
         """The closed sets, by size then mask; computed on first use."""
@@ -58,11 +58,19 @@ class FiniteSpace:
             )
         return self._closed
 
-    def closedset(self):
-        """The closed sets as a frozenset, for membership tests; built on first use."""
-        if self._closedset is None:
-            self._closedset = frozenset(self.closed_sets())
-        return self._closedset
+    def pullbacks(self, n):
+        """Pull-back rows for maps from an n-point space; built on first use per n.
+
+        ``rows[i][v]`` is bit i of each open, pulled back along a map with
+        f(i) = v: 1 << i where v lies in the open, else 0.  The column sums
+        of the n rows that f picks are the preimages of the opens.
+        """
+        if n not in self._pullbacks:
+            self._pullbacks[n] = tuple(
+                tuple(tuple((u >> v & 1) << i for u in self.opens) for v in range(self.n))
+                for i in range(n)
+            )
+        return self._pullbacks[n]
 
     def closure(self, mask):
         """Smallest closed superset of mask."""
@@ -108,13 +116,12 @@ def _intersection_closure(masks, full):
 
 
 def space_from_closed_basis(points, basis):
-    """Topology whose closed sets are intersections of finite unions of basis sets."""
+    """Topology whose closed sets are intersections of finite unions of basis sets.
+
+    By De Morgan, the complements of the basis sets are an open basis."""
     points = tuple(points)
     full = (1 << len(points)) - 1
-    unions = _union_closure(basis)
-    closed = _intersection_closure(unions, full)
-    opens = {full & ~c for c in closed}
-    return FiniteSpace(points, opens)
+    return space_from_open_basis(points, [full & ~b for b in basis])
 
 
 def space_from_open_basis(points, basis):
@@ -184,8 +191,9 @@ def validate_support_datum(d):
     """Check the axioms of d's flavor; report the first violation with a witness.
 
     Every check is literal: each σ(a) is looked up in the flavor's family
-    (the closed sets, or the opens), σ(0) = ∅, and σ(a ∨ b) = σ(a) ∪ σ(b)
-    for every pair a < b; the bounded-lattice flavors also check σ(1) = X
+    (the opens, or the sets s whose complement s ^ X is open, which a bit
+    outside X keeps out), σ(0) = ∅, and σ(a ∨ b) = σ(a) ∪ σ(b) for every
+    pair a < b; the bounded-lattice flavors also check σ(1) = X
     and σ(a ∧ b) = σ(a) ∩ σ(b) for every pair a < b.  The pairs are read
     from the lattice's ``join_pairs()`` and ``meet_pairs()``.  The Certificate's
     detail names the first violated axiom ("closed" or "open", "empty",
@@ -197,12 +205,9 @@ def validate_support_datum(d):
     def fail(axiom, witness):
         return Certificate(False, {"axiom": axiom, "witness": witness})
 
-    if d.flavor == "lattice-open":
-        sets, kindname = x.openset, "open"
-    else:
-        sets, kindname = x.closedset(), "closed"
+    flip, kindname = (0, "open") if d.flavor == "lattice-open" else (x.full, "closed")
     for a, s in enumerate(sigma):
-        if s not in sets:
+        if s ^ flip not in x.openset:
             return fail(kindname, l.elements[a])
     if sigma[l.bottom] != 0:
         return fail("empty", l.elements[l.bottom])
@@ -233,7 +238,9 @@ class Spectrum:
         self.supp = supp
         self.point_ideals = tuple(point_ideals)  # base-lattice mask per point
         self._point = {m: p for p, m in enumerate(self.point_ideals)}
-        self._pullbacks = {}
+        # per a, the index in space.opens of supp(a), or of its complement if closed
+        flip = 0 if supp.flavor == "lattice-open" else supp.space.full
+        self.supp_opens = tuple(supp.space.opens.index(s ^ flip) for s in supp.sigma)
 
     @property
     def lattice(self):
@@ -249,22 +256,6 @@ class Spectrum:
             return self._point[members]
         except KeyError:
             raise ValueError(f"no point with ideal mask {members:b}") from None
-
-    def pullbacks(self, n):
-        """Pull-back rows for maps from an n-point space; built on first use per n.
-
-        ``rows[i][v]`` is bit i of each supp(a), then of each open of the
-        space, pulled back along a map with f(i) = v: 1 << i where v lies in
-        the set, else 0.  The column sums of the n rows that f picks are
-        f^{-1}(supp(a)) for each a, then the preimages of the opens.
-        """
-        if n not in self._pullbacks:
-            masks = self.supp.sigma + self.space.opens
-            self._pullbacks[n] = tuple(
-                tuple(tuple((m >> v & 1) << i for m in masks) for v in range(self.space.n))
-                for i in range(n)
-            )
-        return self._pullbacks[n]
 
 
 def _spectrum(l, masks, flavor):
@@ -329,15 +320,26 @@ def preimage(f, y_mask, x_n):
     return m
 
 
-def is_continuous(f, x, y):
-    """True iff the preimage of every open of y is open in x."""
+def pull_back_opens(f, x, y):
+    """The preimage along the point map f: x -> y of every open of y, in y.opens order.
+
+    These are the column sums of the rows of ``y.pullbacks(x.n)`` that f
+    picks; ValueError unless f is total on x with values among y's points.
+    """
     f = tuple(f)
     if len(f) != x.n:
         raise ValueError("map must be total on the points of the source")
-    for u in y.opens:
-        if preimage(f, u, x.n) not in x.openset:
-            return False
-    return True
+    if not f:
+        return [0] * len(y.opens)
+    if not 0 <= min(f) <= max(f) < y.n:
+        raise ValueError("map must send every point to a point of the target")
+    rows = y.pullbacks(x.n)
+    return list(map(sum, zip(*[rows[i][v] for i, v in enumerate(f)])))
+
+
+def is_continuous(f, x, y):
+    """True iff the preimage of every open of y is open in x."""
+    return x.openset.issuperset(pull_back_opens(f, x, y))
 
 
 def _minimal_opens(x):

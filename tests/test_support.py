@@ -407,7 +407,7 @@ class TestAdjunction:
         assert cert.bijection and cert.datum_count == 9
         assert backward_roundtrips == []
 
-    def test_dropped_map_fails_through_the_literal_backward_roundtrip(
+    def test_dropped_map_fails_without_a_backward_roundtrip(
         self, monkeypatch, backward_roundtrips
     ):
         monkeypatch.setattr(
@@ -418,7 +418,7 @@ class TestAdjunction:
         cert = check_adjunction(chain(3), discrete_space(["p", "q"]), "semilattice-closed")
         assert cert.bijection is False
         assert cert.map_count == 8 and cert.datum_count == 9
-        assert len(backward_roundtrips) == 1
+        assert backward_roundtrips == []
 
     def test_duplicated_map_fails(self, monkeypatch):
         def duplicating(x, y, guard=None):
@@ -428,6 +428,81 @@ class TestAdjunction:
         monkeypatch.setattr(support, "enumerate_continuous", duplicating)
         cert = check_adjunction(chain(3), discrete_space(["p", "q"]), "semilattice-closed")
         assert cert.bijection is False and cert.map_count == 10
+
+
+def two_pass_check_adjunction(l, x, flavor):
+    """The former check_adjunction, with its second pass over the unreached data.
+
+    Returns (bijection, map count, datum count, matching); it reads every
+    helper through the support module, so a fault patched there reaches it.
+    """
+    spectrum = support.spectrum_for(l, flavor)
+    maps = support.enumerate_continuous(x, spectrum.space)
+    data = support.enumerate_support_data(l, x, flavor)
+    matching = []
+    seen = set()
+    roundtripped = set()
+    known = set(data)
+    ok = len(maps) == len(data)
+    for f in maps:
+        d = support.sigma_of_map(f, x, spectrum)
+        support._require_valid(d)
+        first = d in known and d.sigma not in seen
+        if first:
+            seen.add(d.sigma)
+        else:
+            ok = False
+        if support._point_map(d, spectrum) != f:
+            ok = False
+        elif first:
+            roundtripped.add(d.sigma)
+        matching.append((f, d.sigma))
+    for d in data:
+        if d.sigma in roundtripped:
+            continue
+        f = support.map_of_sigma(d, spectrum)
+        if support.sigma_of_map(f, x, spectrum) != d:
+            ok = False
+    if len(seen) != len(data):
+        ok = False
+    return ok, len(maps), len(data), matching
+
+
+ADJUNCTION_FAULTS = {
+    "none": None,
+    "drop first map": ("enumerate_continuous", lambda found: found[1:]),
+    "duplicate a map": ("enumerate_continuous", lambda found: found + found[:1]),
+    "drop first datum": ("enumerate_support_data", lambda found: found[1:]),
+    "duplicate a datum": ("enumerate_support_data", lambda found: found + found[:1]),
+    "reverse the point map": ("_point_map", lambda found: found[::-1]),
+}
+
+
+@pytest.mark.parametrize("fault", ADJUNCTION_FAULTS)
+def test_one_pass_matches_the_two_pass_certificate(monkeypatch, corpus4, fault):
+    if ADJUNCTION_FAULTS[fault]:
+        name, change = ADJUNCTION_FAULTS[fault]
+        original = getattr(support, name)
+        monkeypatch.setattr(support, name, lambda *args: change(original(*args)))
+    cases = raised = refused = 0
+    for l in corpus4:
+        for x in space_corpus(2):
+            for flavor in FLAVORS:
+                cert = check_adjunction(l, x, flavor)
+                cases += 1
+                refused += not cert.bijection
+                try:
+                    oracle = two_pass_check_adjunction(l, x, flavor)
+                except (InvalidDatum, NotContinuous):
+                    # the former second pass raised where the verdict was already False
+                    assert cert.bijection is False
+                    raised += 1
+                    continue
+                got = (cert.bijection, cert.map_count, cert.datum_count, cert.matching)
+                assert got == oracle
+    # a fault can leave a case intact (no map to drop, a one-point map to reverse)
+    assert cases == 90 and (refused > 0) is (fault != "none")
+    assert (raised > 0) is (fault == "reverse the point map")
 
 
 class TestSpectrumFor:
@@ -476,6 +551,11 @@ class TestNaturality:
         for l in corpus4:
             for flavor in FLAVORS:
                 assert check_naturality(l, ident, x, x, flavor).ok
+
+    def test_g_off_the_points_of_y_is_rejected(self):
+        x, y = discrete_space(["p", "q"]), discrete_space(["u"])
+        with pytest.raises(ValueError, match="map must"):
+            check_naturality(two(), (0, 5), x, y, "semilattice-closed")
 
     def test_discontinuous_g_rejected(self):
         x, y = sierpinski(), sierpinski()

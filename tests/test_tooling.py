@@ -58,6 +58,25 @@ def test_no_import_inside_a_function():
     assert function_imports() == []
 
 
+def instance_dict_reads():
+    """``module:line`` for every call to ``vars`` and every ``__dict__`` in lattik."""
+    out = []
+    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            called = isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            if (called and node.func.id == "vars") or (
+                isinstance(node, ast.Attribute) and node.attr == "__dict__"
+            ):
+                out.append(f"{path.stem}:{node.lineno}")
+    return out
+
+
+def test_no_instance_dict_is_read():
+    # on CPython 3.11 reading an instance's __dict__ turns its inline attributes
+    # into a dict, and every later attribute load on it gets slower
+    assert instance_dict_reads() == []
+
+
 def tracer_names(variable):
     """The ``"<module>.<name>"`` strings of a tuple assigned in bench/tracer.py."""
     for node in ast.parse(TRACER.read_text()).body:

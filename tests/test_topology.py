@@ -21,6 +21,7 @@ from lattik.topology import (
     is_homeomorphic,
     is_homeomorphism,
     omega_lattice,
+    preimage,
     sp_space,
     space_from_closed_basis,
     space_from_open_basis,
@@ -36,6 +37,23 @@ def inverse(f):
 def sierpinski():
     # {p} closed, {q} open
     return space_from_closed_basis(["p", "q"], [0b01])
+
+
+def literal_closed_basis_space(points, basis):
+    """Closed sets as the intersections of the finite unions of the basis sets."""
+    full = (1 << len(points)) - 1
+    unions = {0}
+    for b in basis:
+        unions |= {b | m for m in unions}
+    closed = {full}
+    for m in unions:
+        closed |= {m & c for c in closed}
+    return FiniteSpace(points, {full & ~c for c in closed})
+
+
+def literal_is_continuous(f, x, y):
+    """The preimage of every open of y, pulled back one by one, is open in x."""
+    return all(preimage(f, u, x.n) in x.openset for u in y.opens)
 
 
 class TestSpaceConstruction:
@@ -91,6 +109,17 @@ class TestSpaceConstruction:
                     inter &= m
             assert inter == c
 
+    def test_closed_basis_matches_the_literal_closure(self):
+        families = 0
+        for n in range(4):
+            points = "pqr"[:n]
+            for chosen in product((False, True), repeat=1 << n):
+                basis = [m for m, keep in enumerate(chosen) if keep]
+                got = space_from_closed_basis(points, basis)
+                assert got.opens == literal_closed_basis_space(points, basis).opens
+                families += 1
+        assert families == 278
+
     def test_rejects_non_closed_family(self):
         with pytest.raises(ValueError):
             FiniteSpace(["p", "q", "r"], [0, 0b001, 0b010, 0b111])
@@ -98,7 +127,7 @@ class TestSpaceConstruction:
     def test_membership_sets_match_the_families(self, spaces3):
         for x in spaces3:
             assert x.openset == set(x.opens)
-            assert x.closedset() == set(x.closed_sets())
+            assert all(x.full & ~c in x.openset for c in x.closed_sets())
 
     def test_empty_space(self):
         x = FiniteSpace([], [0])
@@ -313,6 +342,22 @@ class TestContinuity:
                 if is_continuous(f, x, y)
             ]
             assert enumerate_continuous(x, y) == expected
+
+    def test_matches_the_literal_preimage_loop_on_every_map(self, spaces3):
+        maps = continuous = 0
+        for x in spaces3:
+            for y in spaces3:
+                for f in product(range(y.n), repeat=x.n):
+                    got = is_continuous(f, x, y)
+                    assert got == literal_is_continuous(f, x, y)
+                    maps += 1
+                    continuous += got
+        assert maps == 24907 and 0 < continuous < maps
+
+    @pytest.mark.parametrize("f", [(0, 5), (0, 1), (0, -1), (0,), (0, 0, 0)])
+    def test_map_off_the_points_is_rejected(self, f):
+        with pytest.raises(ValueError, match="map must"):
+            is_continuous(f, discrete_space(["p", "q"]), discrete_space(["u"]))
 
     def test_guard_bounds_candidate_maps_only(self):
         # the search expands 1 + 3 + 9 nodes of 3 values each, 39 > 27 attempts,
