@@ -19,6 +19,7 @@ from .errors import InputError, LattikError, NotAFrame, TensorAxiomError
 from .ideals import ideal_masks, prime_masks
 from .jsonio import (
     datum_from_json,
+    fields,
     lattice_from_json,
     lattice_to_json,
     poset_from_json,
@@ -56,16 +57,6 @@ def _load_json(path):
 
 def _load_lattice(path):
     return lattice_from_json(_load_json(path))
-
-
-def _fields(obj, *names):
-    """The values of the named fields of a JSON object; InputError if one is missing."""
-    if not isinstance(obj, dict):
-        raise InputError("input JSON must be an object")
-    for field in names:
-        if field not in obj:
-            raise InputError(f"missing field {field!r}")
-    return [obj[field] for field in names]
 
 
 def _map_from_json(images, source, target, what):
@@ -173,8 +164,8 @@ def cmd_adjunction(args):
 
 
 def cmd_naturality(args):
-    lattice_obj, x_obj, y_obj, images, flavor = _fields(
-        _load_json(args.file), "lattice", "space_x", "space_y", "map", "flavor"
+    lattice_obj, x_obj, y_obj, images, flavor = fields(
+        _load_json(args.file), "input", "lattice", "space_x", "space_y", "map", "flavor"
     )
     _, lattice = lattice_from_json(lattice_obj)
     x = space_from_json(x_obj)
@@ -206,13 +197,15 @@ def cmd_frame_points(args):
     pt = framesmod.points(frame, args.size_guard)
     return {
         "name": name,
-        "point_count": len(pt),
+        "point_count": pt.space.n,
         "space": space_to_json(pt.space),
     }
 
 
 def cmd_extend(args):
-    lattice_obj, frame_obj, images = _fields(_load_json(args.file), "lattice", "frame", "map")
+    lattice_obj, frame_obj, images = fields(
+        _load_json(args.file), "input", "lattice", "frame", "map"
+    )
     _, lattice = lattice_from_json(lattice_obj)
     _, frame_lattice = lattice_from_json(frame_obj)
     frame = _as_frame(frame_lattice)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import NotAFrame, NotDistributive
-from .ideals import all_ideals, ideal_masks
+from .ideals import all_ideals, ideal_masks, ideal_of_morphism
 from .order import (
     Certificate,
     bits,
@@ -12,10 +12,9 @@ from .order import (
     inclusion_isomorphism_failure,
     is_distributive,
     is_morphism,
-    set_label,
     two,
 )
-from .topology import FiniteSpace, hochster_dual, is_homeomorphism
+from .topology import _spectrum, hochster_dual, is_homeomorphism
 
 
 class Frame:
@@ -49,36 +48,21 @@ def as_frame(l):
     return Frame(l)
 
 
-class PointSpace:
-    """The space Pt(F): frame morphisms F -> 2 with opens U(a) = {φ : φ[a] = 1}."""
-
-    def __init__(self, frame, morphisms, space, u_sets):
-        self.frame = frame
-        self.morphisms = morphisms
-        self.space = space
-        self.u_sets = tuple(u_sets)  # point mask per frame element
-
-    def __len__(self):
-        return len(self.morphisms)
-
-
 def points(f, guard=None):
-    """All points of the frame and the topology generated by the sets U(a).
+    """Pt(F), the points of the frame with opens U(a) = {φ : φ(a) = 1}, as Spc(F)^v.
 
     A point is a frame morphism F -> 2: it preserves arbitrary joins and
     finite meets, and every join over a finite carrier is a finite one, so
-    the points are the bounded-lattice morphisms F -> 2.  Each point is an
-    image tuple (``PointSpace.morphisms``), named by its kernel φ⁻¹(0).
+    the points are the bounded-lattice morphisms F -> 2, in the order of the
+    morphism search.  Each is read as its kernel φ⁻¹(0), a prime ideal, and
+    U(a) is then supp(a) = {P : a not in P}; so Pt(F) is the lattice-open
+    spectrum on the kernels, with U as its supp datum (``supp.sigma``).
     """
-    morphisms = enumerate_morphisms(f.lattice, two(), "blat", guard)
-    labels = [
-        set_label(f.lattice.elements, sum(1 << a for a, v in enumerate(phi) if v == 0))
-        for phi in morphisms
+    kernels = [
+        ideal_of_morphism(f.lattice, phi, "blat")
+        for phi in enumerate_morphisms(f.lattice, two(), "blat", guard)
     ]
-    u_sets = [sum(phi[a] << p for p, phi in enumerate(morphisms)) for a in range(f.n)]
-    # The U(a) are already closed under union and intersection.
-    space = FiniteSpace(labels, set(u_sets) | {0, (1 << len(morphisms)) - 1})
-    return PointSpace(f, morphisms, space, u_sets)
+    return _spectrum(f.lattice, kernels, "lattice-open")
 
 
 class SpatialityCertificate:
@@ -109,13 +93,13 @@ def is_spatial(f, guard=None):
     injective = True
     witness = None
     for a in range(f.n):
-        u = pt.u_sets[a]
+        u = pt.supp.sigma[a]
         if u in seen:
             injective = False
             witness = (f.lattice.elements[seen[u]], f.lattice.elements[a])
             break
         seen[u] = a
-    surjective = set(pt.space.opens) <= set(pt.u_sets)
+    surjective = set(pt.space.opens) <= set(pt.supp.sigma)
     return SpatialityCertificate(f, injective, surjective, witness)
 
 
@@ -151,8 +135,9 @@ def extend_morphism(l, f, phi):
 def pt_ideal_vs_hochster(l, guard=None):
     """Certify Pt(Id(L)) ≅ Spc(L)^v via φ ↦ φ^{-1}(0) ∩ L, for distributive L.
 
-    The map identifies each point of Id(L) with a prime ideal of L and must
-    carry U(principal(a)) to supp(a); both transport directions are checked.
+    The map sends the kernel K of each point of Id(L) to {a : ↓a in K}, which
+    must be a prime ideal of L, and must carry U(principal(a)) to supp(a);
+    both transport directions are checked.
     """
     if not is_distributive(l):
         raise NotDistributive("the base lattice must be distributive")
@@ -160,10 +145,10 @@ def pt_ideal_vs_hochster(l, guard=None):
     frame = as_frame(idl.lattice)
     pt = points(frame, guard)
     dualspec = hochster_dual(l)
+    principal = [idl.index_of_mask(d) for d in l.down]
     mapping = []
-    for phi in pt.morphisms:
-        restricted = restrict_along_principal(l, idl, phi)
-        members = sum(1 << a for a, v in enumerate(restricted) if v == 0)
+    for kernel in pt.point_ideals:
+        members = sum(1 << a for a, k in enumerate(principal) if kernel >> k & 1)
         try:
             mapping.append(dualspec.point_of_ideal(members))
         except ValueError:
@@ -171,10 +156,9 @@ def pt_ideal_vs_hochster(l, guard=None):
     if not is_homeomorphism(mapping, pt.space, dualspec.space):
         return Certificate(False, {"reason": "not a homeomorphism"})
     # U(principal(a)) must transport to supp(a)
-    for a in range(l.n):
-        k = idl.index_of_mask(l.down[a])
+    for a, k in enumerate(principal):
         transported = 0
-        for p in bits(pt.u_sets[k]):
+        for p in bits(pt.supp.sigma[k]):
             transported |= 1 << mapping[p]
         if transported != dualspec.supp.sigma[a]:
             return Certificate(

@@ -16,6 +16,16 @@ def _strings(value, what):
     return value
 
 
+def fields(obj, what, *names):
+    """The values of the named fields of a JSON object; InputError naming what otherwise."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{what} JSON must be an object")
+    for name in names:
+        if name not in obj:
+            raise InputError(f"missing {what} field: {name!r}")
+    return [obj[name] for name in names]
+
+
 def _point_mask(points, names, what):
     """The mask of the named points; InputError naming what, UnknownName for a stranger."""
     mask = 0
@@ -28,11 +38,8 @@ def _point_mask(points, names, what):
 
 def poset_from_json(obj):
     """Parse the lattice JSON carrier: name, elements, leq pairs."""
-    if not isinstance(obj, dict):
-        raise InputError("lattice JSON must be an object")
-    if "elements" not in obj:
-        raise InputError("missing lattice field: 'elements'")
-    elements = _strings(obj["elements"], "elements")
+    (elements,) = fields(obj, "lattice", "elements")
+    elements = _strings(elements, "elements")
     leq = obj.get("leq", [])
     if not isinstance(leq, list) or any(len(_strings(p, "each leq pair")) != 2 for p in leq):
         raise InputError("leq must be a list of [a, b] pairs")
@@ -54,11 +61,8 @@ def tensor_from_json(obj):
     section = obj.get("tensor")
     if not isinstance(section, dict):
         raise InputError("lattice JSON has no tensor section")
-    try:
-        unit = jsl.index(section["unit"])
-        table = section["table"]
-    except KeyError as exc:
-        raise InputError(f"missing tensor field: {exc}") from exc
+    unit, table = fields(section, "tensor", "unit", "table")
+    unit = jsl.index(unit)
     if not isinstance(table, list) or len(table) != jsl.n or any(
         len(_strings(row, "each tensor table row")) != jsl.n for row in table
     ):
@@ -80,13 +84,8 @@ def lattice_to_json(lattice, name=""):
 
 
 def space_from_json(obj):
-    if not isinstance(obj, dict):
-        raise InputError("space JSON must be an object")
-    try:
-        points = _strings(obj["points"], "points")
-        opens = obj["opens"]
-    except KeyError as exc:
-        raise InputError(f"missing space field: {exc}") from exc
+    points, opens = fields(obj, "space", "points", "opens")
+    points = _strings(points, "points")
     if not isinstance(opens, list):
         raise InputError("opens must be a list")
     masks = [_point_mask(points, u, "each open") for u in opens]
@@ -105,23 +104,20 @@ def space_to_json(space):
 
 def datum_from_json(obj):
     """Parse {"lattice":..., "space":..., "flavor":..., "sigma": {elem: [points]}}."""
-    if not isinstance(obj, dict):
-        raise InputError("datum JSON must be an object")
-    for field in ("lattice", "space", "flavor", "sigma"):
-        if field not in obj:
-            raise InputError(f"missing datum field: {field!r}")
-    _, lattice = lattice_from_json(obj["lattice"])
-    space = space_from_json(obj["space"])
-    flavor = obj["flavor"]
+    lattice_obj, space_obj, flavor, images = fields(
+        obj, "datum", "lattice", "space", "flavor", "sigma"
+    )
+    _, lattice = lattice_from_json(lattice_obj)
+    space = space_from_json(space_obj)
     if flavor not in FLAVORS:
         raise InputError(f"unknown flavor {flavor!r}")
-    if not isinstance(obj["sigma"], dict):
+    if not isinstance(images, dict):
         raise InputError("sigma must be an object from elements to lists of points")
     sigma = []
     for e in lattice.elements:
-        if e not in obj["sigma"]:
+        if e not in images:
             raise InputError(f"sigma missing element {e!r}")
-        sigma.append(_point_mask(space.points, obj["sigma"][e], "each sigma value"))
+        sigma.append(_point_mask(space.points, images[e], "each sigma value"))
     return SupportDatum(lattice, space, sigma, flavor)
 
 

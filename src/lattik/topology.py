@@ -121,13 +121,17 @@ def space_from_closed_basis(points, basis):
     By De Morgan, the complements of the basis sets are an open basis."""
     points = tuple(points)
     full = (1 << len(points)) - 1
-    return space_from_open_basis(points, [full & ~b for b in basis])
+    return space_from_open_basis(points, [b ^ full for b in basis])
 
 
 def space_from_open_basis(points, basis):
-    """Topology whose open sets are unions of finite intersections of basis sets."""
+    """Topology whose open sets are unions of finite intersections of basis sets.
+
+    ValueError if a basis set names a bit outside the points."""
     points = tuple(points)
     full = (1 << len(points)) - 1
+    if any(b & ~full for b in basis):
+        raise ValueError("basis set references unknown point")
     inters = _intersection_closure(basis, full)
     opens = _union_closure(inters)
     return FiniteSpace(points, opens)
@@ -163,9 +167,11 @@ class SupportDatum:
     def __init__(self, lattice, space, sigma, flavor):
         if flavor not in FLAVORS:
             raise ValueError(f"unknown flavor {flavor!r}")
+        self.sigma = tuple(sigma)
+        if len(self.sigma) != lattice.n:
+            raise ValueError("sigma must have one point set per lattice element")
         self.lattice = lattice
         self.space = space
-        self.sigma = tuple(sigma)
         self.flavor = flavor
 
     def __eq__(self, other):
@@ -181,7 +187,7 @@ class SupportDatum:
 
     def __repr__(self):
         parts = ", ".join(
-            f"{a}->{set(self.space.subset_names(s)) or '{}'}"
+            f"{a}->{set_label(self.space.points, s)}"
             for a, s in zip(self.lattice.elements, self.sigma)
         )
         return f"SupportDatum[{self.flavor}]({parts})"

@@ -18,8 +18,8 @@ from lattik.frames import (
 )
 from lattik.ideals import all_ideals, ideal_of_morphism, prime_masks
 from lattik.jsonio import lattice_from_json
-from lattik.order import bits, dual, enumerate_morphisms, is_distributive, two
-from lattik.topology import hochster_dual, omega_lattice
+from lattik.order import bits, dual, enumerate_morphisms, is_distributive, set_label, two
+from lattik.topology import FiniteSpace, hochster_dual, omega_lattice
 
 
 def literal_frame_law_witness(l):
@@ -134,20 +134,46 @@ class TestFrameMorphisms:
             assert literal == [m for m in enumerate_morphisms(l, tgt, "blat")]
 
 
+def morphism_point_space(f):
+    """Pt(F) built from the morphisms F -> 2 alone: their kernels, the space, the U(a).
+
+    U(a) = {φ : φ(a) = 1} as a point mask; the U(a) are closed under union and
+    intersection, so with the empty and full sets they are the opens.
+    """
+    morphisms = enumerate_morphisms(f.lattice, two(), "blat")
+    kernels = [sum(1 << a for a, v in enumerate(phi) if v == 0) for phi in morphisms]
+    u_sets = [sum(phi[a] << p for p, phi in enumerate(morphisms)) for a in range(f.n)]
+    labels = [set_label(f.lattice.elements, k) for k in kernels]
+    space = FiniteSpace(labels, set(u_sets) | {0, (1 << len(morphisms)) - 1})
+    return kernels, space, tuple(u_sets)
+
+
 class TestPoints:
+    def test_points_match_the_morphism_space(self):
+        for l in lattice_corpus(8):
+            if not is_distributive(l):
+                continue
+            f = as_frame(l)
+            kernels, space, u_sets = morphism_point_space(f)
+            pt = points(f)
+            assert pt.space.points == space.points
+            assert pt.space.opens == space.opens
+            assert pt.supp.sigma == u_sets
+            assert pt.point_ideals == tuple(kernels)
+
     def test_two_has_one_point(self):
         pt = points(as_frame(two()))
-        assert len(pt) == 1 and pt.space.n == 1
+        assert pt.space.n == 1
 
     def test_b2_has_two_points(self):
         pt = points(as_frame(b2()))
-        assert len(pt) == 2
+        assert pt.space.n == 2
         assert len(pt.space.opens) == 4  # discrete
 
     def test_chain_points_form_a_chain(self):
         f = as_frame(chain(4))
         pt = points(f)
-        assert len(pt) == 3
+        assert pt.space.n == 3
         assert len(pt.space.opens) == 4
 
     def test_u_sets_are_opens(self, corpus5):
@@ -155,7 +181,7 @@ class TestPoints:
             if not is_distributive(l):
                 continue
             pt = points(as_frame(l))
-            assert set(pt.u_sets) <= set(pt.space.opens)
+            assert set(pt.supp.sigma) <= set(pt.space.opens)
 
     def test_points_count_equals_blat_homs_to_two(self, corpus5):
         # on finite carriers frame morphisms into 2 are the blat morphisms
@@ -163,7 +189,7 @@ class TestPoints:
             if not is_distributive(l):
                 continue
             pt = points(as_frame(l))
-            assert len(pt) == len(enumerate_morphisms(l, two(), "blat"))
+            assert pt.space.n == len(enumerate_morphisms(l, two(), "blat"))
 
     def test_points_are_the_prime_ideals(self, corpus6):
         # each point is a blat morphism F -> 2, so its kernel is a prime ideal
@@ -171,7 +197,9 @@ class TestPoints:
             if not is_distributive(l):
                 continue
             pt = points(as_frame(l))
-            kernels = [ideal_of_morphism(l, phi, "blat") for phi in pt.morphisms]
+            morphisms = enumerate_morphisms(l, two(), "blat")
+            kernels = [ideal_of_morphism(l, phi, "blat") for phi in morphisms]
+            assert kernels == list(pt.point_ideals)
             assert sorted(kernels) == sorted(prime_masks(l))
 
 

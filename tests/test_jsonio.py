@@ -7,6 +7,7 @@ from lattik.errors import InputError, UnknownName
 from lattik.jsonio import (
     datum_from_json,
     datum_to_json,
+    fields,
     lattice_from_json,
     lattice_to_json,
     poset_to_dot,
@@ -17,6 +18,34 @@ from lattik.jsonio import (
 from lattik.order import is_isomorphic
 from lattik.support import spectrum_for
 from lattik.tensor import check_tensor_lemma
+
+
+class TestFields:
+    def test_values_in_the_order_named(self):
+        assert fields({"a": 1, "b": 2}, "input", "b", "a") == [2, 1]
+
+    def test_non_object(self):
+        with pytest.raises(InputError, match="^space JSON must be an object$"):
+            fields([], "space", "points")
+
+    @pytest.mark.parametrize(
+        "parse, obj, message",
+        [
+            (lattice_from_json, {"leq": []}, "missing lattice field: 'elements'"),
+            (space_from_json, {"points": []}, "missing space field: 'opens'"),
+            (space_from_json, {"points": 5}, "missing space field: 'opens'"),
+            (datum_from_json, {"lattice": {}}, "missing datum field: 'space'"),
+            (
+                tensor_from_json,
+                dict(lattice_to_json(b2()), tensor={"table": []}),
+                "missing tensor field: 'unit'",
+            ),
+        ],
+    )
+    def test_each_parser_names_the_missing_field(self, parse, obj, message):
+        with pytest.raises(InputError) as err:
+            parse(obj)
+        assert str(err.value) == message
 
 
 class TestLatticeJson:

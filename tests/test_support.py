@@ -144,6 +144,17 @@ class TestValidation:
         report = validate_support_datum(d)
         assert not report.ok and report.detail["axiom"] == "meet"
 
+    @pytest.mark.parametrize("sigma", [(0, 1, 3, 3), (0, 1)], ids=["one-extra", "one-short"])
+    def test_sigma_has_one_mask_per_element(self, sigma):
+        x = discrete_space(["p", "q"])
+        with pytest.raises(ValueError, match="one point set per lattice element"):
+            SupportDatum(chain(3), x, sigma, "semilattice-closed")
+
+    def test_repr_names_each_set_in_point_order(self):
+        x = discrete_space(["p", "q"])
+        d = SupportDatum(two(), x, (0, x.full), "semilattice-closed")
+        assert repr(d) == "SupportDatum[semilattice-closed](0->{}, 1->{p,q})"
+
     def test_matches_brute_oracle(self, corpus4):
         small = [
             FiniteSpace([], [0]),

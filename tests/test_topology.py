@@ -120,6 +120,11 @@ class TestSpaceConstruction:
                 families += 1
         assert families == 278
 
+    @pytest.mark.parametrize("build", [space_from_open_basis, space_from_closed_basis])
+    def test_basis_rejects_unknown_point(self, build):
+        with pytest.raises(ValueError, match="basis set references unknown point"):
+            build(["p"], [0b10])
+
     def test_rejects_non_closed_family(self):
         with pytest.raises(ValueError):
             FiniteSpace(["p", "q", "r"], [0, 0b001, 0b010, 0b111])
