@@ -2,10 +2,8 @@
 
 from .order import (
     BoundedLattice,
-    JoinSemilattice,
     Poset,
     as_bounded_lattice,
-    as_join_semilattice,
     build_poset,
     dual,
     enumerate_morphisms,

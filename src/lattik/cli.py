@@ -15,7 +15,7 @@ from . import frames as framesmod
 from . import support as supportmod
 from . import tensor as tensormod
 from . import topology as topomod
-from .errors import InputError, LattikError, NotAFrame, TensorAxiomError
+from .errors import InputError, LattikError, NotAFrame, TensorAxiomError, UnknownName
 from .ideals import ideal_masks, prime_masks
 from .jsonio import (
     datum_from_json,
@@ -60,7 +60,10 @@ def _load_lattice(path):
 
 
 def _map_from_json(images, source, target, what):
-    """Index in ``target`` of the image of each name in ``source``, read from a JSON map."""
+    """Index in ``target`` of the image of each name in ``source``, read from a JSON map.
+
+    The keys of the map must be exactly the names in ``source``.
+    """
     if not isinstance(images, dict):
         raise InputError(f"map must be an object from {what}")
     mapping = []
@@ -70,6 +73,9 @@ def _map_from_json(images, source, target, what):
         if images[e] not in target:
             raise InputError(f"image {images[e]!r} of {e!r} is unknown")
         mapping.append(target.index(images[e]))
+    for key in images:
+        if key not in source:
+            raise UnknownName(f"map key {key!r} names nothing in the source")
     return tuple(mapping)
 
 

@@ -177,7 +177,8 @@ def all_lattices(max_n):
     meet-semilattice with the bottom e0, and a finite meet-semilattice with
     a top is a lattice: a ∨ b is the meet of the upper bounds of a and b,
     a set that the top makes nonempty.  as_bounded_lattice still checks
-    every join and meet literally.
+    that the bottom and every join exist, and reads the meets off the
+    down-sets.
     """
     if not 1 <= max_n <= MAX_CORPUS_N:
         raise BoundExceeded(

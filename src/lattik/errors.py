@@ -27,17 +27,7 @@ class NoJoin(InputError):
         self.pair = (a, b)
 
 
-class NoMeet(InputError):
-    def __init__(self, a, b):
-        super().__init__(f"elements {a!r} and {b!r} have no greatest lower bound")
-        self.pair = (a, b)
-
-
 class NoBottom(InputError):
-    pass
-
-
-class NoTop(InputError):
     pass
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import InputError, UnknownName
-from .order import as_bounded_lattice, as_join_semilattice, bits, build_poset
+from .order import as_bounded_lattice, bits, build_poset
 from .support import FLAVORS, SupportDatum
 from .tensor import TensorLattice
 from .topology import FiniteSpace
@@ -56,19 +56,18 @@ def lattice_from_json(obj):
 
 def tensor_from_json(obj):
     """Parse a lattice JSON with its optional tensor section into a TensorLattice."""
-    name, poset = poset_from_json(obj)
-    jsl = as_join_semilattice(poset)
+    name, base = lattice_from_json(obj)
     section = obj.get("tensor")
     if not isinstance(section, dict):
         raise InputError("lattice JSON has no tensor section")
     unit, table = fields(section, "tensor", "unit", "table")
-    unit = jsl.index(unit)
-    if not isinstance(table, list) or len(table) != jsl.n or any(
-        len(_strings(row, "each tensor table row")) != jsl.n for row in table
+    unit = base.index(unit)
+    if not isinstance(table, list) or len(table) != base.n or any(
+        len(_strings(row, "each tensor table row")) != base.n for row in table
     ):
         raise InputError("tensor table must be square over the carrier")
-    product = [[jsl.index(cell) for cell in row] for row in table]
-    return name, TensorLattice(jsl, product, unit)
+    product = [[base.index(cell) for cell in row] for row in table]
+    return name, TensorLattice(base, product, unit)
 
 
 def lattice_to_json(lattice, name=""):
@@ -118,6 +117,9 @@ def datum_from_json(obj):
         if e not in images:
             raise InputError(f"sigma missing element {e!r}")
         sigma.append(_point_mask(space.points, images[e], "each sigma value"))
+    for key in images:
+        if key not in lattice.elements:
+            raise UnknownName(f"sigma key {key!r} names no element")
     return SupportDatum(lattice, space, sigma, flavor)
 
 

@@ -1,4 +1,4 @@
-"""Finite posets, join-semilattices, and bounded lattices over bitmask carriers.
+"""Finite posets and bounded lattices over bitmask carriers.
 
 Elements are indexed densely by their position in the declared name list.
 Every subset of the carrier is an int bitmask: bit i set means element i is
@@ -12,8 +12,6 @@ from .errors import (
     DuplicateName,
     NoBottom,
     NoJoin,
-    NoMeet,
-    NoTop,
     NotAntisymmetric,
     SizeGuardExceeded,
     UnknownName,
@@ -132,15 +130,19 @@ def build_poset(names, leq_pairs):
     return Poset(names, up)
 
 
-class JoinSemilattice(Poset):
-    """Poset with all finite joins, including the empty join (bottom)."""
+class BoundedLattice(Poset):
+    """Poset with all finite joins and meets; carries 0 and 1."""
 
-    def __init__(self, elements, up, bottom, join):
+    def __init__(self, elements, up, bottom, join, top, meet):
         super().__init__(elements, up)
         self.bottom = bottom
         self.join = tuple(tuple(row) for row in join)
+        self.top = top
+        self.meet = tuple(tuple(row) for row in meet)
         self._join_pairs = None
         self._join_to = None
+        self._meet_pairs = None
+        self._meet_to = None
 
     def join_pairs(self):
         """(a, b, a ∨ b) for every pair a < b, in the order of a, then b; built on first use."""
@@ -160,17 +162,6 @@ class JoinSemilattice(Poset):
         for i in bits(mask):
             acc = self.join[acc][i]
         return acc
-
-
-class BoundedLattice(JoinSemilattice):
-    """Poset with all finite joins and meets; carries 0 and 1."""
-
-    def __init__(self, elements, up, bottom, join, top, meet):
-        super().__init__(elements, up, bottom, join)
-        self.top = top
-        self.meet = tuple(tuple(row) for row in meet)
-        self._meet_pairs = None
-        self._meet_to = None
 
     def meet_pairs(self):
         """(a, b, a ∧ b) for every pair a < b, in the order of a, then b; built on first use."""
@@ -195,48 +186,38 @@ def _pairs_with(table):
     return tuple((a, b, table[a][b]) for a in range(n) for b in range(a + 1, n))
 
 
-def _bound_and_table(p, up, no_bound, no_pair):
-    """The least element and least-bound table of p read along ``up``.
+def as_bounded_lattice(p):
+    """The bounded lattice on p, or NoBottom, or NoJoin for the first pair without a join.
 
-    With up = p.up these are the bottom and the join table; with p.down,
-    the top and the meet table.  Raises no_bound(message) when the bound
-    is missing and no_pair(a, b) for the first pair without a least bound.
+    Each up-set and each down-set names its element, by antisymmetry.  The
+    bottom is the element whose up-set is the carrier, and a ∨ b is the k
+    with ↑k = ↑a ∩ ↑b: the common upper bounds have a least member k iff
+    they form ↑k.  A finite poset with a bottom and all binary joins is a
+    bounded lattice: 1 is the join of all elements, and a ∧ b is the join of
+    the common lower bounds, nonempty as they hold the bottom.  So ↓1 is the
+    carrier and ↓a ∩ ↓b = ↓(a ∧ b), since x <= a and x <= b iff x <= a ∧ b.
     """
-    bound = next((i for i in range(p.n) if up[i] == p.full), None)
-    if bound is None:
-        kind = "minimum" if up is p.up else "maximum"
-        raise no_bound(f"poset has no {kind} element")
-    table = [[0] * p.n for _ in range(p.n)]
+    of_up = {u: i for i, u in enumerate(p.up)}
+    of_down = {d: i for i, d in enumerate(p.down)}
+    if p.full not in of_up:
+        raise NoBottom("poset has no minimum element")
+    join = [[0] * p.n for _ in range(p.n)]
     for i in range(p.n):
         for j in range(i, p.n):
-            common = up[i] & up[j]
-            for k in bits(common):
-                if not common & ~up[k]:
-                    break
-            else:
-                raise no_pair(p.elements[i], p.elements[j])
-            table[i][j] = table[j][i] = k
-    return bound, table
-
-
-def as_join_semilattice(p):
-    """Compute the join table and bottom of p, or raise NoJoin/NoBottom."""
-    return JoinSemilattice(p.elements, p.up, *_bound_and_table(p, p.up, NoBottom, NoJoin))
-
-
-def as_bounded_lattice(p):
-    """Compute join and meet tables plus 0 and 1, or raise the missing-piece error."""
-    bottom, join = _bound_and_table(p, p.up, NoBottom, NoJoin)
-    top, meet = _bound_and_table(p, p.down, NoTop, NoMeet)
-    return BoundedLattice(p.elements, p.up, bottom, join, top, meet)
+            k = of_up.get(p.up[i] & p.up[j])
+            if k is None:
+                raise NoJoin(p.elements[i], p.elements[j])
+            join[i][j] = join[j][i] = k
+    meet = [[of_down[di & dj] for dj in p.down] for di in p.down]
+    return BoundedLattice(p.elements, p.up, of_up[p.full], join, of_down[p.full], meet)
 
 
 class SetLattice:
     """A bounded lattice of subsets (int masks) ordered by inclusion.
 
     The masks are sorted by (size, mask); element k of ``lattice`` is
-    ``masks[k]``, named ``label(masks[k])``.  The poset is checked to be a
-    lattice literally, by as_bounded_lattice.
+    ``masks[k]``, named ``label(masks[k])``.  as_bounded_lattice checks that
+    the family has a least member and a join for every pair.
     """
 
     def __init__(self, masks, label):

@@ -1,4 +1,4 @@
-"""Join-semilattices with a join-distributive tensor product and their radical ideals."""
+"""Finite lattices with a join-distributive tensor product and their radical ideals."""
 
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .order import (
 
 
 class TensorLattice:
-    """A finite join-semilattice with a validated multiplication and unit.
+    """A finite bounded lattice with a validated multiplication and unit.
 
     The product must distribute over binary joins on both sides, absorb the
     bottom, and have the unit; it need not be commutative.  Associativity is
@@ -287,7 +287,7 @@ def is_associative(t):
 
 
 def random_tensor_lattice(base, rng):
-    """Draw a candidate tensor structure on the given semilattice, or None.
+    """Draw a candidate tensor structure on the given lattice, or None.
 
     The unit is drawn first, then a value at each pair (i, j) of
     join-irreducibles, i outer and j inner, an order the fuzz stream rests on.
@@ -330,7 +330,7 @@ def random_tensor_lattice(base, rng):
 
 
 def fuzz_tensor_lattices(bases, seed, count, max_draws=None):
-    """Yield `count` valid tensor lattices fuzzed over the given semilattices.
+    """Yield `count` valid tensor lattices fuzzed over the given lattices.
 
     Deterministic for a fixed seed and base order.  Raises SizeGuardExceeded
     if the draw budget runs out before enough valid structures appear.

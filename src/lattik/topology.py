@@ -367,10 +367,6 @@ def enumerate_continuous(x, y, guard=None):
     y.n ** x.n candidate maps up front, and only there.
     """
     bound = size_guard(guard)
-    if x.n == 0:
-        return [()]
-    if y.n == 0:
-        return []  # no maps into the empty space from a nonempty one
     if y.n ** x.n > bound:
         raise SizeGuardExceeded("continuous-map enumeration exceeds the size guard")
     x_min = _minimal_opens(x)

@@ -133,6 +133,13 @@ class TestExitCodes:
         code, out, _ = run(capsys, "support-check", path)
         assert code == 0
 
+    def test_support_check_unknown_sigma_key_is_input_error(self, capsys, tmp_path):
+        obj = datum_to_json(spectrum_for(chain(2), "semilattice-closed").supp)
+        obj["sigma"]["zzz"] = []
+        code, out, err = run(capsys, "support-check", write(tmp_path, "datum.json", obj))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "input error: sigma key 'zzz' names no element" in err
+
 
 class TestAdjunctionVerb:
     def test_single_pair(self, capsys, b2_file, sierp_file):
@@ -246,7 +253,11 @@ class TestFrameVerbs:
 
     @pytest.mark.parametrize(
         "mapping, message",
-        [({"0": "0"}, "no image for '1'"), (["0", "1"], "map must be an object")],
+        [
+            ({"0": "0"}, "no image for '1'"),
+            (["0", "1"], "map must be an object"),
+            ({"0": "0", "1": "1", "zzz": "0"}, "map key 'zzz' names nothing in the source"),
+        ],
     )
     def test_extend_malformed_map_is_input_error(self, capsys, tmp_path, mapping, message):
         path = self.extend_file(tmp_path, mapping)
@@ -306,6 +317,9 @@ class TestNaturalityVerb:
             ("map", {"p": "u", "q": "w"}, "image 'w' of 'q' is unknown"),
             ("map", ["u", "u"], "map must be an object"),
             ("flavor", "bogus", "unknown flavor 'bogus'"),
+            ("map", {"p": "u", "q": "u", "zzz": "u"}, "map key 'zzz' names nothing in the source"),
+            ("map", {"p": "u", "zzz": "u"}, "no image for 'q'"),
+            ("map", {"p": "u", "q": "w", "zzz": "u"}, "image 'w' of 'q' is unknown"),
         ],
     )
     def test_malformed_input_is_input_error(self, capsys, tmp_path, field, value, message):

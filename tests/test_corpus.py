@@ -13,7 +13,7 @@ from lattik.corpus import (
     space_corpus,
     standard_lattices,
 )
-from lattik.errors import BoundExceeded, NoBottom, NoJoin, NoMeet, NoTop
+from lattik.errors import BoundExceeded, NoBottom, NoJoin
 from lattik.order import as_bounded_lattice, canonical_key, is_isomorphic
 from lattik.topology import FiniteSpace
 
@@ -21,7 +21,7 @@ from lattik.topology import FiniteSpace
 def is_lattice(p):
     try:
         as_bounded_lattice(p)
-    except (NoBottom, NoTop, NoJoin, NoMeet):
+    except (NoBottom, NoJoin):
         return False
     return True
 

@@ -17,7 +17,7 @@ from lattik.ideals import (
 )
 from lattik.order import (
     Poset,
-    as_join_semilattice,
+    as_bounded_lattice,
     bits,
     dual,
     enumerate_morphisms,
@@ -73,8 +73,8 @@ class TestAllIdeals:
             assert list(idl.masks) == subset_filter_ideals(l)
 
     def test_matches_subset_oracle_on_join_semilattices(self):
-        # tensor_from_json hands ideal_masks a JoinSemilattice (no top, no
-        # meets) whose elements may be declared in any order
+        # tensor_from_json hands ideal_masks a lattice whose elements may be
+        # declared in any order
         checked = 0
         for level in all_posets(5):
             for p in level:
@@ -83,7 +83,7 @@ class TestAllIdeals:
                     for i in range(p.n):
                         up[perm[i]] = sum(1 << perm[j] for j in bits(p.up[i]))
                     try:
-                        l = as_join_semilattice(Poset(p.elements, up))
+                        l = as_bounded_lattice(Poset(p.elements, up))
                     except (NoBottom, NoJoin):
                         break
                     assert ideal_masks(l) == subset_filter_ideals(l)

@@ -96,6 +96,66 @@ def test_bench_tracer_names_resolve():
         assert callable(obj), name
 
 
+def attribute_chain(node):
+    """``["a", "b", "c"]`` for the expression ``a.b.c``, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else None
+
+
+def bench_lattik_chains():
+    """``(module, name, ...)`` for every lattik name that a file of bench/ reads.
+
+    The bench reaches lattik through ``lk``, the namespace of ``fresh_import``:
+    as ``lk.<module>.<name>...``, or as ``<alias>.<name>...`` after
+    ``<alias> = lk.<module>``, plain or in a tuple assignment.  The bench
+    tracer, not lattik, sets ``__bench_wrapped__``, so a chain stops before it.
+    """
+    out = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                for target in node.targets:
+                    pairs = [(target, node.value)]
+                    if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple):
+                        pairs = zip(target.elts, node.value.elts)
+                    for name, value in pairs:
+                        chain = attribute_chain(value)
+                        if isinstance(name, ast.Name) and chain and chain[0] == "lk":
+                            aliases[name.id] = chain[1:]
+        for node in ast.walk(tree):
+            chain = attribute_chain(node) or [""]
+            if "__bench_wrapped__" in chain:
+                chain = chain[: chain.index("__bench_wrapped__")]
+            if chain[0] == "lk" and len(chain) >= 3:
+                out.add(tuple(chain[1:]))
+            elif chain[0] in aliases and len(chain) >= 2:
+                out.add((*aliases[chain[0]], *chain[1:]))
+    return sorted(out)
+
+
+def test_bench_lattik_names_resolve():
+    # tier-1 does not run bench/test_bench.py, so a renamed function would
+    # otherwise pass here and break the benchmark or its tests
+    chains = bench_lattik_chains()
+    read = {".".join(chain) for chain in chains}
+    assert {
+        "support.check_adjunction",
+        "corpus.all_lattices",
+        "jsonio.lattice_to_json",
+        "tensor.fuzz_tensor_lattices",
+        "support._SPECTRUM_OF_FLAVOR.values",
+        "support.SupportDatum.__eq__",
+        "frames.enumerate_morphisms",
+    } <= read
+    for module, *names in chains:
+        reduce(getattr, names, importlib.import_module(f"lattik.{module}"))
+
+
 def readme_usage():
     """The lines of the ```python block under the README's Usage heading."""
     text = (ROOT / "README.md").read_text().split("## Usage", 1)[1]
