@@ -24,7 +24,7 @@ def main():
     print("lattice B2 on", list(l.elements))
 
     idl = all_ideals(l)
-    print("\nideals:", list(idl.lattice.elements))
+    print("\nideals:", list(idl.elements))
     print("prime ideals:", [set_label(l.elements, m) for m in prime_masks(l)])
 
     show_spectrum("Sp(B2) - all ideals, supp closed", sp_space(l))

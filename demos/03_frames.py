@@ -21,8 +21,8 @@ from lattik.ideals import all_ideals
 def main():
     l = b2()
     idl = all_ideals(l)
-    frame = as_frame(idl.lattice)
-    print("Id(B2) is a frame on", list(frame.lattice.elements))
+    frame = as_frame(idl)
+    print("Id(B2) is a frame on", list(frame.elements))
 
     pt = points(frame)
     print("\npoints of Id(B2):", list(pt.space.points))

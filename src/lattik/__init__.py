@@ -41,7 +41,6 @@ from .support import (
     validate_support_datum,
 )
 from .frames import (
-    Frame,
     as_frame,
     extend_morphism,
     id_vs_omega_dual,

@@ -110,16 +110,16 @@ def cmd_primes(args):
 
 
 SPECTRUM_VERBS = {
-    "sp": topomod.sp_space,
-    "spectrum": topomod.spc_space,
-    "hochster": topomod.hochster_dual,
+    "sp": "semilattice-closed",
+    "spectrum": "lattice-closed",
+    "hochster": "lattice-open",
 }
 
 
 def cmd_spectrum(args):
-    """The verbs of SPECTRUM_VERBS: the space, its points and supp of each element."""
+    """The verbs of SPECTRUM_VERBS, each a flavor: the space, its points, supp of each element."""
     name, lattice = _load_lattice(args.file)
-    spec = SPECTRUM_VERBS[args.verb](lattice)
+    spec = supportmod.spectrum_for(lattice, SPECTRUM_VERBS[args.verb])
     return {
         "space": space_to_json(spec.space),
         "points": list(spec.space.points),
@@ -213,12 +213,10 @@ def cmd_extend(args):
         _load_json(args.file), "input", "lattice", "frame", "map"
     )
     _, lattice = lattice_from_json(lattice_obj)
-    _, frame_lattice = lattice_from_json(frame_obj)
-    frame = _as_frame(frame_lattice)
-    phi = _map_from_json(
-        images, lattice.elements, frame_lattice.elements, "lattice to frame elements"
-    )
-    if not is_morphism(lattice, frame_lattice, phi, "blat"):
+    _, frame = lattice_from_json(frame_obj)
+    _as_frame(frame)
+    phi = _map_from_json(images, lattice.elements, frame.elements, "lattice to frame elements")
+    if not is_morphism(lattice, frame, phi, "blat"):
         raise CheckFailure(
             {
                 "reason": "map is not a bounded-lattice morphism",
@@ -227,7 +225,7 @@ def cmd_extend(args):
         )
     psi = framesmod.extend_morphism(lattice, frame, phi)
     ideals = [set_label(lattice.elements, m) for m in ideal_masks(lattice)]
-    return {"extension": {i: frame_lattice.elements[v] for i, v in zip(ideals, psi)}}
+    return {"extension": {i: frame.elements[v] for i, v in zip(ideals, psi)}}
 
 
 def _load_tensor(args):

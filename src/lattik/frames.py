@@ -17,20 +17,11 @@ from .order import (
 from .topology import _spectrum, hochster_dual, is_homeomorphism
 
 
-class Frame:
-    """A bounded lattice certified to satisfy the frame distributivity law."""
-
-    def __init__(self, lattice):
-        self.lattice = lattice
-
-    @property
-    def n(self):
-        return self.lattice.n
-
-
 def as_frame(l):
-    """Certify the frame law or raise NotAFrame with a violating (a, [b, c]) witness.
+    """Return l once it satisfies the frame law, else raise NotAFrame with an (a, [b, c]) witness.
 
+    A finite frame is a distributive bounded lattice, so there is no frame
+    type: the frames of this module are the lattices that passed this check.
     The law a ∧ ⋁S = ⋁{a ∧ s : s ∈ S} ranges over every subset S, but on a
     finite carrier it is binary distributivity: S = ∅ and singletons hold
     trivially, and a ∧ (x ∨ s) = (a ∧ x) ∨ (a ∧ s) extends the law from
@@ -45,29 +36,28 @@ def as_frame(l):
             f"{l.elements[a]!r} fails to distribute over the join of {pair}",
             witness=(l.elements[a], pair),
         )
-    return Frame(l)
+    return l
 
 
 def points(f, guard=None):
-    """Pt(F), the points of the frame with opens U(a) = {φ : φ(a) = 1}, as Spc(F)^v.
+    """Pt(F), the points of the lattice F with opens U(a) = {φ : φ(a) = 1}, as Spc(F)^v.
 
-    A point is a frame morphism F -> 2: it preserves arbitrary joins and
-    finite meets, and every join over a finite carrier is a finite one, so
-    the points are the bounded-lattice morphisms F -> 2, in the order of the
-    morphism search.  Each is read as its kernel φ⁻¹(0), a prime ideal, and
-    U(a) is then supp(a) = {P : a not in P}; so Pt(F) is the lattice-open
-    spectrum on the kernels, with U as its supp datum (``supp.sigma``).
+    A point is a frame morphism F -> 2: it preserves arbitrary joins and finite
+    meets, and every join over a finite carrier is a finite one, so the points
+    are the bounded-lattice morphisms F -> 2, in the order of the morphism
+    search.  Each is read as its kernel φ⁻¹(0), a prime ideal, and U(a) is then
+    supp(a) = {P : a not in P}; so Pt(F) is the lattice-open spectrum on the
+    kernels, with U as its supp datum (``supp.sigma``).  F need be no frame.
     """
     kernels = [
-        ideal_of_morphism(f.lattice, phi, "blat")
-        for phi in enumerate_morphisms(f.lattice, two(), "blat", guard)
+        ideal_of_morphism(f, phi, "blat") for phi in enumerate_morphisms(f, two(), "blat", guard)
     ]
-    return _spectrum(f.lattice, kernels, "lattice-open")
+    return _spectrum(f, kernels, "lattice-open")
 
 
 class SpatialityCertificate:
-    def __init__(self, frame, injective, surjective, witness=None):
-        self.frame = frame
+    def __init__(self, lattice, injective, surjective, witness=None):
+        self.lattice = lattice
         self.injective = injective
         self.surjective = surjective
         self.spatial = injective and surjective
@@ -78,7 +68,7 @@ class SpatialityCertificate:
 
     def to_json(self):
         return {
-            "lattice": list(self.frame.lattice.elements),
+            "lattice": list(self.lattice.elements),
             "injective": self.injective,
             "surjective": self.surjective,
             "spatial": self.spatial,
@@ -87,7 +77,10 @@ class SpatialityCertificate:
 
 
 def is_spatial(f, guard=None):
-    """Evaluate the unit a ↦ U(a) and certify it is an isomorphism onto Ω(Pt(F))."""
+    """Evaluate the unit a ↦ U(a) and certify it is an isomorphism onto Ω(Pt(F)).
+
+    Ω(Pt(F)) is distributive, so on a lattice F that is no frame U is not injective.
+    """
     pt = points(f, guard)
     seen = {}
     injective = True
@@ -96,7 +89,7 @@ def is_spatial(f, guard=None):
         u = pt.supp.sigma[a]
         if u in seen:
             injective = False
-            witness = (f.lattice.elements[seen[u]], f.lattice.elements[a])
+            witness = (f.elements[seen[u]], f.elements[a])
             break
         seen[u] = a
     surjective = set(pt.space.opens) <= set(pt.supp.sigma)
@@ -111,23 +104,23 @@ def restrict_along_principal(l, idl, psi):
 def extend_morphism(l, f, phi):
     """Extend a bounded-lattice morphism φ: L -> F to the frame morphism ψ: Id(L) -> F.
 
-    Both are image tuples: φ over the elements of l, ψ over the ideals of
-    l in the order of all_ideals(l).  The extension sends an ideal I to the
-    join of φ over its members; restricting back along the principal-ideal
-    embedding returns φ, and ψ is certified against the frame-morphism
-    laws, which on a finite carrier are the bounded-lattice laws.  Requires
-    l distributive.
+    F is a lattice that passed as_frame.  Both maps are image tuples: φ over
+    the elements of l, ψ over the ideals of l in the order of all_ideals(l).
+    The extension sends an ideal I to the join of φ over its members;
+    restricting back along the principal-ideal embedding returns φ, and ψ is
+    certified against the frame-morphism laws, which on a finite carrier are
+    the bounded-lattice laws.  Requires l distributive.
     """
     if not is_distributive(l):
         raise NotDistributive("the base lattice must be distributive")
     idl = all_ideals(l)
     psi = tuple(
-        f.lattice.join_of_mask(sum(1 << v for v in {phi[a] for a in bits(members)}))
+        f.join_of_mask(sum(1 << v for v in {phi[a] for a in bits(members)}))
         for members in idl.masks
     )
     if restrict_along_principal(l, idl, psi) != tuple(phi):
         raise ValueError("extension does not restrict back to the given morphism")
-    if not is_morphism(idl.lattice, f.lattice, psi, "blat"):
+    if not is_morphism(idl, f, psi, "blat"):
         raise ValueError("extension is not a frame morphism")
     return psi
 
@@ -137,13 +130,13 @@ def pt_ideal_vs_hochster(l, guard=None):
 
     The map sends the kernel K of each point of Id(L) to {a : ↓a in K}, which
     must be a prime ideal of L, and must carry U(principal(a)) to supp(a);
-    both transport directions are checked.
+    both transport directions are checked.  Id(L) ≅ L is a frame here, as L
+    is distributive, so it needs no as_frame of its own.
     """
     if not is_distributive(l):
         raise NotDistributive("the base lattice must be distributive")
     idl = all_ideals(l)
-    frame = as_frame(idl.lattice)
-    pt = points(frame, guard)
+    pt = points(idl, guard)
     dualspec = hochster_dual(l)
     principal = [idl.index_of_mask(d) for d in l.down]
     mapping = []

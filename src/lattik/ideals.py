@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import KindMismatch
-from .order import SetLattice, bits, is_morphism, set_label, two
+from .order import SetLattice, bits, is_morphism, set_label, sorted_by_size, two
 
 
 def is_ideal(l, mask):
@@ -20,13 +20,13 @@ def is_ideal(l, mask):
 
 
 def ideal_masks(l):
-    """Masks of all ideals of l, sorted by (cardinality, bit pattern).
+    """Masks of all ideals of l, in sorted_by_size order.
 
     On a finite carrier every ideal I is principal: it contains the join m of
     its members, so I = ↓m.  Each ↓m is an ideal, so the ideals are exactly
     the principal down-sets l.down, one per element.
     """
-    return sorted(l.down, key=lambda m: (bin(m).count("1"), m))
+    return sorted_by_size(l.down)
 
 
 def all_ideals(l):

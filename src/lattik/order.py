@@ -97,7 +97,7 @@ class Poset:
 
     def linear_extension(self):
         """Element indices sorted bottom-up, ties broken by declaration order."""
-        return sorted(range(self.n), key=lambda i: (bin(self.down[i]).count("1"), i))
+        return sorted(range(self.n), key=lambda i: (self.down[i].bit_count(), i))
 
     def subset_names(self, mask):
         return [self.elements[i] for i in bits(mask)]
@@ -131,18 +131,25 @@ def build_poset(names, leq_pairs):
 
 
 class BoundedLattice(Poset):
-    """Poset with all finite joins and meets; carries 0 and 1."""
+    """All finite joins and meets, 0 and 1, on a validated poset's order, not checked again."""
 
-    def __init__(self, elements, up, bottom, join, top, meet):
-        super().__init__(elements, up)
+    def __init__(self, poset, bottom, join, top, meet):
+        self.elements = poset.elements
+        self.up = poset.up
+        self.n = poset.n
+        self.full = poset.full
+        self.down = poset.down
         self.bottom = bottom
-        self.join = tuple(tuple(row) for row in join)
+        self.join = join
         self.top = top
-        self.meet = tuple(tuple(row) for row in meet)
+        self.meet = meet
         self._join_pairs = None
         self._join_to = None
         self._meet_pairs = None
         self._meet_to = None
+        self._spectra = {}  # support.spectrum_for, keyed by flavor
+        self._ji = None  # tensor.random_tensor_lattice: the join-irreducibles
+        self._ji_below = None  # and, per element, their positions below it
 
     def join_pairs(self):
         """(a, b, a ∨ b) for every pair a < b, in the order of a, then b; built on first use."""
@@ -208,30 +215,32 @@ def as_bounded_lattice(p):
             if k is None:
                 raise NoJoin(p.elements[i], p.elements[j])
             join[i][j] = join[j][i] = k
-    meet = [[of_down[di & dj] for dj in p.down] for di in p.down]
-    return BoundedLattice(p.elements, p.up, of_up[p.full], join, of_down[p.full], meet)
+    meet = tuple(tuple(of_down[di & dj] for dj in p.down) for di in p.down)
+    return BoundedLattice(p, of_up[p.full], tuple(map(tuple, join)), of_down[p.full], meet)
 
 
-class SetLattice:
+def sorted_by_size(masks):
+    """The masks sorted by (size, mask): the one order of every family of sets."""
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
+
+
+class SetLattice(BoundedLattice):
     """A bounded lattice of subsets (int masks) ordered by inclusion.
 
-    The masks are sorted by (size, mask); element k of ``lattice`` is
-    ``masks[k]``, named ``label(masks[k])``.  as_bounded_lattice checks that
-    the family has a least member and a join for every pair.
+    The masks are sorted by sorted_by_size; element k is ``masks[k]``, named
+    ``label(masks[k])``.  as_bounded_lattice checks that the family has a
+    least member and a join for every pair, and its tables are this
+    lattice's.
     """
 
     def __init__(self, masks, label):
-        masks = sorted(masks, key=lambda m: (bin(m).count("1"), m))
-        up = []
-        for a in masks:
-            above = 0
-            for j, b in enumerate(masks):
-                if not a & ~b:
-                    above |= 1 << j
-            up.append(above)
+        masks = sorted_by_size(masks)
+        up = [sum(1 << j for j, b in enumerate(masks) if not a & ~b) for a in masks]
+        p = Poset([label(m) for m in masks], up)
+        l = as_bounded_lattice(p)
+        super().__init__(p, l.bottom, l.join, l.top, l.meet)
         self.masks = tuple(masks)
         self._index = {m: k for k, m in enumerate(masks)}
-        self.lattice = as_bounded_lattice(Poset([label(m) for m in masks], up))
 
     def index_of_mask(self, mask):
         try:
@@ -287,7 +296,7 @@ class Certificate:
 
 def dual(l):
     """The dual lattice: same carrier, order reversed, join/meet swapped."""
-    return BoundedLattice(l.elements, l.down, l.top, l.meet, l.bottom, l.join)
+    return BoundedLattice(Poset(l.elements, l.down), l.top, l.meet, l.bottom, l.join)
 
 
 def distributivity_witness(l):
@@ -319,10 +328,14 @@ MORPHISM_KINDS = ("jsl", "blat")
 
 
 def is_morphism(src, tgt, mapping, kind):
-    """Check the preservation laws of the given kind for an image tuple."""
+    """Check the kind's laws on an image tuple; ValueError unless one tgt index per src element."""
     if kind not in MORPHISM_KINDS:
         raise ValueError(f"unknown morphism kind {kind!r}")
     f = mapping
+    if len(f) != src.n:
+        raise ValueError("mapping must have one image per source element")
+    if not 0 <= min(f) <= max(f) < tgt.n:
+        raise ValueError("mapping must send every element to an element of the target")
     if f[src.bottom] != tgt.bottom:
         return False
     for a in range(src.n):
@@ -443,7 +456,7 @@ def enumerate_morphisms(src, tgt, kind, guard=None):
 
 def _refine_classes(p):
     """Iterated invariant refinement; returns a class id per element."""
-    raw = [(bin(p.down[i]).count("1"), bin(p.up[i]).count("1")) for i in range(p.n)]
+    raw = [(p.down[i].bit_count(), p.up[i].bit_count()) for i in range(p.n)]
     ranks = {s: r for r, s in enumerate(sorted(set(raw)))}
     cls = [ranks[s] for s in raw]
     while True:

@@ -30,16 +30,13 @@ _SPECTRUM_OF_FLAVOR = {
 def spectrum_for(l, flavor):
     """The spectral construction matching a support-datum flavor.
 
-    Kept on the lattice on first use, keyed by the flavor.
+    Kept on the lattice (``l._spectra``) on first use, keyed by the flavor.
     """
     if flavor not in FLAVORS:
         raise ValueError(f"unknown flavor {flavor!r}")
-    spectra = getattr(l, "_spectra", None)
-    if spectra is None:
-        spectra = l._spectra = {}
-    if flavor not in spectra:
-        spectra[flavor] = _SPECTRUM_OF_FLAVOR[flavor](l)
-    return spectra[flavor]
+    if flavor not in l._spectra:
+        l._spectra[flavor] = _SPECTRUM_OF_FLAVOR[flavor](l)
+    return l._spectra[flavor]
 
 
 def enumerate_support_data(l, x, flavor, guard=None):
@@ -51,7 +48,7 @@ def enumerate_support_data(l, x, flavor, guard=None):
     setlat = omega_lattice(x) if flavor == "lattice-open" else cl_lattice(x)
     kind = "jsl" if flavor == "semilattice-closed" else "blat"
     data = []
-    for phi in enumerate_morphisms(l, setlat.lattice, kind, guard):
+    for phi in enumerate_morphisms(l, setlat, kind, guard):
         sigma = tuple(setlat.masks[v] for v in phi)
         data.append(SupportDatum(l, x, sigma, flavor))
     data.sort(key=lambda d: d.sigma)

@@ -163,7 +163,7 @@ def all_radical_tensor_ideals(t):
     neither description, the tests check the join.
     """
     masks = radical_masks(t)
-    return masks, SetLattice(masks, lambda m: set_label(t.base.elements, m)).lattice
+    return masks, SetLattice(masks, lambda m: set_label(t.base.elements, m))
 
 
 class QuotientFormulaError(ValueError):
@@ -187,9 +187,8 @@ def quotient_lattice(t):
     def label(m):
         return "[" + "=".join(t.base.elements[a] for a in range(t.n) if gen[a] == m) + "]"
 
-    classes = SetLattice(set(gen), label)
-    lattice = classes.lattice
-    projection = [classes.index_of_mask(g) for g in gen]
+    lattice = SetLattice(set(gen), label)
+    projection = [lattice.index_of_mask(g) for g in gen]
     # join and meet of classes are realized by ∨ and ⊗ on representatives
     for a in range(t.n):
         for b in range(t.n):
@@ -296,8 +295,7 @@ def random_tensor_lattice(base, rng):
     of the axioms rejects the draw.
     """
     n = base.n
-    if not hasattr(base, "_ji"):
-        # per element, the positions in base._ji of the join-irreducibles below it
+    if base._ji is None:
         base._ji = ji = join_irreducibles(base)
         base._ji_below = [[k for k, i in enumerate(ji) if base.leq(i, a)] for a in range(n)]
     unit = rng.randrange(n)

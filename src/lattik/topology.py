@@ -12,6 +12,7 @@ from .order import (
     scheduled_search,
     set_label,
     size_guard,
+    sorted_by_size,
 )
 from .ideals import ideal_masks, prime_masks
 
@@ -30,7 +31,7 @@ class FiniteSpace:
         if len(set(points)) != n:
             raise ValueError("point labels must be distinct")
         full = (1 << n) - 1
-        family = sorted(set(opens), key=lambda m: (bin(m).count("1"), m))
+        family = sorted_by_size(set(opens))
         if 0 not in family or full not in family:
             raise ValueError("opens must contain the empty and full sets")
         fam = frozenset(family)
@@ -53,9 +54,7 @@ class FiniteSpace:
     def closed_sets(self):
         """The closed sets, by size then mask; computed on first use."""
         if self._closed is None:
-            self._closed = tuple(
-                sorted((self.full & ~u for u in self.opens), key=lambda m: (bin(m).count("1"), m))
-            )
+            self._closed = tuple(sorted_by_size(self.full & ~u for u in self.opens))
         return self._closed
 
     def pullbacks(self, n):
@@ -395,7 +394,7 @@ def find_homeomorphism(x, y):
 
     def classes(minimal):
         return [
-            (bin(u).count("1"), sum(u >> i & 1 for u in minimal))
+            (u.bit_count(), sum(u >> i & 1 for u in minimal))
             for i, u in enumerate(minimal)
         ]
 

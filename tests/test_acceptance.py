@@ -142,15 +142,15 @@ def test_criterion_5_frames(corpus):
     ok = True
     distributive = [l for l in corpus if is_distributive(l)]
     for l in distributive:
-        ok = ok and bool(is_spatial(as_frame(all_ideals(l).lattice)))
+        ok = ok and bool(is_spatial(as_frame(all_ideals(l))))
         ok = ok and pt_ideal_vs_hochster(l).ok
     small = [l for l in distributive if l.n <= 5]
     for l in small:
         idl = all_ideals(l)
         for f in small:
             frame = as_frame(f)
-            frm = enumerate_morphisms(idl.lattice, frame.lattice, "blat")
-            blat = enumerate_morphisms(l, frame.lattice, "blat")
+            frm = enumerate_morphisms(idl, frame, "blat")
+            blat = enumerate_morphisms(l, frame, "blat")
             if len(frm) != len(blat):
                 ok = False
                 continue

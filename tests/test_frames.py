@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 
+import lattik
+import lattik.frames
 from lattik.corpus import b2, b3, chain, lattice_corpus, m3, n5
 from lattik.errors import NotAFrame, NotDistributive
 from lattik.frames import (
@@ -79,12 +81,12 @@ class TestAsFrame:
     def test_ideal_lattices_of_distributive_are_frames(self, corpus5):
         for l in corpus5:
             if is_distributive(l):
-                as_frame(all_ideals(l).lattice)
+                as_frame(all_ideals(l))
 
     def test_ideal_lattice_of_m3_is_not_a_frame(self):
         # Id(M3) is isomorphic to M3 itself, hence not distributive
         with pytest.raises(NotAFrame):
-            as_frame(all_ideals(m3()).lattice)
+            as_frame(all_ideals(m3()))
 
     def test_binary_witness_is_the_literal_one(self):
         # the subset law and the binary law fail at the same a; on every
@@ -118,7 +120,7 @@ class TestAsFrame:
 
     def test_omega_lattices_are_frames(self, spaces3):
         for x in spaces3:
-            as_frame(omega_lattice(x).lattice)
+            as_frame(omega_lattice(x))
 
 
 class TestFrameMorphisms:
@@ -140,10 +142,10 @@ def morphism_point_space(f):
     U(a) = {φ : φ(a) = 1} as a point mask; the U(a) are closed under union and
     intersection, so with the empty and full sets they are the opens.
     """
-    morphisms = enumerate_morphisms(f.lattice, two(), "blat")
+    morphisms = enumerate_morphisms(f, two(), "blat")
     kernels = [sum(1 << a for a, v in enumerate(phi) if v == 0) for phi in morphisms]
     u_sets = [sum(phi[a] << p for p, phi in enumerate(morphisms)) for a in range(f.n)]
-    labels = [set_label(f.lattice.elements, k) for k in kernels]
+    labels = [set_label(f.elements, k) for k in kernels]
     space = FiniteSpace(labels, set(u_sets) | {0, (1 << len(morphisms)) - 1})
     return kernels, space, tuple(u_sets)
 
@@ -217,6 +219,27 @@ class TestSpatiality:
         j = is_spatial(as_frame(b2())).to_json()
         assert j["spatial"] is True and j["witness"] is None
 
+    def test_non_frames_are_not_spatial(self):
+        # were U injective, L would embed in the distributive lattice Ω(Pt L)
+        for l in lattice_corpus(7):
+            if is_distributive(l):
+                continue
+            cert = is_spatial(l)
+            assert not cert and not cert.injective and cert.lattice is l
+            a, b = (l.index(e) for e in cert.witness)
+            sigma = points(l).supp.sigma
+            assert a != b and sigma[a] == sigma[b]
+
+
+class TestOneLatticeType:
+    def test_as_frame_returns_the_lattice_itself(self):
+        for l in lattice_corpus(7):
+            if is_distributive(l):
+                assert as_frame(l) is l
+
+    def test_there_is_no_frame_type(self):
+        assert not hasattr(lattik.frames, "Frame") and not hasattr(lattik, "Frame")
+
 
 class TestExtension:
     def small_distributive(self, corpus5):
@@ -225,9 +248,9 @@ class TestExtension:
     def test_extension_restricts_back(self, corpus5):
         for l in self.small_distributive(corpus5):
             idl = all_ideals(l)
-            f = as_frame(idl.lattice)
+            f = as_frame(idl)
             frame_target = as_frame(b2())
-            for phi in enumerate_morphisms(l, frame_target.lattice, "blat"):
+            for phi in enumerate_morphisms(l, frame_target, "blat"):
                 psi = extend_morphism(l, frame_target, phi)
                 assert restrict_along_principal(l, idl, psi) == phi
 
@@ -239,9 +262,9 @@ class TestExtension:
             f = as_frame(b2())
             enumerated = {
                 psi: psi
-                for psi in enumerate_morphisms(idl.lattice, f.lattice, "blat")
+                for psi in enumerate_morphisms(idl, f, "blat")
             }
-            for phi in enumerate_morphisms(l, f.lattice, "blat"):
+            for phi in enumerate_morphisms(l, f, "blat"):
                 psi = extend_morphism(l, f, phi)
                 assert psi == enumerated[psi]
 
@@ -253,8 +276,8 @@ class TestExtension:
                 continue
             idl = all_ideals(l)
             for f in frames:
-                frm = enumerate_morphisms(idl.lattice, f.lattice, "blat")
-                blat = enumerate_morphisms(l, f.lattice, "blat")
+                frm = enumerate_morphisms(idl, f, "blat")
+                blat = enumerate_morphisms(l, f, "blat")
                 assert len(frm) == len(blat)
                 # restriction is the inverse bijection
                 restricted = {restrict_along_principal(l, idl, psi) for psi in frm}
@@ -268,11 +291,11 @@ class TestExtension:
             f = as_frame(b2())
             extended = {
                 extend_morphism(l, f, phi)
-                for phi in enumerate_morphisms(l, f.lattice, "blat")
+                for phi in enumerate_morphisms(l, f, "blat")
             }
             enumerated = {
                 psi
-                for psi in enumerate_morphisms(idl.lattice, f.lattice, "blat")
+                for psi in enumerate_morphisms(idl, f, "blat")
             }
             assert extended == enumerated
 

@@ -52,20 +52,20 @@ class TestAllIdeals:
     def test_id_two_is_two(self):
         idl = all_ideals(two())
         assert [two().subset_names(m) for m in idl.masks] == [["0"], ["0", "1"]]
-        assert is_isomorphic(idl.lattice, two())
+        assert is_isomorphic(idl, two())
 
     def test_id_c3_is_c3(self):
         idl = all_ideals(chain(3))
         assert len(idl) == 3
-        assert is_isomorphic(idl.lattice, chain(3))
+        assert is_isomorphic(idl, chain(3))
 
     def test_id_m3_is_m3(self):
         l = m3()
         idl = all_ideals(l)
         assert len(idl) == 5
-        members = set(idl.lattice.elements)
+        members = set(idl.elements)
         assert members == {"{0}", "{0,a}", "{0,b}", "{0,c}", "{0,a,b,c,1}"}
-        assert is_isomorphic(idl.lattice, l)
+        assert is_isomorphic(idl, l)
 
     def test_matches_subset_oracle(self, corpus5):
         for l in corpus5:
@@ -106,7 +106,7 @@ class TestAllIdeals:
             witness = [pos[l.down[a]] for a in range(l.n)]
             for a in range(l.n):
                 for b in range(l.n):
-                    assert l.leq(a, b) == idl.lattice.leq(witness[a], witness[b])
+                    assert l.leq(a, b) == idl.leq(witness[a], witness[b])
 
 
 class TestPrincipalIdeal:
@@ -297,12 +297,12 @@ class TestCompactElements:
     def test_every_ideal_is_literally_compact(self, corpus5):
         for l in corpus5:
             idl = all_ideals(l)
-            assert all(is_compact(idl.lattice, k) for k in range(len(idl)))
+            assert all(is_compact(idl, k) for k in range(len(idl)))
 
     @pytest.mark.parametrize("make", [two, lambda: chain(3), b2, m3, n5])
     def test_compact_elements_recover_base(self, make):
         l = make()
-        assert is_isomorphic(all_ideals(l).lattice, l)
+        assert is_isomorphic(all_ideals(l), l)
 
 
 def test_is_ideal_rejects_non_downward_closed():

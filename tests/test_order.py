@@ -15,7 +15,10 @@ from lattik.errors import (
     SizeGuardExceeded,
     UnknownName,
 )
+from lattik.jsonio import lattice_from_json, lattice_to_json
 from lattik.order import (
+    BoundedLattice,
+    MORPHISM_KINDS,
     Certificate,
     Poset,
     SetLattice,
@@ -37,7 +40,7 @@ from lattik.order import (
 from lattik.topology import cl_lattice, discrete_space, omega_lattice
 
 # Cl of the discrete 3-point space: the 8-element Boolean lattice of subsets
-CL_D3 = cl_lattice(discrete_space(["a", "b", "c"])).lattice
+CL_D3 = cl_lattice(discrete_space(["a", "b", "c"]))
 
 
 def brute_lub(p, i, j):
@@ -183,8 +186,8 @@ class TestSetLattice:
     def test_masks_sorted_by_size_then_mask(self):
         s = SetLattice({0b11, 0b10, 0, 0b01}, bin)
         assert s.masks == (0, 0b01, 0b10, 0b11) and len(s) == 4
-        assert s.lattice.elements == ("0b0", "0b1", "0b10", "0b11")
-        assert is_isomorphic(s.lattice, b2())
+        assert s.elements == ("0b0", "0b1", "0b10", "0b11")
+        assert is_isomorphic(s, b2())
         assert s.index_of_mask(0b10) == 2
 
     def test_unknown_mask_raises_value_error(self):
@@ -194,6 +197,36 @@ class TestSetLattice:
     def test_subsets_that_are_not_a_lattice_are_rejected(self):
         with pytest.raises(NoJoin):
             SetLattice([0, 0b01, 0b10], bin)
+
+    def test_is_a_bounded_lattice_itself(self):
+        s = SetLattice({0b11, 0b10, 0, 0b01}, bin)
+        assert isinstance(s, BoundedLattice) and not hasattr(s, "lattice")
+        assert (s.bottom, s.top, s.join[1][2], s.meet[1][2]) == (0, 3, 3, 0)
+
+
+def test_each_lattice_validates_its_order_once(monkeypatch):
+    # a lattice shares the order of the poset it was read from
+    p = build_poset(["0", "a", "b", "1"], [("0", "a"), ("0", "b"), ("a", "1"), ("b", "1")])
+    l = as_bounded_lattice(p)
+    obj = lattice_to_json(l)
+    calls = []
+    init = Poset.__init__
+
+    def counted(self, *args):
+        calls.append(type(self))
+        init(self, *args)
+
+    monkeypatch.setattr(Poset, "__init__", counted)
+
+    def inits(build):
+        calls.clear()
+        build()
+        return len(calls)
+
+    assert inits(lambda: as_bounded_lattice(p)) == 0
+    assert inits(lambda: SetLattice([0, 0b01, 0b10, 0b11], bin)) == 1
+    assert inits(lambda: dual(l)) == 1
+    assert inits(lambda: lattice_from_json(obj)) == 1
 
 
 def identity(m):
@@ -357,7 +390,7 @@ class TestMorphisms:
     def test_agrees_with_unpruned_brute_force(self, corpus4):
         targets = list(corpus4)
         for x in space_corpus(2):
-            targets += [cl_lattice(x).lattice, omega_lattice(x).lattice]
+            targets += [cl_lattice(x), omega_lattice(x)]
         for src in corpus4:
             for tgt in targets:
                 for kind in ("jsl", "blat"):
@@ -419,6 +452,13 @@ class TestMorphisms:
     def test_size_guard(self):
         with pytest.raises(SizeGuardExceeded):
             enumerate_morphisms(b2(), b2(), "blat", guard=2)
+
+    @pytest.mark.parametrize("kind", MORPHISM_KINDS)
+    @pytest.mark.parametrize("images", [(0, 1, 1, 1, 1), (0, 1), (0, 1, 1, 5), (0, -1, 1, 1)])
+    def test_image_tuple_of_wrong_shape_is_rejected(self, images, kind):
+        # one image per element of b2, each an index of two()
+        with pytest.raises(ValueError, match="mapping must"):
+            is_morphism(b2(), two(), images, kind)
 
     @pytest.mark.parametrize("kind", ["bogus", "blta", "Frame", "frame"])
     def test_unknown_kind_is_rejected(self, kind):

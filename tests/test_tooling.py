@@ -77,6 +77,29 @@ def test_no_instance_dict_is_read():
     assert instance_dict_reads() == []
 
 
+def private_attribute_probes():
+    """``module:line`` for every getattr or hasattr of an underscore-named attribute."""
+    out = []
+    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in ("getattr", "hasattr")
+                and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and str(node.args[1].value).startswith("_")
+            ):
+                out.append(f"{path.stem}:{node.lineno}")
+    return out
+
+
+def test_no_private_attribute_is_probed():
+    # a table that one module keeps on another's object is declared in that
+    # object's __init__ and read as a plain attribute
+    assert private_attribute_probes() == []
+
+
 def tracer_names(variable):
     """The ``"<module>.<name>"`` strings of a tuple assigned in bench/tracer.py."""
     for node in ast.parse(TRACER.read_text()).body:
