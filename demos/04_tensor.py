@@ -35,7 +35,7 @@ def tour(name, t):
     for a, ideal in enumerate(generated_ideals(t)):
         members = base.subset_names(ideal)
         print(f"  <{base.elements[a]}> = {{{','.join(members)}}}")
-    masks, lattice = all_radical_tensor_ideals(t)
+    lattice = all_radical_tensor_ideals(t)
     print("  radical tensor ideals:", [lattice.elements[i] for i in range(lattice.n)])
     quotient, projection = quotient_lattice(t)
     print("  quotient L(x):", list(quotient.elements))

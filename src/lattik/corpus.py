@@ -9,7 +9,6 @@ from .order import (
     build_poset,
     canonical_key,
     scheduled_search,
-    two,
 )
 from .topology import FiniteSpace, _union_closure
 
@@ -71,18 +70,6 @@ def b3():
         ("xy", "1"), ("xz", "1"), ("yz", "1"),
     ]
     return as_bounded_lattice(build_poset(names, pairs))
-
-
-def standard_lattices():
-    return {
-        "two": two(),
-        "C3": chain(3),
-        "C4": chain(4),
-        "B2": b2(),
-        "M3": m3(),
-        "N5": n5(),
-        "B3": b3(),
-    }
 
 
 def _grow(max_n, downsets):

@@ -7,8 +7,8 @@ from .order import SetLattice, bits, is_morphism, set_label, sorted_by_size, two
 
 
 def is_ideal(l, mask):
-    """Contains bottom, downward closed, closed under binary joins."""
-    if not mask >> l.bottom & 1:
+    """Within the carrier, contains bottom, downward closed, closed under binary joins."""
+    if mask & ~l.full or not mask >> l.bottom & 1:
         return False
     for i in bits(mask):
         if l.down[i] & ~mask:
@@ -74,7 +74,8 @@ def morphism_of_ideal(l, mask, kind="jsl"):
     KindMismatch.
     """
     if not is_ideal(l, mask):
-        raise ValueError(f"{l.subset_names(mask)} is not an ideal")
+        what = f"mask {mask:#b}" if mask & ~l.full else l.subset_names(mask)
+        raise ValueError(f"{what} is not an ideal")
     phi = tuple(0 if mask >> i & 1 else 1 for i in range(l.n))
     if not is_morphism(l, two(), phi, kind):
         raise KindMismatch("ideal is not prime, no blat morphism exists")

@@ -501,48 +501,3 @@ def canonical_key(p):
             best = code
     return (p.n, best)
 
-
-def _relation_bijection(up_p, up_q, cls_p, cls_q, order):
-    """The first bijection f with i R j iff f(i) R f(j) and cls_q[f(i)] = cls_p[i], or None.
-
-    A relation R on 0..n-1 is given by up-masks: j is in up[i] iff i R j.
-    It need not be antisymmetric.  A scheduled_search assigns the variables
-    in ``order``; the new variable i may take a value w of its own class
-    when, for every variable k placed before it, w is not img[k] and w
-    stands to img[k] as i stands to k.  There are four ways to stand, so
-    four tables; the first result is the first bijection in the
-    lexicographic order of the assignment sequence.
-    """
-    n = len(up_p)
-    if len(up_q) != n or sorted(cls_p) != sorted(cls_q):
-        return None
-
-    def rel(up, k, i):
-        return 2 * (up[k] >> i & 1) + (up[i] >> k & 1)
-
-    tables = [[0] * n for _ in range(4)]
-    for v in range(n):
-        for w in range(n):
-            if w != v:
-                tables[rel(up_q, v, w)][v] |= 1 << w
-    start = [sum(1 << v for v in range(n) if cls_q[v] == cls_p[i]) for i in order]
-    pairs = [
-        [(k, tables[rel(up_p, k, i)]) for k in order[:s]] for s, i in enumerate(order)
-    ]
-    return next(scheduled_search(order, n, start, pairs, [[]] * n), None)
-
-
-def find_isomorphism(p, q):
-    """An order isomorphism p -> q as an index tuple, or None.
-
-    The classes of ``_refine_classes`` are the unary constraint, and the
-    elements are placed class by class.
-    """
-    pc = _refine_classes(p)
-    qc = _refine_classes(q)
-    order = sorted(range(p.n), key=lambda i: (pc[i], i))
-    return _relation_bijection(p.up, q.up, pc, qc, order)
-
-
-def is_isomorphic(p, q):
-    return find_isomorphism(p, q) is not None

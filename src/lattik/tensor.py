@@ -134,12 +134,17 @@ def radical_closure(t, seeds):
     ideal above them: ↓ of their join, as an ideal holds the join of its members
     and every ↓m is an ideal.  It then adds every a with a ⊗ a in it.  A round
     adds only what each radical tensor ideal above the seeds holds, and a mask
-    it keeps is such an ideal, so the fixpoint is the least.
+    it keeps is such an ideal, so the fixpoint is the least.  A seed is an
+    element name or index; ValueError for an index off the carrier.
     """
     base = t.base
     mask = 1 << base.bottom
     for s in seeds:
-        mask |= 1 << (base.index(s) if isinstance(s, str) else s)
+        if isinstance(s, str):
+            s = base.index(s)
+        elif not 0 <= s < base.n:
+            raise ValueError(f"seed {s!r} is not an element index of the carrier")
+        mask |= 1 << s
     return _closer(t)(mask)
 
 
@@ -155,15 +160,14 @@ def radical_masks(t):
 
 
 def all_radical_tensor_ideals(t):
-    """All radical tensor ideals, as (masks, bounded lattice ordered by inclusion).
+    """All radical tensor ideals, as the SetLattice of their masks.
 
     SetLattice checks only that inclusion makes a lattice.  Its meet is the
     intersection and its join is the least radical tensor ideal above both,
     which is the radical closure of the union; this function certifies
     neither description, the tests check the join.
     """
-    masks = radical_masks(t)
-    return masks, SetLattice(masks, lambda m: set_label(t.base.elements, m))
+    return SetLattice(radical_masks(t), lambda m: set_label(t.base.elements, m))
 
 
 class QuotientFormulaError(ValueError):

@@ -7,7 +7,6 @@ from .order import (
     Certificate,
     Poset,
     SetLattice,
-    _relation_bijection,
     bits,
     scheduled_search,
     set_label,
@@ -78,9 +77,6 @@ class FiniteSpace:
             if not mask & ~c:
                 acc &= c
         return acc
-
-    def point_index(self, label):
-        return self.points.index(label)
 
     def subset_names(self, mask):
         return [self.points[i] for i in bits(mask)]
@@ -383,26 +379,6 @@ def enumerate_continuous(x, y, guard=None):
     return list(scheduled_search(range(x.n), y.n, start, pairs, [[]] * x.n))
 
 
-def find_homeomorphism(x, y):
-    """A bijection on points transporting opens both ways, or None.
-
-    A bijection of finite spaces is a homeomorphism iff it preserves the
-    specialization preorder both ways, j in U_i iff f(j) in U_f(i), for the
-    minimal open neighbourhoods U (also without T0).  The class of a point
-    i is (|U_i|, #{j : i in U_j}), and the points are placed in index order.
-    """
-
-    def classes(minimal):
-        return [
-            (u.bit_count(), sum(u >> i & 1 for u in minimal))
-            for i, u in enumerate(minimal)
-        ]
-
-    x_min = _minimal_opens(x)
-    y_min = _minimal_opens(y)
-    return _relation_bijection(x_min, y_min, classes(x_min), classes(y_min), range(x.n))
-
-
 def is_homeomorphism(f, x, y):
     """True iff the point map f is a bijection x -> y, continuous both ways."""
     f = tuple(f)
@@ -413,7 +389,3 @@ def is_homeomorphism(f, x, y):
         inv[v] = i
     return is_continuous(f, x, y) and is_continuous(inv, y, x)
 
-
-def is_homeomorphic(x, y):
-    f = find_homeomorphism(x, y)
-    return f is not None and is_homeomorphism(f, x, y)

@@ -1,11 +1,21 @@
 import pytest
 
 from lattik import corpus
+from lattik.order import two
 
 
 @pytest.fixture(scope="session")
 def std():
-    return corpus.standard_lattices()
+    """The named lattices, by name."""
+    return {
+        "two": two(),
+        "C3": corpus.chain(3),
+        "C4": corpus.chain(4),
+        "B2": corpus.b2(),
+        "M3": corpus.m3(),
+        "N5": corpus.n5(),
+        "B3": corpus.b3(),
+    }
 
 
 @pytest.fixture(scope="session")

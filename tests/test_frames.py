@@ -20,7 +20,7 @@ from lattik.frames import (
 )
 from lattik.ideals import all_ideals, ideal_of_morphism, prime_masks
 from lattik.jsonio import lattice_from_json
-from lattik.order import bits, dual, enumerate_morphisms, is_distributive, set_label, two
+from lattik.order import bits, enumerate_morphisms, is_distributive, set_label, two
 from lattik.topology import FiniteSpace, hochster_dual, omega_lattice
 
 

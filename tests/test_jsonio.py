@@ -2,7 +2,7 @@
 
 import pytest
 
-from lattik.corpus import b2, chain, lattice_corpus, space_corpus
+from lattik.corpus import b2, chain, lattice_corpus
 from lattik.errors import InputError, UnknownName
 from lattik.jsonio import (
     datum_from_json,
@@ -15,7 +15,6 @@ from lattik.jsonio import (
     space_to_json,
     tensor_from_json,
 )
-from lattik.order import is_isomorphic
 from lattik.support import spectrum_for
 from lattik.tensor import check_tensor_lemma
 

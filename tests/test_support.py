@@ -117,7 +117,7 @@ class TestValidation:
     def test_rejects_non_closed_value(self):
         l, x = two(), sierpinski()
         # {q} is open but not closed in the Sierpinski space
-        d = SupportDatum(l, x, (0, 1 << x.point_index("q")), "semilattice-closed")
+        d = SupportDatum(l, x, (0, 1 << x.points.index("q")), "semilattice-closed")
         report = validate_support_datum(d)
         assert not report.ok and report.detail["axiom"] == "closed"
 

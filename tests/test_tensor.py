@@ -18,7 +18,7 @@ from lattik.errors import (
     ZeroLawFails,
 )
 from lattik.ideals import join_irreducibles
-from lattik.order import bits, is_distributive, is_isomorphic, two
+from lattik.order import bits, canonical_key, is_distributive, two
 from lattik.tensor import (
     TensorLattice,
     all_radical_tensor_ideals,
@@ -106,6 +106,11 @@ class TestRadicalClosure:
         t = meet_tensor(b2())
         assert radical_closure(t, ["a"]) == t.base.down[t.base.index("a")]
 
+    @pytest.mark.parametrize("seed", [4, 7, -1])
+    def test_index_off_the_carrier_is_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"seed {seed}"):
+            radical_closure(meet_tensor(b2()), [seed])
+
     def closure_examples(self):
         out = []
         for l in lattice_corpus(4):
@@ -136,34 +141,35 @@ class TestRadicalClosure:
 class TestRadicalIdeals:
     def test_meet_tensor_b2_gives_four(self):
         t = meet_tensor(b2())
-        masks, lattice = all_radical_tensor_ideals(t)
-        assert len(masks) == 4
-        assert is_isomorphic(lattice, b2())
+        lattice = all_radical_tensor_ideals(t)
+        assert len(lattice.masks) == 4
+        assert canonical_key(lattice) == canonical_key(b2())
 
     def test_nilpotent_c3_gives_two(self):
         t = nilpotent_c3()
-        masks, lattice = all_radical_tensor_ideals(t)
-        assert len(masks) == 2
-        assert is_isomorphic(lattice, two())
+        lattice = all_radical_tensor_ideals(t)
+        assert len(lattice.masks) == 2
+        assert canonical_key(lattice) == canonical_key(two())
 
     def test_trivial_lattice(self):
         t = meet_tensor(two())
-        masks, lattice = all_radical_tensor_ideals(t)
-        assert len(masks) == 2
+        lattice = all_radical_tensor_ideals(t)
+        assert len(lattice.masks) == 2
 
     def test_masks_are_the_radical_ideals(self):
         # every subset of the carrier, in the (size, mask) order of ideal_masks
         for t in fuzz_tensor_lattices(lattice_corpus(4), seed=3, count=30):
             subsets = sorted(range(1 << t.n), key=lambda m: (bin(m).count("1"), m))
             expected = [m for m in subsets if is_radical_tensor_ideal(t, m)]
-            assert radical_masks(t) == expected == all_radical_tensor_ideals(t)[0]
+            assert radical_masks(t) == expected == list(all_radical_tensor_ideals(t).masks)
 
     def test_join_is_radical_closure_of_union(self):
         for l in lattice_corpus(5):
             if not is_distributive(l):
                 continue
             t = meet_tensor(l)
-            masks, lattice = all_radical_tensor_ideals(t)
+            lattice = all_radical_tensor_ideals(t)
+            masks = lattice.masks
             for i, a in enumerate(masks):
                 for j, b in enumerate(masks):
                     joined = masks[lattice.join[i][j]]
@@ -178,7 +184,7 @@ class TestQuotient:
         lattice, projection = quotient_lattice(meet_tensor(l))
         assert lattice.n == l.n
         assert sorted(projection) == list(range(l.n))
-        assert is_isomorphic(lattice, l)
+        assert canonical_key(lattice) == canonical_key(l)
 
     def test_nilpotent_collapses_to_two(self):
         t = nilpotent_c3()

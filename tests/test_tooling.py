@@ -58,6 +58,38 @@ def test_no_import_inside_a_function():
     assert function_imports() == []
 
 
+def unread_imports():
+    """``path:name`` for every name an import binds that its file never reads.
+
+    The files are the modules of lattik but ``__init__``, which re-exports,
+    and those of tests/ and demos/.  ``import a.b`` binds ``a``; a
+    ``__future__`` import binds no name.
+    """
+    package = Path(lattik.__file__).parent
+    paths = [path for path in sorted(package.glob("*.py")) if path.stem != "__init__"]
+    paths += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    out = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        read = {
+            n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        out.append(f"{path.parent.name}/{path.name}:{name}")
+    return out
+
+
+def test_every_import_is_read():
+    # support re-exports validate_support_datum: the CLI and the bench read it there
+    assert [x for x in unread_imports() if x != "lattik/support.py:validate_support_datum"] == []
+
+
 def instance_dict_reads():
     """``module:line`` for every call to ``vars`` and every ``__dict__`` in lattik."""
     out = []

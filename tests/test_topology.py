@@ -1,24 +1,21 @@
 """Finite spaces, the spectra, specialization order, and continuity."""
 
-import random
-from itertools import permutations, product
+from itertools import product
 
 import pytest
 
 from lattik.corpus import b2, chain, m3, n5, space_corpus
 from lattik.errors import InvalidDatum, NotT0, SizeGuardExceeded
 from lattik.ideals import all_ideals, ideal_masks
-from lattik.order import as_bounded_lattice, bits, dual, is_isomorphic, two
+from lattik.order import as_bounded_lattice, bits, canonical_key, dual, two
 from lattik.topology import (
     FiniteSpace,
     _spectrum,
     cl_lattice,
     discrete_space,
     enumerate_continuous,
-    find_homeomorphism,
     hochster_dual,
     is_continuous,
-    is_homeomorphic,
     is_homeomorphism,
     omega_lattice,
     preimage,
@@ -28,10 +25,6 @@ from lattik.topology import (
     spc_space,
     specialization_order,
 )
-
-
-def inverse(f):
-    return tuple(sorted(range(len(f)), key=f.__getitem__))
 
 
 def sierpinski():
@@ -141,10 +134,10 @@ class TestSpaceConstruction:
 
 class TestSetLattices:
     def test_sierpinski_omega_is_c3(self):
-        assert is_isomorphic(omega_lattice(sierpinski()), chain(3))
+        assert canonical_key(omega_lattice(sierpinski())) == canonical_key(chain(3))
 
     def test_discrete_two_omega_is_b2(self):
-        assert is_isomorphic(omega_lattice(discrete_space(["p", "q"])), b2())
+        assert canonical_key(omega_lattice(discrete_space(["p", "q"]))) == canonical_key(b2())
 
     def test_cl_is_dual_of_omega_by_complement(self, spaces3):
         for x in spaces3:
@@ -154,7 +147,7 @@ class TestSetLattices:
             # complementation matches the two carriers element-wise
             comp = {x.full & ~m for m in om.masks}
             assert comp == set(cl.masks)
-            assert is_isomorphic(cl, d)
+            assert canonical_key(cl) == canonical_key(d)
 
     def test_set_lattices_are_kept_on_the_space(self):
         x = sierpinski()
@@ -204,8 +197,8 @@ class TestSpcSpace:
         spec = spc_space(l)
         assert set(spec.space.points) == {"{0,a}", "{0,b}"}
         supp = spec.supp.sigma
-        pa = spec.space.point_index("{0,a}")
-        pb = spec.space.point_index("{0,b}")
+        pa = spec.space.points.index("{0,a}")
+        pb = spec.space.points.index("{0,b}")
         assert supp[l.index("a")] == 1 << pb
         assert supp[l.index("b")] == 1 << pa
         assert supp[l.index("1")] == (1 << pa) | (1 << pb)
@@ -219,7 +212,7 @@ class TestSpcSpace:
         spec = spc_space(l)
         supp = spec.supp.sigma
         assert supp[l.index("b")] == supp[l.index("c")]
-        assert supp[l.index("b")] == 1 << spec.space.point_index("{0,a}")
+        assert supp[l.index("b")] == 1 << spec.space.points.index("{0,a}")
 
     def test_meet_axiom(self, corpus5):
         for l in corpus5:
@@ -248,7 +241,11 @@ class TestSpcSpace:
 class TestHochsterDual:
     def test_dual_of_c3_is_sierpinski(self):
         spec = hochster_dual(chain(3))
-        assert is_homeomorphic(spec.space, sierpinski())
+        x = sierpinski()
+        # {0} is the open point of the dual, as q is of the Sierpinski space
+        names = {"{0}": "q", "{0,m1}": "p"}
+        f = [x.points.index(names[p]) for p in spec.space.points]
+        assert is_homeomorphism(f, spec.space, x)
 
     def test_dual_of_two_is_point(self):
         spec = hochster_dual(two())
@@ -317,7 +314,7 @@ class TestSpecializationOrder:
         for l in corpus5:
             spec = sp_space(l)
             order = specialization_order(spec.space)
-            assert is_isomorphic(all_ideals(as_bounded_lattice(order)), l)
+            assert canonical_key(all_ideals(as_bounded_lattice(order))) == canonical_key(l)
 
 
 class TestContinuity:
@@ -374,14 +371,6 @@ class TestContinuity:
 
 
 class TestHomeomorphism:
-    def test_detects_equal_spaces(self, spaces3):
-        for x in spaces3:
-            f = find_homeomorphism(x, x)
-            assert f is not None
-
-    def test_distinguishes(self):
-        assert not is_homeomorphic(sierpinski(), discrete_space(["p", "q"]))
-
     def test_is_homeomorphism(self):
         d2 = discrete_space(["p", "q"])
         assert is_homeomorphism((1, 0), d2, d2)
@@ -393,28 +382,3 @@ class TestHomeomorphism:
         # continuous from the discrete space, but its inverse is not
         assert is_continuous((0, 1), d2, sierpinski())
         assert not is_homeomorphism((0, 1), d2, sierpinski())
-
-    def test_agrees_with_brute_force(self, spaces3):
-        # the first permutation, in lexicographic order, continuous both ways
-        for x in spaces3:
-            for y in spaces3:
-                homeos = [
-                    f
-                    for f in permutations(range(y.n))
-                    if x.n == y.n
-                    and is_continuous(f, x, y)
-                    and is_continuous(inverse(f), y, x)
-                ]
-                assert find_homeomorphism(x, y) == (homeos[0] if homeos else None)
-
-    def test_finds_relabelled_four_point_spaces(self):
-        rng = random.Random(2026)
-        for x in space_corpus(4):
-            if x.n != 4:
-                continue
-            perm = rng.sample(range(4), 4)
-            opens = [sum(1 << perm[i] for i in range(4) if u >> i & 1) for u in x.opens]
-            y = FiniteSpace(x.points, opens)
-            f = find_homeomorphism(x, y)
-            assert f is not None
-            assert is_continuous(f, x, y) and is_continuous(inverse(f), y, x)
