@@ -9,6 +9,7 @@ from .order import (
     build_poset,
     canonical_key,
     scheduled_search,
+    transpose,
 )
 from .topology import FiniteSpace, _union_closure
 
@@ -212,7 +213,7 @@ def all_topologies(n_points):
             for uk in masks
         ]
 
-    start = [sum(1 << u for u in masks if u >> i & 1) for i in range(n_points)]
+    start = transpose(masks, n_points)  # start[i]: the candidate U_i, the masks holding i
     pairs = [[(k, table(k, i)) for k in range(i)] for i in range(n_points)]
     search = scheduled_search(range(n_points), len(masks), start, pairs, [[]] * n_points)
     spaces = [FiniteSpace(points, _union_closure(u)) for u in search]

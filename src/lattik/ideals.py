@@ -35,8 +35,11 @@ def all_ideals(l):
 
 
 def is_prime(l, mask):
-    """Proper, and a ∧ b in I implies a in I or b in I."""
-    if mask == l.full:
+    """Within the carrier, contains bottom, proper, and a ∧ b in I implies a in I or b in I.
+
+    Downward closure and joins are not checked: prime_masks passes ideals only.
+    """
+    if mask & ~l.full or not mask >> l.bottom & 1 or mask == l.full:
         return False
     for a in range(l.n):
         if mask >> a & 1:

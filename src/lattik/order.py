@@ -27,12 +27,40 @@ def size_guard(override=None):
     return int(override)
 
 
+def _bit_table(width):
+    """t[m]: the set bit positions of m, ascending, for every m below 2^width."""
+    table = [()]
+    for i in range(width):
+        table += [t + (i,) for t in table]  # the masks whose highest bit is i
+    return tuple(table)
+
+
+_BITS = _bit_table(10)  # every subset of a carrier or space of up to 10 elements
+_BITS_LIMIT = len(_BITS)
+
+
 def bits(mask):
-    """Yield the set bit positions of mask, ascending."""
+    """The set bit positions of mask, ascending, as a tuple; ValueError if mask < 0."""
+    if 0 <= mask < _BITS_LIMIT:
+        return _BITS[mask]
+    if mask < 0:
+        raise ValueError(f"negative mask {mask}")
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
+
+
+def transpose(rows, width):
+    """The transposed bit matrix: bit i of out[j] is set iff bit j of rows[i] is, j < width."""
+    out = [0] * width
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for j in bits(row):
+            out[j] |= bit
+    return tuple(out)
 
 
 def set_label(names, mask):
@@ -73,9 +101,7 @@ class Poset:
         self.up = up
         self.n = n
         self.full = full
-        self.down = tuple(
-            sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)
-        )
+        self.down = transpose(up, n)
 
     def index(self, name):
         try:
@@ -479,7 +505,8 @@ def canonical_key(p):
     permutations mapping each class onto its block of positions (classes
     taken in rank order) are tried.  A scheduled_search assigns the
     positions class by class, each variable starting from its class's
-    block, with injectivity as the pair constraint.
+    block, with injectivity as the pair constraint.  A relabelling perm is
+    encoded row by row: bit perm[i]·n + perm[j] is set iff i <= j.
     """
     cls = _refine_classes(p)
     order = sorted(range(p.n), key=lambda i: (cls[i], i))
@@ -491,12 +518,15 @@ def canonical_key(p):
     pairs = [
         [(k, distinct) for k in order[:s] if cls[k] == cls[i]] for s, i in enumerate(order)
     ]
+    rows = [bits(u) for u in p.up]
     best = None
     for perm in scheduled_search(order, p.n, start, pairs, [[]] * p.n):
         code = 0
-        for i in range(p.n):
-            for j in bits(p.up[i]):
-                code |= 1 << (perm[i] * p.n + perm[j])
+        for i, row in enumerate(rows):
+            image = 0  # the relabelled up[i]: bit perm[j] for each j >= i
+            for j in row:
+                image |= 1 << perm[j]
+            code |= image << (perm[i] * p.n)
         if best is None or code < best:
             best = code
     return (p.n, best)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import InvalidDatum, NotContinuous
-from .order import dual, enumerate_morphisms
+from .order import dual, enumerate_morphisms, transpose
 from .topology import (
     FLAVORS,
     SupportDatum,
@@ -86,8 +86,8 @@ def _point_map(d, spectrum):
     """map_of_sigma on a datum already validated."""
     l = d.lattice
     f = []
-    for p in range(d.space.n):
-        members = sum(1 << a for a, s in enumerate(d.sigma) if not s >> p & 1)
+    # members[p]: the a with p not in σ(a)
+    for members in transpose([d.space.full ^ s for s in d.sigma], d.space.n):
         try:
             f.append(spectrum.point_of_ideal(members))
         except ValueError:

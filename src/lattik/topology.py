@@ -12,6 +12,7 @@ from .order import (
     set_label,
     size_guard,
     sorted_by_size,
+    transpose,
 )
 from .ideals import ideal_masks, prime_masks
 
@@ -271,7 +272,7 @@ def _spectrum(l, masks, flavor):
     raises InvalidDatum naming the axiom and its witness.
     """
     labels = [set_label(l.elements, m) for m in masks]
-    supp = [sum(1 << p for p, m in enumerate(masks) if not m >> a & 1) for a in range(l.n)]
+    supp = transpose([l.full ^ m for m in masks], l.n)
     if flavor == "lattice-open":
         space = space_from_open_basis(labels, supp)
     else:
@@ -367,7 +368,7 @@ def enumerate_continuous(x, y, guard=None):
     x_min = _minimal_opens(x)
     y_min = _minimal_opens(y)
     # y_within[w]: the values v whose U_v contains w
-    y_within = [sum(1 << v for v in range(y.n) if y_min[v] >> w & 1) for w in range(y.n)]
+    y_within = transpose(y_min, y.n)
     pairs = [[] for _ in range(x.n)]
     for i in range(x.n):
         for j in bits(x_min[i] & ~(1 << i)):

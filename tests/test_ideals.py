@@ -11,6 +11,7 @@ from lattik.ideals import (
     ideal_masks,
     ideal_of_morphism,
     is_ideal,
+    is_prime,
     join_irreducibles,
     morphism_of_ideal,
     prime_masks,
@@ -155,6 +156,12 @@ class TestPrimeIdeals:
         for l in corpus5:
             assert prime_masks(l) == self.brute_primes(l)
 
+    @pytest.mark.parametrize("mask", [0b10011, 0b10000, -2, -1, 0])
+    def test_mask_that_is_no_ideal_is_not_prime(self, mask):
+        # off the carrier of B2 (0b10011 is {0, a} plus a fifth bit), negative,
+        # or without the bottom
+        assert not is_prime(b2(), mask)
+
     def test_primes_of_dual_are_complements(self, corpus5):
         for l in corpus5:
             d = dual(l)
@@ -254,8 +261,6 @@ class TestMorphismIdealDictionary:
                     0 if mask >> i & 1 else 1 for i in range(l.n)
                 )
                 blat_ok = is_morphism(l, tgt, mapping, "blat")
-                from lattik.ideals import is_prime
-
                 assert blat_ok == is_prime(l, mask)
 
 

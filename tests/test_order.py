@@ -33,6 +33,7 @@ from lattik.order import (
     is_distributive,
     is_morphism,
     scheduled_search,
+    transpose,
     two,
 )
 from lattik.topology import cl_lattice, discrete_space, omega_lattice
@@ -507,6 +508,74 @@ class TestCanonicalKey:
                 key = canonical_key(p)
                 for perm in permutations(range(p.n)):
                     assert canonical_key(relabelled(p, perm)) == key
+
+    def test_minimum_past_the_bit_table(self):
+        # a bottom, four atoms and a 6-chain above their join: 11 elements, so
+        # the bottom's up-set passes 2^10, and the atoms form one class
+        atoms = ["a1", "a2", "a3", "a4"]
+        tower = [f"c{k}" for k in range(6)]
+        pairs = [("0", a) for a in atoms] + [(a, "c0") for a in atoms]
+        p = build_poset(["0", *atoms, *tower], pairs + list(zip(tower, tower[1:])))
+        perms = list(class_preserving(_refine_classes(p)))
+        assert len(perms) == 24
+        key = canonical_key(p)
+        assert key == (p.n, min(encoding(p, perm) for perm in perms))
+        rng = random.Random(11)
+        for _ in range(20):
+            assert canonical_key(relabelled(p, rng.sample(range(p.n), p.n))) == key
+
+
+def class_preserving(cls):
+    """Every perm sending each class onto its block of positions, classes in rank order."""
+    block = sorted(cls)
+    ranks = sorted(set(cls))
+    members = [[i for i, c in enumerate(cls) if c == r] for r in ranks]
+    slots = [[s for s, c in enumerate(block) if c == r] for r in ranks]
+    for images in product(*(permutations(s) for s in slots)):
+        perm = [0] * len(cls)
+        for ms, image in zip(members, images):
+            for i, s in zip(ms, image):
+                perm[i] = s
+        yield perm
+
+
+def reference_bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+class TestBitKernels:
+    def test_bits_equals_a_reference_loop(self):
+        rng = random.Random(2026)
+        masks = [*range(1 << 12), *(rng.getrandbits(rng.randint(1, 150)) for _ in range(2000))]
+        for mask in masks:
+            got = bits(mask)
+            assert list(got) == reference_bits(mask)
+            assert list(got) == reference_bits(mask)  # a second pass sees the same
+
+    @pytest.mark.parametrize("mask", [-1, -2, -(1 << 10), -(1 << 64)])
+    def test_bits_rejects_a_negative_mask(self, mask):
+        with pytest.raises(ValueError, match="negative mask"):
+            bits(mask)
+
+    def test_transpose_equals_its_definition(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            height, width = rng.randint(0, 40), rng.randint(0, 40)
+            rows = [rng.getrandbits(width) for _ in range(height)]
+            out = transpose(rows, width)
+            assert len(out) == width
+            for j in range(width):
+                assert out[j] == sum(1 << i for i in range(height) if rows[i] >> j & 1)
+
+    def test_down_sets_equal_the_quadratic_definition(self):
+        for level in all_posets(5):
+            for p in level:
+                for perm in permutations(range(p.n)):
+                    q = relabelled(p, perm)
+                    n, up = q.n, q.up
+                    assert q.down == tuple(
+                        sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)
+                    )
 
 
 class TestScheduledSearch:

@@ -132,6 +132,36 @@ def test_no_private_attribute_is_probed():
     assert private_attribute_probes() == []
 
 
+def low_bit_idioms():
+    """``module:function`` for every ``x & -x`` in lattik, by its innermost def."""
+    out = []
+    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for node in ast.walk(tree):  # an outer def is walked before the defs inside it
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((n, node.name) for n in ast.walk(node))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)):
+                continue
+            for x, neg in ((node.left, node.right), (node.right, node.left)):
+                if (
+                    isinstance(neg, ast.UnaryOp)
+                    and isinstance(neg.op, ast.USub)
+                    and ast.dump(neg.operand) == ast.dump(x)
+                ):
+                    out.append(f"{path.stem}:{owner.get(node, '<module>')}")
+    return out
+
+
+def test_one_bit_iterator():
+    # order.bits is the iterator over the set bits of a mask, and the search
+    # engine pops its candidates inline; every other loop over bits calls bits
+    found = low_bit_idioms()
+    assert "order:bits" in found
+    assert [x for x in found if x not in ("order:bits", "order:scheduled_search")] == []
+
+
 def tracer_names(variable):
     """The ``"<module>.<name>"`` strings of a tuple assigned in bench/tracer.py."""
     for node in ast.parse(TRACER.read_text()).body:
