@@ -9,9 +9,11 @@ from .order import (
     bits,
     distributivity_witness,
     enumerate_morphisms,
+    image,
     inclusion_isomorphism_failure,
     is_distributive,
     is_morphism,
+    preimage,
     two,
 )
 from .topology import _spectrum, hochster_dual, is_homeomorphism
@@ -114,10 +116,7 @@ def extend_morphism(l, f, phi):
     if not is_distributive(l):
         raise NotDistributive("the base lattice must be distributive")
     idl = all_ideals(l)
-    psi = tuple(
-        f.join_of_mask(sum(1 << v for v in {phi[a] for a in bits(members)}))
-        for members in idl.masks
-    )
+    psi = tuple(f.join_of_mask(image(phi, members)) for members in idl.masks)
     if restrict_along_principal(l, idl, psi) != tuple(phi):
         raise ValueError("extension does not restrict back to the given morphism")
     if not is_morphism(idl, f, psi, "blat"):
@@ -141,19 +140,15 @@ def pt_ideal_vs_hochster(l, guard=None):
     principal = [idl.index_of_mask(d) for d in l.down]
     mapping = []
     for kernel in pt.point_ideals:
-        members = sum(1 << a for a, k in enumerate(principal) if kernel >> k & 1)
         try:
-            mapping.append(dualspec.point_of_ideal(members))
+            mapping.append(dualspec.point_of_ideal(preimage(principal, kernel)))
         except ValueError:
             return Certificate(False, {"reason": "image is not a prime ideal point"})
     if not is_homeomorphism(mapping, pt.space, dualspec.space):
         return Certificate(False, {"reason": "not a homeomorphism"})
     # U(principal(a)) must transport to supp(a)
     for a, k in enumerate(principal):
-        transported = 0
-        for p in bits(pt.supp.sigma[k]):
-            transported |= 1 << mapping[p]
-        if transported != dualspec.supp.sigma[a]:
+        if image(mapping, pt.supp.sigma[k]) != dualspec.supp.sigma[a]:
             return Certificate(
                 False, {"reason": f"U(principal({l.elements[a]})) != supp"}
             )

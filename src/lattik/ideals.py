@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import KindMismatch
-from .order import SetLattice, bits, is_morphism, set_label, sorted_by_size, two
+from .order import SetLattice, bits, is_morphism, preimage, set_label, sorted_by_size, two
 
 
 def is_ideal(l, mask):
@@ -66,7 +66,7 @@ def ideal_of_morphism(l, phi, kind="jsl"):
     """
     if len(phi) != l.n or not set(phi) <= {0, 1} or not is_morphism(l, two(), phi, kind):
         raise KindMismatch(f"expected a {kind} morphism into the 2-chain")
-    return sum(1 << i for i, v in enumerate(phi) if v == 0)
+    return preimage(phi, 1)
 
 
 def morphism_of_ideal(l, mask, kind="jsl"):

@@ -20,13 +20,6 @@ from .errors import (
 DEFAULT_SIZE_GUARD = 100_000_000
 
 
-def size_guard(override=None):
-    """Resolve the search bound: the explicit argument, else the default."""
-    if override is None:
-        return DEFAULT_SIZE_GUARD
-    return int(override)
-
-
 def _bit_table(width):
     """t[m]: the set bit positions of m, ascending, for every m below 2^width."""
     table = [()]
@@ -61,6 +54,19 @@ def transpose(rows, width):
         for j in bits(row):
             out[j] |= bit
     return tuple(out)
+
+
+def preimage(f, mask):
+    """The mask of the i with f[i] in mask, for an image tuple f."""
+    return sum(1 << i for i, v in enumerate(f) if mask >> v & 1)
+
+
+def image(f, mask):
+    """The mask of the f[a] with a in mask, for an image tuple f."""
+    out = 0
+    for a in bits(mask):
+        out |= 1 << f[a]
+    return out
 
 
 def set_label(names, mask):
@@ -354,7 +360,12 @@ MORPHISM_KINDS = ("jsl", "blat")
 
 
 def is_morphism(src, tgt, mapping, kind):
-    """Check the kind's laws on an image tuple; ValueError unless one tgt index per src element."""
+    """Check the kind's laws on an image tuple; ValueError unless one tgt index per src element.
+
+    The join and meet laws are tested at the pairs a < b of ``join_pairs()``
+    and ``meet_pairs()``: a pair a = b never fails, and a pair a > b repeats
+    b < a, as the join and meet tables are symmetric and idempotent.
+    """
     if kind not in MORPHISM_KINDS:
         raise ValueError(f"unknown morphism kind {kind!r}")
     f = mapping
@@ -364,17 +375,15 @@ def is_morphism(src, tgt, mapping, kind):
         raise ValueError("mapping must send every element to an element of the target")
     if f[src.bottom] != tgt.bottom:
         return False
-    for a in range(src.n):
-        for b in range(src.n):
-            if f[src.join[a][b]] != tgt.join[f[a]][f[b]]:
-                return False
+    for a, b, j in src.join_pairs():
+        if f[j] != tgt.join[f[a]][f[b]]:
+            return False
     if kind == "blat":
         if f[src.top] != tgt.top:
             return False
-        for a in range(src.n):
-            for b in range(src.n):
-                if f[src.meet[a][b]] != tgt.meet[f[a]][f[b]]:
-                    return False
+        for a, b, m in src.meet_pairs():
+            if f[m] != tgt.meet[f[a]][f[b]]:
+                return False
     return True
 
 
@@ -454,7 +463,7 @@ def enumerate_morphisms(src, tgt, kind, guard=None):
     """
     if kind not in MORPHISM_KINDS:
         raise ValueError(f"unknown morphism kind {kind!r}")
-    bound = size_guard(guard)
+    bound = DEFAULT_SIZE_GUARD if guard is None else guard
     need_meet = kind == "blat"
     order = src.linear_extension()
     pos = [0] * src.n

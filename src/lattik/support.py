@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import InvalidDatum, NotContinuous
-from .order import dual, enumerate_morphisms, transpose
+from .order import dual, enumerate_morphisms, preimage, transpose
 from .topology import (
     FLAVORS,
     SupportDatum,
@@ -13,7 +13,6 @@ from .topology import (
     hochster_dual,
     is_continuous,
     omega_lattice,
-    preimage,
     pull_back_opens,
     sp_space,
     spc_space,
@@ -225,7 +224,7 @@ def check_naturality(l, g, x, y, flavor, guard=None):
         fg = tuple(f[g[i]] for i in range(x.n))
         left = sigma_of_map(fg, x, spectrum)
         sig_f = sigma_of_map(f, y, spectrum)
-        right = tuple(preimage(g, sig_f.sigma[a], x.n) for a in range(l.n))
+        right = tuple(preimage(g, sig_f.sigma[a]) for a in range(l.n))
         if left.sigma != right:
             return NaturalityCertificate(flavor, checked, False, {"f": list(f)})
         checked += 1

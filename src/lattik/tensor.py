@@ -16,8 +16,10 @@ from .order import (
     Certificate,
     SetLattice,
     bits,
+    image,
     inclusion_isomorphism_failure,
     is_distributive,
+    preimage,
     set_label,
 )
 
@@ -33,15 +35,9 @@ class TensorLattice:
     def __init__(self, base, product, unit):
         validate_tensor_axioms(base, product, unit)
         self.base = base
+        self.n = base.n
         self.product = tuple(tuple(row) for row in product)
         self.unit = unit
-
-    @property
-    def n(self):
-        return self.base.n
-
-    def tensor(self, a, b):
-        return self.product[a][b]
 
 
 def validate_tensor_axioms(base, product, unit):
@@ -50,9 +46,10 @@ def validate_tensor_axioms(base, product, unit):
     Monotonicity needs no check of its own: if b <= c, then
     a ⊗ c = a ⊗ (b ∨ c) = (a ⊗ b) ∨ (a ⊗ c) >= a ⊗ b, and likewise on the right.
 
-    Join-distributivity is tested at b < c only: both sides are symmetric in b
-    and c and b = c never fails, so a scan of all triples meets each failure
-    first at b < c, and would raise the same exception, message and witness.
+    Join-distributivity is tested at the pairs b < c of ``base.join_pairs()``
+    only: both sides are symmetric in b and c and b = c never fails, so a scan
+    of all triples meets each failure first at b < c, and would raise the same
+    exception, message and witness.
     """
     n = base.n
     names = base.elements
@@ -69,22 +66,21 @@ def validate_tensor_axioms(base, product, unit):
                 f"unit law fails at {names[a]!r}", witness=names[a]
             )
     join = base.join
+    pairs = base.join_pairs()
     for a in range(n):
         pa = product[a]
         qa = [row[a] for row in product]
-        for b in range(n):
-            for c in range(b + 1, n):
-                j = join[b][c]
-                if pa[j] != join[pa[b]][pa[c]]:
-                    raise NotDistributiveOverJoin(
-                        f"{names[a]!r} ⊗ ({names[b]!r} ∨ {names[c]!r}) fails",
-                        witness=(names[a], names[b], names[c]),
-                    )
-                if qa[j] != join[qa[b]][qa[c]]:
-                    raise NotDistributiveOverJoin(
-                        f"({names[b]!r} ∨ {names[c]!r}) ⊗ {names[a]!r} fails",
-                        witness=(names[b], names[c], names[a]),
-                    )
+        for b, c, j in pairs:
+            if pa[j] != join[pa[b]][pa[c]]:
+                raise NotDistributiveOverJoin(
+                    f"{names[a]!r} ⊗ ({names[b]!r} ∨ {names[c]!r}) fails",
+                    witness=(names[a], names[b], names[c]),
+                )
+            if qa[j] != join[qa[b]][qa[c]]:
+                raise NotDistributiveOverJoin(
+                    f"({names[b]!r} ∨ {names[c]!r}) ⊗ {names[a]!r} fails",
+                    witness=(names[b], names[c], names[a]),
+                )
 
 
 def is_radical_tensor_ideal(t, mask):
@@ -244,18 +240,12 @@ def check_classification(t):
     if not is_distributive(lattice):
         return Certificate(False, {"reason": "quotient is not distributive"})
 
-    def members(ideal):
-        return sum(1 << a for a in range(t.n) if ideal >> projection[a] & 1)
-
-    def classes(radical):
-        mask = 0
-        for a in bits(radical):
-            mask |= 1 << projection[a]
-        return mask
-
     radicals = radical_masks(t)
     reason = inclusion_isomorphism_failure(
-        ideal_masks(lattice), radicals, members, classes
+        ideal_masks(lattice),
+        radicals,
+        lambda ideal: preimage(projection, ideal),
+        lambda radical: image(projection, radical),
     )
     if reason is not None:
         return Certificate(False, {"reason": reason})
@@ -331,7 +321,7 @@ def random_tensor_lattice(base, rng):
         return None
 
 
-def fuzz_tensor_lattices(bases, seed, count, max_draws=None):
+def fuzz_tensor_lattices(bases, seed, count):
     """Yield `count` valid tensor lattices fuzzed over the given lattices.
 
     Deterministic for a fixed seed and base order.  Raises SizeGuardExceeded
@@ -339,7 +329,7 @@ def fuzz_tensor_lattices(bases, seed, count, max_draws=None):
     """
     rng = random.Random(seed)
     bases = list(bases)
-    budget = max_draws if max_draws is not None else count * 10_000
+    budget = count * 10_000
     produced = 0
     draws = 0
     while produced < count:

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 from .errors import InvalidDatum, NotT0, SizeGuardExceeded
 from .order import (
+    DEFAULT_SIZE_GUARD,
     Certificate,
     Poset,
     SetLattice,
     bits,
     scheduled_search,
     set_label,
-    size_guard,
     sorted_by_size,
     transpose,
 )
@@ -313,15 +313,6 @@ def specialization_order(x):
     return Poset(x.points, up)
 
 
-def preimage(f, y_mask, x_n):
-    """Preimage mask of y_mask under the point map f (tuple of target indices)."""
-    m = 0
-    for i in range(x_n):
-        if y_mask >> f[i] & 1:
-            m |= 1 << i
-    return m
-
-
 def pull_back_opens(f, x, y):
     """The preimage along the point map f: x -> y of every open of y, in y.opens order.
 
@@ -362,7 +353,7 @@ def enumerate_continuous(x, y, guard=None):
     pair (i, j) once, at the later of the two depths.  The guard bounds the
     y.n ** x.n candidate maps up front, and only there.
     """
-    bound = size_guard(guard)
+    bound = DEFAULT_SIZE_GUARD if guard is None else guard
     if y.n ** x.n > bound:
         raise SizeGuardExceeded("continuous-map enumeration exceeds the size guard")
     x_min = _minimal_opens(x)

@@ -29,9 +29,11 @@ from lattik.order import (
     canonical_key,
     dual,
     enumerate_morphisms,
+    image,
     inclusion_isomorphism_failure,
     is_distributive,
     is_morphism,
+    preimage,
     scheduled_search,
     transpose,
     two,
@@ -400,6 +402,29 @@ class TestMorphisms:
                     ]
                     assert fast == slow
 
+    def test_pairwise_laws_equal_the_loop_over_all_pairs(self, corpus4):
+        def all_pairs(src, tgt, f, kind):
+            if f[src.bottom] != tgt.bottom:
+                return False
+            for a in range(src.n):
+                for b in range(src.n):
+                    if f[src.join[a][b]] != tgt.join[f[a]][f[b]]:
+                        return False
+            if kind == "blat":
+                if f[src.top] != tgt.top:
+                    return False
+                for a in range(src.n):
+                    for b in range(src.n):
+                        if f[src.meet[a][b]] != tgt.meet[f[a]][f[b]]:
+                            return False
+            return True
+
+        for src in corpus4:
+            for tgt in (two(), b2()):
+                for f in product(range(tgt.n), repeat=src.n):
+                    for kind in MORPHISM_KINDS:
+                        assert is_morphism(src, tgt, f, kind) == all_pairs(src, tgt, f, kind)
+
     @pytest.mark.parametrize(
         "src, tgt, kind, smallest",
         [
@@ -566,6 +591,20 @@ class TestBitKernels:
             assert len(out) == width
             for j in range(width):
                 assert out[j] == sum(1 << i for i in range(height) if rows[i] >> j & 1)
+
+    def test_image_and_preimage_equal_their_set_definitions(self):
+        rng = random.Random(23)
+        for _ in range(500):
+            n, m = rng.randint(0, 12), rng.randint(1, 12)
+            f = tuple(rng.randrange(m) for _ in range(n))
+            s = rng.getrandbits(n)
+            full = ((1 << n) - 1, (1 << m) - 1)
+            for s, t in [(0, 0), full, (s, rng.getrandbits(m)), (s, image(f, s))]:
+                img, pre = image(f, s), preimage(f, t)
+                assert set(bits(img)) == {f[a] for a in bits(s)}
+                assert set(bits(pre)) == {i for i in range(n) if f[i] in bits(t)}
+                # the Galois connection: image(f, S) ⊆ T iff S ⊆ preimage(f, T)
+                assert (not img & ~t) == (not s & ~pre)
 
     def test_down_sets_equal_the_quadratic_definition(self):
         for level in all_posets(5):

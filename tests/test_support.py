@@ -9,7 +9,7 @@ from lattik import support, topology
 from lattik.corpus import b2, chain, m3, n5, space_corpus
 from lattik.errors import InvalidDatum, NotContinuous
 from lattik.ideals import is_prime
-from lattik.order import Certificate, dual, two
+from lattik.order import Certificate, dual, preimage, two
 from lattik.support import (
     FLAVORS,
     SupportDatum,
@@ -28,7 +28,6 @@ from lattik.topology import (
     discrete_space,
     enumerate_continuous,
     is_continuous,
-    preimage,
     sp_space,
     space_from_closed_basis,
 )
@@ -192,7 +191,7 @@ def preimage_sigma(f, x, spectrum):
     """Σ(f) by its definition, a ↦ f^{-1}(supp(a)), after the literal is_continuous."""
     if not is_continuous(f, x, spectrum.space):
         raise NotContinuous("map into the spectrum is not continuous")
-    return tuple(preimage(f, s, x.n) for s in spectrum.supp.sigma)
+    return tuple(preimage(f, s) for s in spectrum.supp.sigma)
 
 
 class TestSigmaOfMap:

@@ -132,15 +132,21 @@ def test_no_private_attribute_is_probed():
     assert private_attribute_probes() == []
 
 
+def innermost_defs(tree):
+    """{node: the name of its innermost enclosing def} for every node in a def."""
+    owner = {}
+    for node in ast.walk(tree):  # an outer def is walked before the defs inside it
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner.update((n, node.name) for n in ast.walk(node))
+    return owner
+
+
 def low_bit_idioms():
     """``module:function`` for every ``x & -x`` in lattik, by its innermost def."""
     out = []
     for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
-        owner = {}
-        for node in ast.walk(tree):  # an outer def is walked before the defs inside it
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                owner.update((n, node.name) for n in ast.walk(node))
+        owner = innermost_defs(tree)
         for node in ast.walk(tree):
             if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)):
                 continue
@@ -160,6 +166,68 @@ def test_one_bit_iterator():
     found = low_bit_idioms()
     assert "order:bits" in found
     assert [x for x in found if x not in ("order:bits", "order:scheduled_search")] == []
+
+
+def shifted_by(node):
+    """The shifted operand e of a ``m >> e & 1`` node, else None."""
+    if (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.BitAnd)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 1
+        and isinstance(node.left, ast.BinOp)
+        and isinstance(node.left.op, ast.RShift)
+    ):
+        return node.left.right
+    return None
+
+
+def mask_sums():
+    """``module:function`` for every hand-rolled mask preimage in lattik, by its innermost def.
+
+    That is a ``sum(1 << i for ... if ...)`` whose condition tests a bit
+    ``m >> e & 1``, e being a subscript or a loop variable other than i.
+    """
+    out = []
+    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = innermost_defs(tree)
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "sum"
+                and len(node.args) == 1
+                and isinstance(node.args[0], ast.GeneratorExp)
+            ):
+                continue
+            gen = node.args[0]
+            elt = gen.elt
+            if not (
+                isinstance(elt, ast.BinOp)
+                and isinstance(elt.op, ast.LShift)
+                and isinstance(elt.left, ast.Constant)
+                and elt.left.value == 1
+            ):
+                continue
+            loop_vars = {
+                n.id for c in gen.generators for n in ast.walk(c.target) if isinstance(n, ast.Name)
+            }
+            loop_vars -= {n.id for n in ast.walk(elt.right) if isinstance(n, ast.Name)}
+            tested = [
+                shifted_by(n) for c in gen.generators for cond in c.ifs for n in ast.walk(cond)
+            ]
+            if any(
+                isinstance(e, ast.Subscript) or (isinstance(e, ast.Name) and e.id in loop_vars)
+                for e in tested
+            ):
+                out.append(f"{path.stem}:{owner.get(node, '<module>')}")
+    return out
+
+
+def test_one_mask_preimage():
+    # order.preimage is the one preimage of a mask along an image tuple
+    assert mask_sums() == ["order:preimage"]
 
 
 def tracer_names(variable):

@@ -7,7 +7,7 @@ import pytest
 from lattik.corpus import b2, chain, m3, n5, space_corpus
 from lattik.errors import InvalidDatum, NotT0, SizeGuardExceeded
 from lattik.ideals import all_ideals, ideal_masks
-from lattik.order import as_bounded_lattice, bits, canonical_key, dual, two
+from lattik.order import as_bounded_lattice, bits, canonical_key, dual, preimage, two
 from lattik.topology import (
     FiniteSpace,
     _spectrum,
@@ -18,7 +18,6 @@ from lattik.topology import (
     is_continuous,
     is_homeomorphism,
     omega_lattice,
-    preimage,
     sp_space,
     space_from_closed_basis,
     space_from_open_basis,
@@ -46,7 +45,7 @@ def literal_closed_basis_space(points, basis):
 
 def literal_is_continuous(f, x, y):
     """The preimage of every open of y, pulled back one by one, is open in x."""
-    return all(preimage(f, u, x.n) in x.openset for u in y.opens)
+    return all(preimage(f, u) in x.openset for u in y.opens)
 
 
 class TestSpaceConstruction:
