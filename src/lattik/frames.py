@@ -16,7 +16,7 @@ from .order import (
     preimage,
     two,
 )
-from .topology import _spectrum, hochster_dual, is_homeomorphism
+from .topology import _spectrum, is_homeomorphism, spectrum_for
 
 
 def as_frame(l):
@@ -136,7 +136,7 @@ def pt_ideal_vs_hochster(l, guard=None):
         raise NotDistributive("the base lattice must be distributive")
     idl = all_ideals(l)
     pt = points(idl, guard)
-    dualspec = hochster_dual(l)
+    dualspec = spectrum_for(l, "lattice-open")
     principal = [idl.index_of_mask(d) for d in l.down]
     mapping = []
     for kernel in pt.point_ideals:
@@ -159,9 +159,10 @@ def support_union_map(l):
     """The assignment I ↦ ⋃_{a in I} supp(a) into subsets of Spc(L)^v, any lattice.
 
     Returns the ideal masks in ideal_masks order, the spectrum and the images.
+    The spectrum is read through spectrum_for, so it is built once per lattice.
     """
     masks = ideal_masks(l)
-    dualspec = hochster_dual(l)
+    dualspec = spectrum_for(l, "lattice-open")
     images = []
     for members in masks:
         m = 0

@@ -179,7 +179,7 @@ class BoundedLattice(Poset):
         self._join_to = None
         self._meet_pairs = None
         self._meet_to = None
-        self._spectra = {}  # support.spectrum_for, keyed by flavor
+        self._spectra = {}  # topology.spectrum_for, keyed by flavor
         self._ji = None  # tensor.random_tensor_lattice: the join-irreducibles
         self._ji_below = None  # and, per element, their positions below it
 

@@ -2,40 +2,25 @@
 
 from __future__ import annotations
 
+from . import topology
 from .errors import InvalidDatum, NotContinuous
 from .order import dual, enumerate_morphisms, preimage, transpose
 from .topology import (
-    FLAVORS,
     SupportDatum,
     _require_valid,
     cl_lattice,
     enumerate_continuous,
-    hochster_dual,
     is_continuous,
     omega_lattice,
     pull_back_opens,
-    sp_space,
-    spc_space,
+    spectrum_for,
     validate_support_datum,  # re-exported: the datum and its validator live by the spectra
 )
 
-_SPECTRUM_OF_FLAVOR = {
-    "semilattice-closed": sp_space,
-    "lattice-closed": spc_space,
-    "lattice-open": hochster_dual,
-}
-
-
-def spectrum_for(l, flavor):
-    """The spectral construction matching a support-datum flavor.
-
-    Kept on the lattice (``l._spectra``) on first use, keyed by the flavor.
-    """
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    if flavor not in l._spectra:
-        l._spectra[flavor] = _SPECTRUM_OF_FLAVOR[flavor](l)
-    return l._spectra[flavor]
+# the flavors and their spectra live by the spectra too; the CLI, jsonio and
+# bench/ read them here
+FLAVORS = topology.FLAVORS
+_SPECTRUM_OF_FLAVOR = topology._SPECTRUM_OF_FLAVOR
 
 
 def enumerate_support_data(l, x, flavor, guard=None):

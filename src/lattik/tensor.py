@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 from .errors import (
     NotDistributiveOverJoin,
@@ -38,10 +39,18 @@ class TensorLattice:
         self.n = base.n
         self.product = tuple(tuple(row) for row in product)
         self.unit = unit
+        # built on first use and kept, as the spectra are kept on a lattice
+        self._close = None  # _closer(self)
+        self._generated = None  # ⟨a⟩ for each a
+        self._radicals = None  # the radical tensor ideal masks
+        self._quotient = None  # L(⊗) and the projection, before the formula checks
 
 
 def validate_tensor_axioms(base, product, unit):
     """Raise the first violated tensor axiom with a witness pair/triple.
+
+    A table that is not n × n, or a unit or an entry that is not an element
+    index 0..n-1, is a ValueError before any axiom is read.
 
     Monotonicity needs no check of its own: if b <= c, then
     a ⊗ c = a ⊗ (b ∨ c) = (a ⊗ b) ∨ (a ⊗ c) >= a ⊗ b, and likewise on the right.
@@ -55,6 +64,17 @@ def validate_tensor_axioms(base, product, unit):
     names = base.elements
     if len(product) != n or any(len(row) != n for row in product):
         raise ValueError("product table must be total over the carrier")
+    if not isinstance(unit, int) or not 0 <= unit < n:
+        raise ValueError(f"unit {unit!r} is not an element index of the carrier")
+    carrier = frozenset(range(n))
+    if not carrier.issuperset(chain.from_iterable(product)):
+        a, b = next(
+            (a, b) for a, row in enumerate(product) for b, v in enumerate(row) if v not in carrier
+        )
+        raise ValueError(
+            f"product entry {product[a][b]!r} at ({names[a]!r}, {names[b]!r})"
+            " is not an element index of the carrier"
+        )
     z = base.bottom
     for a in range(n):
         if product[a][z] != z or product[z][a] != z:
@@ -141,18 +161,39 @@ def radical_closure(t, seeds):
         elif not 0 <= s < base.n:
             raise ValueError(f"seed {s!r} is not an element index of the carrier")
         mask |= 1 << s
-    return _closer(t)(mask)
+    return _closure(t)(mask)
+
+
+def _closure(t):
+    """The radical closure of t, built by _closer on first use and kept on t."""
+    if t._close is None:
+        t._close = _closer(t)
+    return t._close
+
+
+def _generated(t):
+    """⟨a⟩ for each a, as a tuple kept on t; the checks read it, callers get copies."""
+    if t._generated is None:
+        close = _closure(t)
+        t._generated = tuple(close(1 << a) for a in range(t.n))
+    return t._generated
 
 
 def generated_ideals(t):
     """The radical tensor ideals ⟨a⟩ generated by each single element a."""
-    close = _closer(t)
-    return [close(1 << a) for a in range(t.n)]
+    return list(_generated(t))
+
+
+def _radicals(t):
+    """The radical tensor ideal masks, as a tuple kept on t."""
+    if t._radicals is None:
+        t._radicals = tuple(m for m in ideal_masks(t.base) if is_radical_tensor_ideal(t, m))
+    return t._radicals
 
 
 def radical_masks(t):
     """Masks of the radical tensor ideals, in ideal_masks order."""
-    return [m for m in ideal_masks(t.base) if is_radical_tensor_ideal(t, m)]
+    return list(_radicals(t))
 
 
 def all_radical_tensor_ideals(t):
@@ -163,7 +204,7 @@ def all_radical_tensor_ideals(t):
     which is the radical closure of the union; this function certifies
     neither description, the tests check the join.
     """
-    return SetLattice(radical_masks(t), lambda m: set_label(t.base.elements, m))
+    return SetLattice(_radicals(t), lambda m: set_label(t.base.elements, m))
 
 
 class QuotientFormulaError(ValueError):
@@ -180,15 +221,19 @@ def quotient_lattice(t):
 
     Returns (lattice, projection) where projection[a] is the quotient index
     of ⟨a⟩.  Certifies [a]∨[b] = [a∨b] and [a]∧[b] = [a⊗b]; raises
-    QuotientFormulaError at the first pair (a, b) where one fails.
+    QuotientFormulaError at the first pair (a, b) where one fails.  The
+    lattice and projection are kept on t, and the formulas are checked on
+    every call.
     """
-    gen = generated_ideals(t)
+    if t._quotient is None:
+        gen = _generated(t)
 
-    def label(m):
-        return "[" + "=".join(t.base.elements[a] for a in range(t.n) if gen[a] == m) + "]"
+        def label(m):
+            return "[" + "=".join(t.base.elements[a] for a in range(t.n) if gen[a] == m) + "]"
 
-    lattice = SetLattice(set(gen), label)
-    projection = [lattice.index_of_mask(g) for g in gen]
+        lattice = SetLattice(set(gen), label)
+        t._quotient = lattice, tuple(lattice.index_of_mask(g) for g in gen)
+    lattice, projection = t._quotient
     # join and meet of classes are realized by ∨ and ⊗ on representatives
     for a in range(t.n):
         for b in range(t.n):
@@ -198,7 +243,7 @@ def quotient_lattice(t):
                 raise QuotientFormulaError("join", t.base.elements[a], t.base.elements[b])
             if lattice.meet[ja][jb] != projection[t.product[a][b]]:
                 raise QuotientFormulaError("meet", t.base.elements[a], t.base.elements[b])
-    return lattice, tuple(projection)
+    return lattice, projection
 
 
 def check_tensor_lemma(t):
@@ -206,7 +251,7 @@ def check_tensor_lemma(t):
 
     The lemma assumes an associative product; a non-associative one can fail.
     """
-    gen = generated_ideals(t)
+    gen = _generated(t)
     for a in range(t.n):
         for b in range(t.n):
             lhs = gen[a] & gen[b]
@@ -240,7 +285,7 @@ def check_classification(t):
     if not is_distributive(lattice):
         return Certificate(False, {"reason": "quotient is not distributive"})
 
-    radicals = radical_masks(t)
+    radicals = _radicals(t)
     reason = inclusion_isomorphism_failure(
         ideal_masks(lattice),
         radicals,
@@ -325,21 +370,26 @@ def fuzz_tensor_lattices(bases, seed, count):
     """Yield `count` valid tensor lattices fuzzed over the given lattices.
 
     Deterministic for a fixed seed and base order.  Raises SizeGuardExceeded
-    if the draw budget runs out before enough valid structures appear.
+    if the draw budget runs out before enough valid structures appear.  A
+    draw equal to an earlier valid one (same base position, unit and
+    product) yields that earlier TensorLattice, so the tables kept on a
+    structure are built once per distinct structure; every draw is still
+    made and validated, so the stream is that of random_tensor_lattice.
     """
     rng = random.Random(seed)
     bases = list(bases)
     budget = count * 10_000
     produced = 0
     draws = 0
+    seen = {}  # (base position, unit, product) -> the first valid draw of it
     while produced < count:
         if draws >= budget:
             raise SizeGuardExceeded(
                 f"fuzzing produced only {produced} valid structures in {draws} draws"
             )
-        base = bases[rng.randrange(len(bases))]
+        k = rng.randrange(len(bases))
         draws += 1
-        t = random_tensor_lattice(base, rng)
+        t = random_tensor_lattice(bases[k], rng)
         if t is not None:
             produced += 1
-            yield t
+            yield seen.setdefault((k, t.unit, t.product), t)

@@ -297,6 +297,25 @@ def hochster_dual(l):
     return _spectrum(l, prime_masks(l), "lattice-open")
 
 
+_SPECTRUM_OF_FLAVOR = {
+    "semilattice-closed": sp_space,
+    "lattice-closed": spc_space,
+    "lattice-open": hochster_dual,
+}
+
+
+def spectrum_for(l, flavor):
+    """The spectral construction matching a support-datum flavor.
+
+    Kept on the lattice (``l._spectra``) on first use, keyed by the flavor.
+    """
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
+    if flavor not in l._spectra:
+        l._spectra[flavor] = _SPECTRUM_OF_FLAVOR[flavor](l)
+    return l._spectra[flavor]
+
+
 def specialization_order(x):
     """The poset x <= y iff x lies in the closure of {y}; raises NotT0 if not a poset.
 

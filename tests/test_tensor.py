@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from lattik import tensor
+from lattik import frames, tensor
 from lattik.corpus import b2, chain, lattice_corpus, m3, n5
 from lattik.errors import (
     NotDistributiveOverJoin,
@@ -20,6 +20,7 @@ from lattik.errors import (
 from lattik.ideals import join_irreducibles
 from lattik.order import bits, canonical_key, is_distributive, two
 from lattik.tensor import (
+    QuotientFormulaError,
     TensorLattice,
     all_radical_tensor_ideals,
     check_classification,
@@ -86,6 +87,20 @@ class TestConstruction:
     def test_ragged_table_rejected(self):
         with pytest.raises(ValueError):
             TensorLattice(two(), [[0], [0, 1]], 1)
+
+    @pytest.mark.parametrize("unit", [-1, 3])
+    def test_unit_off_the_carrier_is_rejected(self, unit):
+        l = chain(3)
+        with pytest.raises(ValueError, match=f"unit {unit} is not an element index"):
+            TensorLattice(l, l.meet, unit)
+
+    @pytest.mark.parametrize("entry", [3, -1])
+    def test_entry_off_the_carrier_is_rejected(self, entry):
+        l = chain(3)
+        product = [list(row) for row in l.meet]
+        product[1][1] = entry
+        with pytest.raises(ValueError, match=rf"product entry {entry} at \('m1', 'm1'\)"):
+            TensorLattice(l, product, l.top)
 
 
 class TestRadicalClosure:
@@ -231,6 +246,76 @@ class TestClassification:
         # ∧ on N5 is not join-distributive either; construction refuses it
         with pytest.raises(NotDistributiveOverJoin):
             meet_tensor(n5())
+
+
+class TestKeptTables:
+    def test_returned_lists_do_not_reach_the_checks(self):
+        l = b2()
+        fresh = meet_tensor(l)
+        lemma = check_tensor_lemma(fresh).to_json()
+        classification = check_classification(fresh).to_json()
+        t = meet_tensor(l)
+        for _ in range(2):
+            gen = generated_ideals(t)
+            gen[:] = [l.full] * t.n
+            masks = radical_masks(t)
+            masks.reverse()
+            masks.pop()
+            assert check_tensor_lemma(t).to_json() == lemma
+            assert check_classification(t).to_json() == classification
+        assert generated_ideals(t) == list(l.down)
+        assert radical_masks(t) == radical_masks(fresh)
+
+    def test_equal_draws_are_one_structure_built_once(self, monkeypatch):
+        built = Counter()
+        closer = tensor._closer
+
+        def counting_closer(t):
+            built[id(t)] += 1
+            return closer(t)
+
+        monkeypatch.setattr(tensor, "_closer", counting_closer)
+        bases = lattice_corpus(5)
+        index = {id(l): k for k, l in enumerate(bases)}
+        first = {}
+        draws = list(fuzz_tensor_lattices(bases, seed=1, count=500))
+        for t in draws:
+            assert first.setdefault((index[id(t.base)], t.unit, t.product), t) is t
+            check_tensor_lemma(t)
+            check_classification(t)
+            radical_closure(t, [t.unit])
+        distinct = list({id(t): t for t in draws}.values())
+        assert len(distinct) == len(first) < len(draws)
+        assert built == Counter(id(t) for t in distinct)
+        for t in distinct:
+            fresh = TensorLattice(t.base, t.product, t.unit)
+            assert check_tensor_lemma(fresh).to_json() == check_tensor_lemma(t).to_json()
+            assert check_classification(fresh).to_json() == check_classification(t).to_json()
+
+    def test_checks_run_on_every_call(self, monkeypatch):
+        calls = Counter()
+        for module in (tensor, frames):
+            for name in ("inclusion_isomorphism_failure", "is_distributive"):
+                orig = getattr(module, name)
+
+                def counted(*args, orig=orig, name=name):
+                    calls[name] += 1
+                    return orig(*args)
+
+                monkeypatch.setattr(module, name, counted)
+        t = meet_tensor(b2())
+        for k in range(1, 4):
+            assert check_classification(t).ok
+            assert calls == {"inclusion_isomorphism_failure": 2 * k, "is_distributive": 2 * k}
+
+    def test_a_failing_quotient_fails_on_every_call(self):
+        # draw 2789 of `lattik --seed 16 classify --fuzz 2789`: non-associative
+        *_, t = fuzz_tensor_lattices(lattice_corpus(5), 16, 2789)
+        assert not is_associative(t)
+        for _ in range(2):
+            with pytest.raises(QuotientFormulaError) as exc:
+                quotient_lattice(t)
+            assert exc.value.pair == ("e2", "e1")
 
 
 class TestFuzz:
