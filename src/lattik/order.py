@@ -209,13 +209,9 @@ class BoundedLattice(Poset):
         return self._meet_pairs
 
     def meet_to(self):
-        """meet_to[x][y]: the mask of the v with x ∧ v = y, read off the meet table once."""
+        """meet_to[x][y]: the mask of the v with x ∧ v = y, x's one-hot meet row transposed."""
         if self._meet_to is None:
-            out = [[0] * self.n for _ in range(self.n)]
-            for x, row in enumerate(self.meet):
-                for v, y in enumerate(row):
-                    out[x][y] |= 1 << v
-            self._meet_to = tuple(map(tuple, out))
+            self._meet_to = tuple(transpose([1 << y for y in row], self.n) for row in self.meet)
         return self._meet_to
 
 
@@ -519,9 +515,7 @@ def canonical_key(p):
     """
     cls = _refine_classes(p)
     order = sorted(range(p.n), key=lambda i: (cls[i], i))
-    block = [0] * p.n  # block[c]: the positions of class c
-    for s, i in enumerate(order):
-        block[cls[i]] |= 1 << s
+    block = transpose([1 << cls[i] for i in order], p.n)  # block[c]: the positions of class c
     distinct = [p.full & ~(1 << v) for v in range(p.n)]
     start = [block[cls[i]] for i in order]
     pairs = [

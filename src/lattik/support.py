@@ -61,9 +61,17 @@ def map_of_sigma(d, spectrum):
 
     For the closed lattice flavor the value set is a prime ideal; for the open
     flavor it is likewise prime, which is how the datum lands in Spc(L)^v.
+    ValueError unless the spectrum is that of d's lattice and flavor.
     """
+    _require_same_source(d, spectrum)
     _require_valid(d)
     return _point_map(d, spectrum)
+
+
+def _require_same_source(d, spectrum):
+    """ValueError unless the spectrum is built on d's lattice for d's flavor."""
+    if d.lattice is not spectrum.lattice or d.flavor != spectrum.supp.flavor:
+        raise ValueError("the spectrum is not that of the datum's lattice and flavor")
 
 
 def _point_map(d, spectrum):
@@ -173,8 +181,9 @@ def datum_morphisms_to_final(d, spectrum):
 
     A morphism of support data is a continuous map f with σ(a) = f^{-1}(supp(a))
     for every a, that is Σ(f) = σ; finality of the spectrum means there is
-    exactly one.
+    exactly one.  ValueError unless the spectrum is that of d's lattice and flavor.
     """
+    _require_same_source(d, spectrum)
     return [
         f
         for f in enumerate_continuous(d.space, spectrum.space)

@@ -22,6 +22,7 @@ from .order import (
     is_distributive,
     preimage,
     set_label,
+    transpose,
 )
 
 
@@ -50,7 +51,8 @@ def validate_tensor_axioms(base, product, unit):
     """Raise the first violated tensor axiom with a witness pair/triple.
 
     A table that is not n × n, or a unit or an entry that is not an element
-    index 0..n-1, is a ValueError before any axiom is read.
+    index 0..n-1, is a ValueError before any axiom is read.  An index is an
+    int: a float or a bool equal to one is not.
 
     Monotonicity needs no check of its own: if b <= c, then
     a ⊗ c = a ⊗ (b ∨ c) = (a ⊗ b) ∨ (a ⊗ c) >= a ⊗ b, and likewise on the right.
@@ -64,12 +66,16 @@ def validate_tensor_axioms(base, product, unit):
     names = base.elements
     if len(product) != n or any(len(row) != n for row in product):
         raise ValueError("product table must be total over the carrier")
-    if not isinstance(unit, int) or not 0 <= unit < n:
+    if type(unit) is not int or not 0 <= unit < n:
         raise ValueError(f"unit {unit!r} is not an element index of the carrier")
     carrier = frozenset(range(n))
-    if not carrier.issuperset(chain.from_iterable(product)):
+    entries = list(chain.from_iterable(product))
+    if not carrier.issuperset(entries) or not {int}.issuperset(map(type, entries)):
         a, b = next(
-            (a, b) for a, row in enumerate(product) for b, v in enumerate(row) if v not in carrier
+            (a, b)
+            for a, row in enumerate(product)
+            for b, v in enumerate(row)
+            if type(v) is not int or v not in carrier
         )
         raise ValueError(
             f"product entry {product[a][b]!r} at ({names[a]!r}, {names[b]!r})"
@@ -121,12 +127,11 @@ def _closer(t):
     """The radical closure of a member mask, with the tables of t built once."""
     base = t.base
     # absorb[a]: every a ⊗ b and b ⊗ a; roots[c]: every a with a ⊗ a = c
-    absorb, roots = [0] * t.n, [0] * t.n
-    for a, row in enumerate(t.product):
-        for b, c in enumerate(row):
-            absorb[a] |= 1 << c
-            absorb[b] |= 1 << c
-        roots[row[a]] |= 1 << a
+    absorb = [
+        image(row, base.full) | image(col, base.full)
+        for row, col in zip(t.product, zip(*t.product))
+    ]
+    roots = transpose([1 << row[a] for a, row in enumerate(t.product)], t.n)
 
     def close(mask):
         while True:

@@ -22,7 +22,8 @@ class FiniteSpace:
 
     The family must contain the empty and full sets and be closed under
     pairwise union and intersection.  The empty space has one open set,
-    the mask 0, which is both empty and full.
+    the mask 0, which is both empty and full.  ``minimal_opens[i]`` is U_i,
+    the intersection of the opens containing point i.
     """
 
     def __init__(self, points, opens):
@@ -35,9 +36,12 @@ class FiniteSpace:
         if 0 not in family or full not in family:
             raise ValueError("opens must contain the empty and full sets")
         fam = frozenset(family)
+        minimal = [full] * n
         for a in family:
             if a & ~full:
                 raise ValueError("open set references unknown point")
+            for i in bits(a):
+                minimal[i] &= a
             for b in family:
                 if a | b not in fam or a & b not in fam:
                     raise ValueError("opens are not closed under union/intersection")
@@ -46,16 +50,14 @@ class FiniteSpace:
         self.full = full
         self.opens = tuple(family)
         self.openset = fam
-        self._closed = None
+        self.minimal_opens = tuple(minimal)
         self._cl = None
         self._omega = None
         self._pullbacks = {}
 
     def closed_sets(self):
-        """The closed sets, by size then mask; computed on first use."""
-        if self._closed is None:
-            self._closed = tuple(sorted_by_size(self.full & ~u for u in self.opens))
-        return self._closed
+        """The closed sets, by size then mask."""
+        return tuple(sorted_by_size(self.full & ~u for u in self.opens))
 
     def pullbacks(self, n):
         """Pull-back rows for maps from an n-point space; built on first use per n.
@@ -70,14 +72,6 @@ class FiniteSpace:
                 for i in range(n)
             )
         return self._pullbacks[n]
-
-    def closure(self, mask):
-        """Smallest closed superset of mask."""
-        acc = self.full
-        for c in self.closed_sets():
-            if not mask & ~c:
-                acc &= c
-        return acc
 
     def subset_names(self, mask):
         return [self.points[i] for i in bits(mask)]
@@ -322,7 +316,7 @@ def specialization_order(x):
     i lies in cl{j} iff every open containing i contains j, that is, iff j is
     in the minimal open U_i; so the up-set of i is U_i.
     """
-    up = _minimal_opens(x)
+    up = x.minimal_opens
     for i in range(x.n):
         for j in bits(up[i]):
             if i != j and up[j] >> i & 1:
@@ -354,15 +348,6 @@ def is_continuous(f, x, y):
     return x.openset.issuperset(pull_back_opens(f, x, y))
 
 
-def _minimal_opens(x):
-    """U_i for each point i: the intersection of the opens containing i."""
-    out = [x.full] * x.n
-    for u in x.opens:
-        for i in bits(u):
-            out[i] &= u
-    return out
-
-
 def enumerate_continuous(x, y, guard=None):
     """All continuous maps x -> y as image tuples, in lexicographic order.
 
@@ -375,15 +360,13 @@ def enumerate_continuous(x, y, guard=None):
     bound = DEFAULT_SIZE_GUARD if guard is None else guard
     if y.n ** x.n > bound:
         raise SizeGuardExceeded("continuous-map enumeration exceeds the size guard")
-    x_min = _minimal_opens(x)
-    y_min = _minimal_opens(y)
     # y_within[w]: the values v whose U_v contains w
-    y_within = transpose(y_min, y.n)
+    y_within = transpose(y.minimal_opens, y.n)
     pairs = [[] for _ in range(x.n)]
     for i in range(x.n):
-        for j in bits(x_min[i] & ~(1 << i)):
+        for j in bits(x.minimal_opens[i] & ~(1 << i)):
             if i < j:
-                pairs[j].append((i, y_min))
+                pairs[j].append((i, y.minimal_opens))
             else:
                 pairs[i].append((j, y_within))
     start = [y.full] * x.n

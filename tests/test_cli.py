@@ -140,6 +140,13 @@ class TestExitCodes:
         assert code == 2 and out == "" and "Traceback" not in err
         assert "input error: sigma key 'zzz' names no element" in err
 
+    def test_support_check_sigma_not_an_object_is_input_error(self, capsys, tmp_path):
+        obj = datum_to_json(spectrum_for(chain(2), "semilattice-closed").supp)
+        obj["sigma"] = [[], ["{0}"]]
+        code, out, err = run(capsys, "support-check", write(tmp_path, "datum.json", obj))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "input error: sigma must be an object from elements to lists of points" in err
+
 
 class TestAdjunctionVerb:
     def test_single_pair(self, capsys, b2_file, sierp_file):

@@ -110,6 +110,22 @@ class TestBuildPoset:
             assert p.leq(p.index(a), p.index(b))
 
 
+class TestPosetValidation:
+    @pytest.mark.parametrize(
+        "names, up, message",
+        [
+            ("xy", [0b01], "up must have one mask per element"),
+            ("xy", [0b101, 0b10], "up mask references unknown element index"),
+            ("xy", [0b10, 0b10], "order is not reflexive at 'x'"),
+            ("xyz", [0b011, 0b110, 0b100], "order is not transitive at 'x' <= 'y'"),
+        ],
+        ids=["length", "off-carrier", "reflexive", "transitive"],
+    )
+    def test_rejects_a_bad_up_table(self, names, up, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Poset(list(names), up)
+
+
 class TestJoinSemilattice:
     def test_two(self):
         l = two()

@@ -149,6 +149,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="one point set per lattice element"):
             SupportDatum(chain(3), x, sigma, "semilattice-closed")
 
+    def test_unknown_flavor(self):
+        x = discrete_space(["p"])
+        with pytest.raises(ValueError, match="^unknown flavor 'bogus'$"):
+            SupportDatum(two(), x, (0, x.full), "bogus")
+        with pytest.raises(ValueError, match="^unknown flavor 'bogus'$"):
+            spectrum_for(two(), "bogus")
+
     def test_repr_names_each_set_in_point_order(self):
         x = discrete_space(["p", "q"])
         d = SupportDatum(two(), x, (0, x.full), "semilattice-closed")
@@ -280,6 +287,20 @@ class TestMapOfSigma:
         d = SupportDatum(l, x, (x.full, x.full), "semilattice-closed")
         with pytest.raises(InvalidDatum):
             map_of_sigma(d, sp_space(l))
+
+    def test_rejects_the_spectrum_of_another_lattice(self):
+        # σ = (∅, ∅, X, X) on chain(4) reads as the prime {0, a} of B2; the
+        # map it gave into Spc(B2) was no inverse of Σ on chain(4)
+        x = discrete_space(["p"])
+        d = SupportDatum(chain(4), x, (0, 0, x.full, x.full), "lattice-closed")
+        with pytest.raises(ValueError, match="not that of the datum's lattice"):
+            map_of_sigma(d, spectrum_for(b2(), "lattice-closed"))
+
+    def test_rejects_the_spectrum_of_another_flavor(self):
+        l, x = chain(3), discrete_space(["p"])
+        d = SupportDatum(l, x, (0, x.full, x.full), "lattice-closed")
+        with pytest.raises(ValueError, match="not that of the datum's lattice"):
+            map_of_sigma(d, spectrum_for(l, "lattice-open"))
 
     def test_closed_flavor_values_are_prime(self, corpus5):
         # f(x) = {a : x not in sigma(a)} must be a prime ideal of L
@@ -545,6 +566,18 @@ class TestFinality:
                 assert datum_morphisms_to_final(spec.supp, spec) == [
                     tuple(range(spec.space.n))
                 ]
+
+    def test_rejects_the_spectrum_of_another_lattice(self):
+        x = discrete_space(["p"])
+        d = SupportDatum(chain(4), x, (0, 0, x.full, x.full), "lattice-closed")
+        with pytest.raises(ValueError, match="not that of the datum's lattice"):
+            datum_morphisms_to_final(d, spectrum_for(b2(), "lattice-closed"))
+
+    def test_rejects_the_spectrum_of_another_flavor(self):
+        l, x = chain(3), discrete_space(["p"])
+        d = SupportDatum(l, x, (0, x.full, x.full), "semilattice-closed")
+        with pytest.raises(ValueError, match="not that of the datum's lattice"):
+            datum_morphisms_to_final(d, spectrum_for(l, "lattice-closed"))
 
 
 class TestNaturality:

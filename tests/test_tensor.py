@@ -102,6 +102,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match=rf"product entry {entry} at \('m1', 'm1'\)"):
             TensorLattice(l, product, l.top)
 
+    @pytest.mark.parametrize("index", [1.0, True], ids=["float", "bool"])
+    def test_an_index_equal_to_an_int_is_not_one(self, index):
+        # 1.0 == 1 == True, so a set lookup alone would let them through
+        with pytest.raises(ValueError, match=rf"product entry {index!r} at \('1', '1'\)"):
+            TensorLattice(chain(2), [[0, 0], [0, index]], 1)
+        with pytest.raises(ValueError, match=f"unit {index!r} is not an element index"):
+            TensorLattice(chain(2), [[0, 0], [0, 1]], index)
+
 
 class TestRadicalClosure:
     def test_nilpotent_bottom_sweeps_up(self):

@@ -230,6 +230,33 @@ def test_one_mask_preimage():
     assert mask_sums() == ["order:preimage"]
 
 
+def fibre_loops():
+    """``module:function`` for every one-hot ``t[k] |= 1 << e`` into a subscripted table."""
+    out = []
+    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = innermost_defs(tree)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.AugAssign)
+                and isinstance(node.op, ast.BitOr)
+                and isinstance(node.target, ast.Subscript)
+                and isinstance(node.value, ast.BinOp)
+                and isinstance(node.value.op, ast.LShift)
+                and isinstance(node.value.left, ast.Constant)
+                and node.value.left.value == 1
+            ):
+                out.append(f"{path.stem}:{owner.get(node, '<module>')}")
+    return sorted(set(out))
+
+
+def test_fibre_tables_go_through_transpose():
+    # a table of fibres, out[y] = the i with row i pointing at y, is the
+    # transpose of one-hot rows, built by order.transpose; build_poset's loop
+    # sets the bits of an edge list into the up-sets, which is no transpose
+    assert fibre_loops() == ["order:build_poset"]
+
+
 def tracer_names(variable):
     """The ``"<module>.<name>"`` strings of a tuple assigned in bench/tracer.py."""
     for node in ast.parse(TRACER.read_text()).body:

@@ -1,6 +1,8 @@
 """Finite spaces, the spectra, specialization order, and continuity."""
 
+from functools import reduce
 from itertools import product
+from operator import and_
 
 import pytest
 
@@ -41,6 +43,11 @@ def literal_closed_basis_space(points, basis):
     for m in unions:
         closed |= {m & c for c in closed}
     return FiniteSpace(points, {full & ~c for c in closed})
+
+
+def literal_closure(x, mask):
+    """The smallest closed superset of mask: the intersection of the closed sets above it."""
+    return reduce(and_, (c for c in x.closed_sets() if not mask & ~c), x.full)
 
 
 def literal_is_continuous(f, x, y):
@@ -120,6 +127,20 @@ class TestSpaceConstruction:
     def test_rejects_non_closed_family(self):
         with pytest.raises(ValueError):
             FiniteSpace(["p", "q", "r"], [0, 0b001, 0b010, 0b111])
+
+    def test_rejects_duplicate_points(self):
+        with pytest.raises(ValueError, match="point labels must be distinct"):
+            FiniteSpace(["p", "p"], [0, 0b11])
+
+    def test_rejects_an_open_off_the_points(self):
+        with pytest.raises(ValueError, match="open set references unknown point"):
+            FiniteSpace(["p"], [0, 0b01, 0b11])
+
+    def test_minimal_opens_are_the_intersections_of_the_opens_around_each_point(self):
+        for x in space_corpus(4):
+            assert x.minimal_opens == tuple(
+                reduce(and_, (u for u in x.opens if u >> i & 1), x.full) for i in range(x.n)
+            )
 
     def test_membership_sets_match_the_families(self, spaces3):
         for x in spaces3:
@@ -290,7 +311,7 @@ class TestSpecializationOrder:
         # i <= j iff i lies in cl{j}; T0 iff no two points share their closures
         for x in space_corpus(4):
             up = [
-                sum(1 << j for j in range(x.n) if x.closure(1 << j) >> i & 1)
+                sum(1 << j for j in range(x.n) if literal_closure(x, 1 << j) >> i & 1)
                 for i in range(x.n)
             ]
             t0 = all(i == j or not up[j] >> i & 1 for i in range(x.n) for j in bits(up[i]))
