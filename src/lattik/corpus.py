@@ -73,27 +73,27 @@ def b3():
     return as_bounded_lattice(build_poset(names, pairs))
 
 
-def _grow(max_n, downsets):
-    """Levels 1..max_n of posets grown one new maximal element at a time.
+def _extend(p, d):
+    """p with a new maximal element e<p.n> over the down-set d."""
+    up = [u | 1 << p.n if d >> i & 1 else u for i, u in enumerate(p.up)]
+    return Poset((*p.elements, f"e{p.n}"), [*up, 1 << p.n])
 
-    Level n extends every poset p of level n-1, in level order, by a new
-    maximal element whose down-set is each mask of ``downsets(p, n == max_n)``
-    in turn.  The first extension seen of each isomorphism class is its
-    representative; a level is sorted by canonical key.
+
+def _grow(max_n, downsets):
+    """Levels 0..max_n of posets grown one new maximal element at a time.
+
+    Level 0 is the empty poset.  Level n extends every poset p of level n-1,
+    in level order, by each mask of ``downsets(p)`` in turn.  The first
+    extension seen of each isomorphism class is its representative; a level
+    is sorted by canonical key.
     """
-    one = Poset(["e0"], [1])
-    levels = [[one]]
-    for n in range(2, max_n + 1):
+    levels = [[Poset([], [])]]
+    for _ in range(max_n):
         seen = {}
-        names = [f"e{i}" for i in range(n)]
         for p in levels[-1]:
-            for d in downsets(p, n == max_n):
-                up = [p.up[i] | ((1 << (n - 1)) if d >> i & 1 else 0) for i in range(p.n)]
-                up.append(1 << (n - 1))
-                q = Poset(names, up)
-                key = canonical_key(q)
-                if key not in seen:
-                    seen[key] = q
+            for d in downsets(p):
+                q = _extend(p, d)
+                seen.setdefault(canonical_key(q), q)
         levels.append([seen[k] for k in sorted(seen)])
     return levels
 
@@ -122,18 +122,15 @@ def all_posets(max_n):
     """
     if max_n < 1:
         raise BoundExceeded(f"poset generation needs max_n >= 1, got {max_n}")
-    return _grow(max_n, lambda p, last: _downset_masks(p))
+    return _grow(max_n, _downset_masks)[1:]
 
 
-def _meet_downsets(p, last):
+def _meet_downsets(p):
     """Down-sets d of the meet-semilattice p whose extension is one as well.
 
     The new element m has glb(m, x) for every x iff d ∩ ↓x is a principal
-    down-set ↓k.  At the last level only d = p.full is kept: m is then a top,
-    and only an extension by a top can be a lattice.
+    down-set ↓k.
     """
-    if last:
-        return [p.full]
     principal = set(p.down)
     return [d for d in _downset_masks(p) if all(d & dx in principal for dx in p.down)]
 
@@ -144,37 +141,39 @@ def all_lattices(max_n):
     Returns a list of lists, index n-1 holding the lattices of size n in a
     deterministic canonical order.
 
-    The extension of ``all_posets`` is run over meet-semilattices only, with
-    the same level order and down-set order, and gives the same
-    representatives, labels and order:
+    A lattice's top is its only maximal element, and a finite
+    meet-semilattice with a top adjoined is a lattice: a ∨ b is the meet of
+    the upper bounds of a and b.  So L ↦ L - top is a bijection from the
+    n-element lattices onto the (n-1)-element meet-semilattices, and level n
+    is level n-1 of ``_grow(max_n - 1, _meet_downsets)`` with a top
+    adjoined to each, neither keyed nor deduplicated.
 
-    - A lattice's top is its only maximal element, so the poset extension
-      can build an n-element lattice L only from the representative of
-      L - top with d = full, and L - top is a meet-semilattice.
-    - A meet-semilattice minus a maximal element is again a
-      meet-semilattice, so every (p, d) that ``all_posets`` extends to a
-      meet-semilattice has p a meet-semilattice, and ``_meet_downsets``
-      keeps exactly those d.
-    - By induction on n, each level here is the subsequence of
-      meet-semilattices of the poset level, with the same representatives:
-      the pairs (p, d) visited here are the poset pairs that yield
-      meet-semilattices, in the same relative order, so every class is
-      first seen at the same pair.
+    Those levels are the meet-semilattices of the ``all_posets`` levels, with
+    the same representatives and order: a meet-semilattice minus a maximal
+    element is one as well, and ``_meet_downsets`` keeps exactly the d that
+    give one.  There L is built only from the representative P of L - top,
+    as P + top, and adjoining a top keeps the key order.  For P on n elements:
 
-    A level poset is kept iff it has a top.  Every level poset is a
-    meet-semilattice with the bottom e0, and a finite meet-semilattice with
-    a top is a lattice: a ∨ b is the meet of the upper bounds of a and b,
-    a set that the top makes nonempty.  as_bounded_lattice still checks
-    that the bottom and every join exist, and reads the meets off the
-    down-sets.
+    1. ``_refine_classes(P + top)`` restricted to P is ``_refine_classes(P)``,
+       with the same ranks, and the top sits alone in the last class.  Its
+       start invariant (n+1, 1) is the largest.  Every other element gains
+       the top's class at the end of its ``above`` tuple, and elements of
+       one class have ``above`` tuples of one length.
+    2. So the admissible relabellings of P + top are exactly those of P,
+       with the top sent to position n.
+    3. Under such a relabelling, the code of P + top is P's code with bit
+       r·n + c moved to r·(n+1) + c, plus the bits r·(n+1) + n for r <= n,
+       which do not depend on the relabelling.  The move is increasing on
+       bit positions, so the least codes, and the keys of equal-size P,
+       compare as before.
     """
     if not 1 <= max_n <= MAX_CORPUS_N:
         raise BoundExceeded(
             f"corpus generation is bounded at 1 <= n <= {MAX_CORPUS_N}"
         )
     return [
-        [as_bounded_lattice(p) for p in level if p.full in p.down]
-        for level in _grow(max_n, _meet_downsets)
+        [as_bounded_lattice(_extend(p, p.full)) for p in level]
+        for level in _grow(max_n - 1, _meet_downsets)
     ]
 
 

@@ -170,6 +170,7 @@ class SupportDatum:
             and self.sigma == other.sigma
             and self.flavor == other.flavor
             and self.space == other.space
+            and self.lattice is other.lattice
         )
 
     def __hash__(self):

@@ -4,8 +4,12 @@ from itertools import combinations, permutations, product
 
 import pytest
 
+from lattik import corpus
 from lattik.corpus import (
     LATTICE_COUNTS,
+    _extend,
+    _grow,
+    _meet_downsets,
     all_lattices,
     all_posets,
     all_topologies,
@@ -65,6 +69,28 @@ class TestLatticeCounts:
             ]
             got = [[(l.elements, l.up) for l in level] for level in all_lattices(n)]
             assert got == expected, n
+
+    def test_a_top_keeps_the_key_order(self):
+        # all_lattices lists P + top in the level order of the meet-semilattices P
+        # without sorting: adjoining a top must keep the canonical-key order
+        for level in _grow(7, _meet_downsets):
+            keys = [canonical_key(_extend(p, p.full)) for p in level]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+
+    def test_the_last_level_is_not_keyed(self, monkeypatch):
+        # the n-element lattices are the (n-1)-element meet-semilattices with a
+        # top, one each, so no n-element poset needs a key
+        sizes = []
+
+        def recorder(p):
+            sizes.append(p.n)
+            return canonical_key(p)
+
+        monkeypatch.setattr(corpus, "canonical_key", recorder)
+        for n in range(2, 9):
+            sizes.clear()
+            all_lattices(n)
+            assert max(sizes) == n - 1, n
 
     def test_no_two_isomorphic(self, corpus5):
         # by brute force, as the corpus is deduplicated by canonical_key

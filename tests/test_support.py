@@ -149,6 +149,14 @@ class TestValidation:
         with pytest.raises(ValueError, match="one point set per lattice element"):
             SupportDatum(chain(3), x, sigma, "semilattice-closed")
 
+    def test_data_on_two_lattices_differ(self):
+        # chain(4) and b2() have 4 elements each, so one σ fits both
+        x = discrete_space(["p"])
+        a = SupportDatum(chain(4), x, (0, 0, 1, 1), "lattice-closed")
+        b = SupportDatum(b2(), x, (0, 0, 1, 1), "lattice-closed")
+        assert a != b
+        assert len({a, b}) == 2
+
     def test_unknown_flavor(self):
         x = discrete_space(["p"])
         with pytest.raises(ValueError, match="^unknown flavor 'bogus'$"):

@@ -37,6 +37,38 @@ def test_every_guard_parameter_is_read():
     assert unread_guards() == []
 
 
+def unread_parameters():
+    """``module:function:parameter`` for every parameter of a def or lambda in lattik
+    that its body never reads; a lambda's function is ``<lambda>``."""
+    out = []
+    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Lambda):
+                name, body = "<lambda>", [node.body]
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name, body = node.name, node.body
+            else:
+                continue
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            out += [f"{path.stem}:{name}:{a.arg}" for a in params if a.arg not in read]
+    return out
+
+
+def test_every_parameter_is_read():
+    # a parameter that no body reads is a dead knob.  The one exception is the
+    # three CERTIFY_VERBS adapters of cli, which take a guard they do not need so
+    # that every check has one (obj, guard) signature
+    assert unread_parameters() == ["cli:<lambda>:guard"] * 3
+
+
 def function_imports():
     """``module:function`` for every def whose body holds an import statement."""
     out = []
