@@ -25,9 +25,9 @@ LATTICE_COUNTS = {
 
 def chain(n):
     """The n-element chain c0 < c1 < ... (named 0, m1, ..., 1 for readability)."""
-    if n == 1:
-        return as_bounded_lattice(build_poset(["0"], []))
-    names = ["0"] + [f"m{i}" for i in range(1, n - 1)] + ["1"]
+    if n < 1:
+        raise BoundExceeded(f"chain needs n >= 1, got {n}")
+    names = ["0", *(f"m{i}" for i in range(1, n - 1)), "1"][:n]
     pairs = [(names[i], names[i + 1]) for i in range(n - 1)]
     return as_bounded_lattice(build_poset(names, pairs))
 

@@ -16,7 +16,7 @@ from .order import (
     preimage,
     two,
 )
-from .topology import _spectrum, is_homeomorphism, spectrum_for
+from .topology import Spectrum, is_homeomorphism, spectrum_for
 
 
 def as_frame(l):
@@ -48,13 +48,13 @@ def points(f, guard=None):
     meets, and every join over a finite carrier is a finite one, so the points
     are the bounded-lattice morphisms F -> 2, in the order of the morphism
     search.  Each is read as its kernel φ⁻¹(0), a prime ideal, and U(a) is then
-    supp(a) = {P : a not in P}; so Pt(F) is the lattice-open spectrum on the
-    kernels, with U as its supp datum (``supp.sigma``).  F need be no frame.
+    supp(a) = {P : a not in P}; so Pt(F) is Spectrum(F, kernels, "lattice-open"),
+    which builds and validates U as its supp datum (``supp.sigma``).  F need be no frame.
     """
     kernels = [
         ideal_of_morphism(f, phi, "blat") for phi in enumerate_morphisms(f, two(), "blat", guard)
     ]
-    return _spectrum(f, kernels, "lattice-open")
+    return Spectrum(f, kernels, "lattice-open")
 
 
 class SpatialityCertificate:

@@ -163,18 +163,36 @@ def build_poset(names, leq_pairs):
 
 
 class BoundedLattice(Poset):
-    """All finite joins and meets, 0 and 1, on a validated poset's order, not checked again."""
+    """The bounded lattice on a validated poset's order, which is shared, not checked again.
 
-    def __init__(self, poset, bottom, join, top, meet):
-        self.elements = poset.elements
-        self.up = poset.up
-        self.n = poset.n
-        self.full = poset.full
-        self.down = poset.down
-        self.bottom = bottom
-        self.join = join
-        self.top = top
-        self.meet = meet
+    Raises NoBottom, or NoJoin for the first pair without a join.  Each
+    up-set and each down-set names its element, by antisymmetry.  The
+    bottom is the element whose up-set is the carrier, and a ∨ b is the k
+    with ↑k = ↑a ∩ ↑b: the common upper bounds have a least member k iff
+    they form ↑k.  A finite poset with a bottom and all binary joins is a
+    bounded lattice: 1 is the join of all elements, and a ∧ b is the join of
+    the common lower bounds, nonempty as they hold the bottom.  So ↓1 is the
+    carrier and ↓a ∩ ↓b = ↓(a ∧ b), since x <= a and x <= b iff x <= a ∧ b.
+    """
+
+    def __init__(self, poset):
+        self.elements, self.up, self.down = poset.elements, poset.up, poset.down
+        self.n, self.full = poset.n, poset.full
+        of_up = {u: i for i, u in enumerate(self.up)}
+        of_down = {d: i for i, d in enumerate(self.down)}
+        if self.full not in of_up:
+            raise NoBottom("poset has no minimum element")
+        join = [[0] * self.n for _ in range(self.n)]
+        for i in range(self.n):
+            for j in range(i, self.n):
+                k = of_up.get(self.up[i] & self.up[j])
+                if k is None:
+                    raise NoJoin(self.elements[i], self.elements[j])
+                join[i][j] = join[j][i] = k
+        self.bottom = of_up[self.full]
+        self.join = tuple(map(tuple, join))
+        self.top = of_down[self.full]
+        self.meet = tuple(tuple(of_down[di & dj] for dj in self.down) for di in self.down)
         self._join_pairs = None
         self._join_to = None
         self._meet_pairs = None
@@ -222,29 +240,8 @@ def _pairs_with(table):
 
 
 def as_bounded_lattice(p):
-    """The bounded lattice on p, or NoBottom, or NoJoin for the first pair without a join.
-
-    Each up-set and each down-set names its element, by antisymmetry.  The
-    bottom is the element whose up-set is the carrier, and a ∨ b is the k
-    with ↑k = ↑a ∩ ↑b: the common upper bounds have a least member k iff
-    they form ↑k.  A finite poset with a bottom and all binary joins is a
-    bounded lattice: 1 is the join of all elements, and a ∧ b is the join of
-    the common lower bounds, nonempty as they hold the bottom.  So ↓1 is the
-    carrier and ↓a ∩ ↓b = ↓(a ∧ b), since x <= a and x <= b iff x <= a ∧ b.
-    """
-    of_up = {u: i for i, u in enumerate(p.up)}
-    of_down = {d: i for i, d in enumerate(p.down)}
-    if p.full not in of_up:
-        raise NoBottom("poset has no minimum element")
-    join = [[0] * p.n for _ in range(p.n)]
-    for i in range(p.n):
-        for j in range(i, p.n):
-            k = of_up.get(p.up[i] & p.up[j])
-            if k is None:
-                raise NoJoin(p.elements[i], p.elements[j])
-            join[i][j] = join[j][i] = k
-    meet = tuple(tuple(of_down[di & dj] for dj in p.down) for di in p.down)
-    return BoundedLattice(p, of_up[p.full], tuple(map(tuple, join)), of_down[p.full], meet)
+    """The bounded lattice on p: BoundedLattice(p)."""
+    return BoundedLattice(p)
 
 
 def sorted_by_size(masks):
@@ -256,17 +253,15 @@ class SetLattice(BoundedLattice):
     """A bounded lattice of subsets (int masks) ordered by inclusion.
 
     The masks are sorted by sorted_by_size; element k is ``masks[k]``, named
-    ``label(masks[k])``.  as_bounded_lattice checks that the family has a
-    least member and a join for every pair, and its tables are this
-    lattice's.
+    ``label(masks[k])``.  BoundedLattice reads the bounds and tables off the
+    inclusion order, so the family must have a least member and a join for
+    every pair.
     """
 
     def __init__(self, masks, label):
         masks = sorted_by_size(masks)
         up = [sum(1 << j for j, b in enumerate(masks) if not a & ~b) for a in masks]
-        p = Poset([label(m) for m in masks], up)
-        l = as_bounded_lattice(p)
-        super().__init__(p, l.bottom, l.join, l.top, l.meet)
+        super().__init__(Poset([label(m) for m in masks], up))
         self.masks = tuple(masks)
         self._index = {m: k for k, m in enumerate(masks)}
 
@@ -323,8 +318,8 @@ class Certificate:
 
 
 def dual(l):
-    """The dual lattice: same carrier, order reversed, join/meet swapped."""
-    return BoundedLattice(Poset(l.elements, l.down), l.top, l.meet, l.bottom, l.join)
+    """The dual lattice: same carrier, order reversed, so join/meet and 0/1 swap."""
+    return BoundedLattice(Poset(l.elements, l.down))
 
 
 def distributivity_witness(l):

@@ -229,15 +229,31 @@ def _require_valid(d):
 
 
 class Spectrum:
-    """A spectral construction: supp as a support datum on the space, and the point ideals."""
+    """The spectrum of the support-datum flavor on the ideals ``point_ideals`` of a lattice.
 
-    def __init__(self, supp, point_ideals):
-        self.supp = supp
+    The points are the ideals, labelled by their members, and
+    supp(a) = {I : a not in I}.  "semilattice-closed" (Sp) and
+    "lattice-closed" (Spc) read the supp sets as a closed basis;
+    "lattice-open" (Spc^v) has the points and supp of Spc and reads them, by
+    Hochster duality, as an open basis.  supp must then be a support datum of
+    the flavor on that space; validate_support_datum checks it, and a failure
+    raises InvalidDatum naming the axiom and its witness.
+    """
+
+    def __init__(self, lattice, point_ideals, flavor):
         self.point_ideals = tuple(point_ideals)  # base-lattice mask per point
+        labels = [set_label(lattice.elements, m) for m in self.point_ideals]
+        sigma = transpose([lattice.full ^ m for m in self.point_ideals], lattice.n)
+        if flavor == "lattice-open":
+            space = space_from_open_basis(labels, sigma)
+        else:
+            space = space_from_closed_basis(labels, sigma)
+        self.supp = SupportDatum(lattice, space, sigma, flavor)
+        _require_valid(self.supp)
         self._point = {m: p for p, m in enumerate(self.point_ideals)}
         # per a, the index in space.opens of supp(a), or of its complement if closed
-        flip = 0 if supp.flavor == "lattice-open" else supp.space.full
-        self.supp_opens = tuple(supp.space.opens.index(s ^ flip) for s in supp.sigma)
+        flip = 0 if flavor == "lattice-open" else space.full
+        self.supp_opens = tuple(space.opens.index(s ^ flip) for s in sigma)
 
     @property
     def lattice(self):
@@ -255,41 +271,19 @@ class Spectrum:
             raise ValueError(f"no point with ideal mask {members:b}") from None
 
 
-def _spectrum(l, masks, flavor):
-    """The spectrum of the support-datum flavor on the ideals ``masks``.
-
-    The points are the ideals, labelled by their members, and
-    supp(a) = {I : a not in I}.  "semilattice-closed" (Sp) and
-    "lattice-closed" (Spc) read the supp sets as a closed basis;
-    "lattice-open" (Spc^v) has the points and supp of Spc and reads them, by
-    Hochster duality, as an open basis.  supp must then be a support datum of
-    the flavor on that space; validate_support_datum checks it, and a failure
-    raises InvalidDatum naming the axiom and its witness.
-    """
-    labels = [set_label(l.elements, m) for m in masks]
-    supp = transpose([l.full ^ m for m in masks], l.n)
-    if flavor == "lattice-open":
-        space = space_from_open_basis(labels, supp)
-    else:
-        space = space_from_closed_basis(labels, supp)
-    datum = SupportDatum(l, space, supp, flavor)
-    _require_valid(datum)
-    return Spectrum(datum, masks)
-
-
 def sp_space(l):
     """Sp(L): all ideals with closed basis supp(a) = {I : a not in I}."""
-    return _spectrum(l, ideal_masks(l), "semilattice-closed")
+    return Spectrum(l, ideal_masks(l), "semilattice-closed")
 
 
 def spc_space(l):
     """Spc(L): the prime ideals with closed basis supp(a)."""
-    return _spectrum(l, prime_masks(l), "lattice-closed")
+    return Spectrum(l, prime_masks(l), "lattice-closed")
 
 
 def hochster_dual(l):
     """Spc(L)^v: the prime ideals retopologized with the supp sets as open basis."""
-    return _spectrum(l, prime_masks(l), "lattice-open")
+    return Spectrum(l, prime_masks(l), "lattice-open")
 
 
 _SPECTRUM_OF_FLAVOR = {

@@ -102,6 +102,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "validate", "/nonexistent.json")
         assert code == 2 and "input error" in err
 
+    def test_empty_lattice_is_an_input_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "validate", write(tmp_path, "empty.json", {"elements": []}))
+        assert code == 2 and out == ""
+        assert "input error: names must be nonempty" in err
+
     def test_malformed_json_reports_position(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"elements": [,]}')

@@ -13,6 +13,7 @@ from lattik.corpus import (
     all_lattices,
     all_posets,
     all_topologies,
+    chain,
     lattice_corpus,
     space_corpus,
 )
@@ -117,6 +118,21 @@ class TestLatticeCounts:
     def test_bound_below_one(self, max_n):
         with pytest.raises(BoundExceeded):
             all_lattices(max_n)
+
+
+class TestChain:
+    def test_one_element(self):
+        l = chain(1)
+        assert (l.elements, l.bottom, l.top) == (("0",), 0, 0)
+
+    def test_names(self):
+        assert chain(2).elements == ("0", "1")
+        assert chain(4).elements == ("0", "m1", "m2", "1")
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_bound_below_one(self, n):
+        with pytest.raises(BoundExceeded, match=f"got {n}"):
+            chain(n)
 
 
 class TestPosetCounts:

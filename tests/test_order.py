@@ -15,6 +15,7 @@ from lattik.errors import (
     SizeGuardExceeded,
     UnknownName,
 )
+from lattik.ideals import all_ideals
 from lattik.jsonio import lattice_from_json, lattice_to_json
 from lattik.order import (
     BoundedLattice,
@@ -197,6 +198,83 @@ class TestBoundedLattice:
                         assert [list(row) for row in l.meet] == [
                             [brute_glb(q, i, j) for j in everything] for i in everything
                         ]
+
+
+def least(mask, above):
+    """The k in mask with mask inside above[k], or None: a scan, not a lookup."""
+    found = [k for k in bits(mask) if not mask & ~above[k]]
+    return found[0] if found else None
+
+
+def bounds_oracle(p):
+    """(bottom, join, top, meet) of p by scans over its up-sets and down-sets.
+
+    "NoBottom" if no up-set is the carrier; ("NoJoin", i, j) for the first
+    pair i <= j, in the order of i, then j, without a least common upper bound.
+    """
+    bottom = least(p.full, p.up)
+    if bottom is None:
+        return "NoBottom"
+    join = [[None] * p.n for _ in range(p.n)]
+    for i in range(p.n):
+        for j in range(i, p.n):
+            join[i][j] = join[j][i] = least(p.up[i] & p.up[j], p.up)
+            if join[i][j] is None:
+                return ("NoJoin", i, j)
+    top = least(p.full, p.down)
+    meet = [[least(di & dj, p.down) for dj in p.down] for di in p.down]
+    return bottom, join, top, meet
+
+
+def tables(l):
+    """(bottom, join, top, meet) of a lattice, its tables as lists."""
+    return l.bottom, [list(r) for r in l.join], l.top, [list(r) for r in l.meet]
+
+
+def assert_matches_bounds_oracle(p):
+    """Check BoundedLattice(p) against the oracle; return the outcome's name."""
+    expected = bounds_oracle(p)
+    if expected == "NoBottom":
+        with pytest.raises(NoBottom, match="poset has no minimum element"):
+            BoundedLattice(p)
+        return "NoBottom"
+    if expected[0] == "NoJoin":
+        with pytest.raises(NoJoin) as exc:
+            BoundedLattice(p)
+        assert exc.value.pair == (p.elements[expected[1]], p.elements[expected[2]])
+        return "NoJoin"
+    assert tables(BoundedLattice(p)) == expected
+    return "lattice"
+
+
+class TestBoundsOracle:
+    # BoundedLattice(poset) is the one reader of a lattice's bounds and tables
+
+    def test_every_poset_up_to_five(self):
+        outcomes = {assert_matches_bounds_oracle(p) for level in all_posets(5) for p in level}
+        assert outcomes == {"NoBottom", "NoJoin", "lattice"}
+
+    def test_open_set_lattices(self):
+        for x in space_corpus(3):
+            l = omega_lattice(x)
+            assert tables(l) == bounds_oracle(l)
+
+    def test_ideal_lattices(self, corpus6):
+        for l in corpus6:
+            ideals = all_ideals(l)
+            assert tables(ideals) == bounds_oracle(ideals)
+
+    def test_dual_swaps_the_tables(self):
+        for l in lattice_corpus(7):
+            d = dual(l)
+            assert (d.elements, d.up, d.down) == (l.elements, l.down, l.up)
+            assert (d.bottom, d.join, d.top, d.meet) == (l.top, l.meet, l.bottom, l.join)
+
+    def test_takes_no_tables(self):
+        # the 2-chain a < b with a join table that says a ∨ b = a
+        p = Poset(["a", "b"], [3, 2])
+        with pytest.raises(TypeError):
+            BoundedLattice(p, 0, ((0, 0), (0, 0)), 1, ((0, 0), (0, 1)))
 
 
 class TestSetLattice:

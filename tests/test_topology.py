@@ -12,7 +12,7 @@ from lattik.ideals import all_ideals, ideal_masks
 from lattik.order import as_bounded_lattice, bits, canonical_key, dual, preimage, two
 from lattik.topology import (
     FiniteSpace,
-    _spectrum,
+    Spectrum,
     cl_lattice,
     discrete_space,
     enumerate_continuous,
@@ -255,7 +255,13 @@ class TestSpcSpace:
     def test_all_ideals_fail_the_lattice_axioms(self):
         # B2 itself is an ideal that no supp(a) leaves out, so supp(1) misses it
         with pytest.raises(InvalidDatum, match="axiom full"):
-            _spectrum(b2(), ideal_masks(b2()), "lattice-closed")
+            Spectrum(b2(), ideal_masks(b2()), "lattice-closed")
+
+    def test_takes_no_supp(self):
+        # a supp datum and point ideals in another order, which nothing would check
+        s = spc_space(b2())
+        with pytest.raises(TypeError):
+            Spectrum(s.supp, reversed(s.point_ideals))
 
 
 class TestHochsterDual:
