@@ -300,10 +300,10 @@ def cmd_certify(args):
     tensor lattices over lattice_corpus(5) instead of a file.
     """
     load, check = CERTIFY_VERBS[args.verb]
-    fuzz = getattr(args, "fuzz", 0)
-    if fuzz < 0:
-        raise InputError(f"--fuzz must be nonnegative, got {fuzz}")
-    if fuzz:
+    fuzz = getattr(args, "fuzz", None)
+    if fuzz is not None:
+        if fuzz < 1:
+            raise InputError(f"--fuzz must be positive, got {fuzz}")
         if args.file is not None:
             raise InputError("give FILE or --fuzz, not both")
         count = 0
@@ -399,7 +399,7 @@ def build_parser():
     for verb in ("tensor-lemma", "classify"):
         p = add(verb, cmd_certify)
         p.add_argument("file", nargs="?")
-        p.add_argument("--fuzz", type=int, default=0, metavar="COUNT")
+        p.add_argument("--fuzz", type=int, default=None, metavar="COUNT")
 
     p = add("corpus", cmd_corpus)
     p.add_argument("--max-n", type=int, default=6, metavar="N")

@@ -8,6 +8,7 @@ from .order import (
     as_bounded_lattice,
     build_poset,
     canonical_key,
+    maximal_extension,
     scheduled_search,
     transpose,
 )
@@ -75,8 +76,7 @@ def b3():
 
 def _extend(p, d):
     """p with a new maximal element e<p.n> over the down-set d."""
-    up = [u | 1 << p.n if d >> i & 1 else u for i, u in enumerate(p.up)]
-    return Poset((*p.elements, f"e{p.n}"), [*up, 1 << p.n])
+    return maximal_extension(p, d, f"e{p.n}")
 
 
 def _grow(max_n, downsets):

@@ -138,6 +138,37 @@ class Poset:
         return f"{type(self).__name__}({list(self.elements)!r})"
 
 
+def maximal_extension(p, d, name):
+    """p with a new maximal element ``name`` over the down-set d, built from p's tables.
+
+    ValueError unless d is a down-set of p (a mask on p's carrier with
+    ↓i ⊆ d for each i in d) and name is a nonempty string that p does not
+    use.  The order is not checked again, as nothing can fail: the new
+    relation adds the pairs i <= e for i in d and e <= e.  It is reflexive,
+    as p is and e <= e.  It is antisymmetric: each new pair i <= e with
+    i != e has no reverse, since e is below no old element.  It is
+    transitive: for a <= b <= c with a new pair, either c = e and b in d,
+    so a in ↓b ⊆ d and a <= e, or b = e, so c = e and a <= e already.  So
+    up[i] gains e's bit for i in d, the old down-sets stay, and ↓e is
+    d with e.
+    """
+    if not (isinstance(d, int) and 0 <= d <= p.full):
+        raise ValueError(f"down-set mask {d!r} is off the carrier")
+    for i in bits(d):
+        if p.down[i] & ~d:
+            raise ValueError(f"mask {d:b} is not a down-set: it holds {p.elements[i]!r}")
+    if not isinstance(name, str) or not name or name in p.elements:
+        raise ValueError(f"new element name {name!r} must be a fresh nonempty string")
+    e = 1 << p.n
+    q = Poset.__new__(Poset)
+    q.elements = (*p.elements, name)
+    q.up = (*(u | e if d >> i & 1 else u for i, u in enumerate(p.up)), e)
+    q.n = p.n + 1
+    q.full = p.full | e
+    q.down = (*p.down, d | e)
+    return q
+
+
 def build_poset(names, leq_pairs):
     """Build a poset as the reflexive-transitive closure of the given pairs."""
     names = list(names)
@@ -481,21 +512,41 @@ def enumerate_morphisms(src, tgt, kind, guard=None):
 
 
 def _refine_classes(p):
-    """Iterated invariant refinement; returns a class id per element."""
-    raw = [(p.down[i].bit_count(), p.up[i].bit_count()) for i in range(p.n)]
+    """Iterated invariant refinement; returns a class id per element.
+
+    Each round ranks the elements by (class, classes below, classes above),
+    reading the up- and down-set bits once per call.  It stops when a round
+    splits no class, or at once when the partition is discrete (every class
+    one element): each signature starts with the element's own class, so a
+    further round would rank them the same.
+    """
+    below = [bits(d) for d in p.down]
+    above = [bits(u) for u in p.up]
+    raw = [(len(b), len(a)) for b, a in zip(below, above)]
     ranks = {s: r for r, s in enumerate(sorted(set(raw)))}
     cls = [ranks[s] for s in raw]
-    while True:
-        sig = []
-        for i in range(p.n):
-            below = tuple(sorted(cls[j] for j in bits(p.down[i])))
-            above = tuple(sorted(cls[j] for j in bits(p.up[i])))
-            sig.append((cls[i], below, above))
+    while len(ranks) < p.n:
+        sig = [
+            (c, tuple(sorted([cls[j] for j in b])), tuple(sorted([cls[j] for j in a])))
+            for c, b, a in zip(cls, below, above)
+        ]
+        count = len(ranks)
         ranks = {s: r for r, s in enumerate(sorted(set(sig)))}
-        new = [ranks[s] for s in sig]
-        if new == cls:
-            return cls
-        cls = new
+        if len(ranks) == count:
+            return cls  # no class split, so each keeps its rank
+        cls = [ranks[s] for s in sig]
+    return cls
+
+
+def _encode(rows, perm, n):
+    """The code of a relabelling perm: bit perm[i]·n + perm[j] is set iff i <= j."""
+    code = 0
+    for i, row in enumerate(rows):
+        image = 0  # the relabelled up[i]: bit perm[j] for each j >= i
+        for j in row:
+            image |= 1 << perm[j]
+        code |= image << (perm[i] * n)
+    return code
 
 
 def canonical_key(p):
@@ -503,12 +554,16 @@ def canonical_key(p):
 
     Elements are first partitioned by an iterated order invariant; only
     permutations mapping each class onto its block of positions (classes
-    taken in rank order) are tried.  A scheduled_search assigns the
+    taken in rank order) are tried.  A discrete partition admits one, the
+    class ids themselves.  Otherwise a scheduled_search assigns the
     positions class by class, each variable starting from its class's
     block, with injectivity as the pair constraint.  A relabelling perm is
     encoded row by row: bit perm[i]·n + perm[j] is set iff i <= j.
     """
     cls = _refine_classes(p)
+    rows = [bits(u) for u in p.up]
+    if len(set(cls)) == p.n:
+        return (p.n, _encode(rows, cls, p.n))
     order = sorted(range(p.n), key=lambda i: (cls[i], i))
     block = transpose([1 << cls[i] for i in order], p.n)  # block[c]: the positions of class c
     distinct = [p.full & ~(1 << v) for v in range(p.n)]
@@ -516,16 +571,5 @@ def canonical_key(p):
     pairs = [
         [(k, distinct) for k in order[:s] if cls[k] == cls[i]] for s, i in enumerate(order)
     ]
-    rows = [bits(u) for u in p.up]
-    best = None
-    for perm in scheduled_search(order, p.n, start, pairs, [[]] * p.n):
-        code = 0
-        for i, row in enumerate(rows):
-            image = 0  # the relabelled up[i]: bit perm[j] for each j >= i
-            for j in row:
-                image |= 1 << perm[j]
-            code |= image << (perm[i] * p.n)
-        if best is None or code < best:
-            best = code
-    return (p.n, best)
-
+    search = scheduled_search(order, p.n, start, pairs, [[]] * p.n)
+    return (p.n, min(_encode(rows, perm, p.n) for perm in search))

@@ -237,11 +237,15 @@ class Spectrum:
     "lattice-open" (Spc^v) has the points and supp of Spc and reads them, by
     Hochster duality, as an open basis.  supp must then be a support datum of
     the flavor on that space; validate_support_datum checks it, and a failure
-    raises InvalidDatum naming the axiom and its witness.
+    raises InvalidDatum naming the axiom and its witness.  A point ideal that
+    is not an int mask on the carrier raises ValueError first.
     """
 
     def __init__(self, lattice, point_ideals, flavor):
         self.point_ideals = tuple(point_ideals)  # base-lattice mask per point
+        for m in self.point_ideals:
+            if not (isinstance(m, int) and 0 <= m <= lattice.full):
+                raise ValueError(f"point ideal {m!r} is not a mask on the carrier")
         labels = [set_label(lattice.elements, m) for m in self.point_ideals]
         sigma = transpose([lattice.full ^ m for m in self.point_ideals], lattice.n)
         if flavor == "lattice-open":

@@ -465,6 +465,11 @@ class TestTensorVerbs:
         code, out, err = run(capsys, verb, "--fuzz", "-3")
         assert code == 2 and out == ""
         assert "--fuzz" in err
+        # a zero count is refused too, with or without a FILE
+        for args in (["--fuzz", "0"], ["--fuzz", "0", "/nonexistent.json"]):
+            code, out, err = run(capsys, verb, *args)
+            assert code == 2 and out == ""
+            assert "--fuzz must be positive, got 0" in err
 
     @pytest.mark.parametrize("verb", ["tensor-lemma", "classify"])
     def test_no_file_and_no_fuzz_is_input_error(self, capsys, verb):

@@ -7,6 +7,7 @@ import pytest
 from lattik import corpus
 from lattik.corpus import (
     LATTICE_COUNTS,
+    _downset_masks,
     _extend,
     _grow,
     _meet_downsets,
@@ -18,7 +19,7 @@ from lattik.corpus import (
     space_corpus,
 )
 from lattik.errors import BoundExceeded, NoBottom, NoJoin
-from lattik.order import as_bounded_lattice, canonical_key
+from lattik.order import Poset, as_bounded_lattice, canonical_key, maximal_extension
 from lattik.topology import FiniteSpace
 
 
@@ -45,6 +46,48 @@ def filtered_topologies(n):
                 spaces.append(FiniteSpace(points, fam))
     spaces.sort(key=lambda s: (len(s.opens), s.opens))
     return spaces
+
+
+def tables(p):
+    return (type(p), p.elements, p.up, p.down, p.n, p.full)
+
+
+class TestMaximalExtension:
+    # the extension reuses p's validated tables; Poset validates the same order afresh
+
+    @pytest.mark.parametrize(
+        "max_n, downsets", [(6, _downset_masks), (7, _meet_downsets)], ids=["posets", "meet"]
+    )
+    def test_equals_a_validated_poset_on_every_candidate(self, max_n, downsets):
+        for level in _grow(max_n, downsets)[:-1]:
+            for p in level:
+                for d in downsets(p):
+                    q = _extend(p, d)
+                    assert tables(q) == tables(Poset(q.elements, q.up))
+
+    def test_equals_a_validated_poset_on_every_adjoined_top(self):
+        # the top that all_lattices(8) adjoins to each meet-semilattice
+        for level in _grow(7, _meet_downsets):
+            for p in level:
+                q = _extend(p, p.full)
+                assert tables(q) == tables(Poset(q.elements, q.up))
+
+    @pytest.mark.parametrize(
+        "d, name, message",
+        [
+            (0b010, "e3", "is not a down-set: it holds 'm1'"),
+            (0b1000, "e3", "off the carrier"),
+            (-1, "e3", "off the carrier"),
+            ("0", "e3", "off the carrier"),
+            (0b011, "m1", "'m1' must be a fresh nonempty string"),
+            (0b011, "", "must be a fresh nonempty string"),
+            (0b011, 3, "must be a fresh nonempty string"),
+        ],
+        ids=["not-down-set", "high-bit", "negative", "str-mask", "reused", "empty", "int-name"],
+    )
+    def test_rejects(self, d, name, message):
+        with pytest.raises(ValueError, match=message):
+            maximal_extension(chain(3), d, name)
 
 
 class TestLatticeCounts:

@@ -6,7 +6,18 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from lattik.corpus import all_posets, b2, b3, chain, lattice_corpus, m3, n5, space_corpus
+from lattik import corpus
+from lattik.corpus import (
+    all_lattices,
+    all_posets,
+    b2,
+    b3,
+    chain,
+    lattice_corpus,
+    m3,
+    n5,
+    space_corpus,
+)
 from lattik.errors import (
     DuplicateName,
     NoBottom,
@@ -642,6 +653,78 @@ class TestCanonicalKey:
         rng = random.Random(11)
         for _ in range(20):
             assert canonical_key(relabelled(p, rng.sample(range(p.n), p.n))) == key
+
+
+def oracle_refine_classes(p):
+    """Iterated invariant refinement; returns a class id per element."""
+    raw = [(p.down[i].bit_count(), p.up[i].bit_count()) for i in range(p.n)]
+    ranks = {s: r for r, s in enumerate(sorted(set(raw)))}
+    cls = [ranks[s] for s in raw]
+    while True:
+        sig = []
+        for i in range(p.n):
+            below = tuple(sorted(cls[j] for j in bits(p.down[i])))
+            above = tuple(sorted(cls[j] for j in bits(p.up[i])))
+            sig.append((cls[i], below, above))
+        ranks = {s: r for r, s in enumerate(sorted(set(sig)))}
+        new = [ranks[s] for s in sig]
+        if new == cls:
+            return cls
+        cls = new
+
+
+def oracle_canonical_key(p):
+    """The canonical key by the class-preserving search alone, refining to a fixed point."""
+    cls = oracle_refine_classes(p)
+    order = sorted(range(p.n), key=lambda i: (cls[i], i))
+    block = transpose([1 << cls[i] for i in order], p.n)  # block[c]: the positions of class c
+    distinct = [p.full & ~(1 << v) for v in range(p.n)]
+    start = [block[cls[i]] for i in order]
+    pairs = [
+        [(k, distinct) for k in order[:s] if cls[k] == cls[i]] for s, i in enumerate(order)
+    ]
+    rows = [bits(u) for u in p.up]
+    best = None
+    for perm in scheduled_search(order, p.n, start, pairs, [[]] * p.n):
+        code = 0
+        for i, row in enumerate(rows):
+            image = 0  # the relabelled up[i]: bit perm[j] for each j >= i
+            for j in row:
+                image |= 1 << perm[j]
+            code |= image << (perm[i] * p.n)
+        if best is None or code < best:
+            best = code
+    return (p.n, best)
+
+
+class TestKeyAgainstTheSearch:
+    # the oracles are the implementations that refined to a fixed point and
+    # searched every partition, the discrete ones included
+
+    def check(self, posets):
+        discrete = 0
+        for p in posets:
+            cls = _refine_classes(p)
+            assert cls == oracle_refine_classes(p)
+            assert canonical_key(p) == oracle_canonical_key(p)
+            discrete += len(set(cls)) == p.n
+        return discrete
+
+    def test_every_poset_up_to_six(self):
+        posets = [p for level in all_posets(6) for p in level]
+        discrete = self.check(posets)
+        assert 0 < discrete < len(posets)
+
+    def test_every_candidate_keyed_by_the_lattice_corpus(self, monkeypatch):
+        keyed = []
+
+        def recorder(p):
+            keyed.append(p)
+            return canonical_key(p)
+
+        monkeypatch.setattr(corpus, "canonical_key", recorder)
+        all_lattices(8)
+        assert (len(keyed), self.check(keyed)) == (695, 269)
 
 
 def class_preserving(cls):

@@ -182,6 +182,24 @@ def test_one_bit_iterator():
     assert [x for x in found if x not in ("order:bits", "order:scheduled_search")] == []
 
 
+def unvalidated_constructions():
+    """``module:function`` for every ``__new__`` in lattik, by its innermost def."""
+    out = []
+    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = innermost_defs(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "__new__":
+                out.append(f"{path.stem}:{owner.get(node, '<module>')}")
+    return out
+
+
+def test_one_unvalidated_constructor():
+    # a Poset skips Poset.__init__ only where it extends a validated order by
+    # a checked down-set, so no other caller obtains an order never checked
+    assert unvalidated_constructions() == ["order:maximal_extension"]
+
+
 def shifted_by(node):
     """The shifted operand e of a ``m >> e & 1`` node, else None."""
     if (

@@ -263,6 +263,12 @@ class TestSpcSpace:
         with pytest.raises(TypeError):
             Spectrum(s.supp, reversed(s.point_ideals))
 
+    @pytest.mark.parametrize("mask", [1 << 4, -1, "x"])
+    def test_point_ideal_off_the_carrier(self, mask):
+        # rejected, naming the mask, before any label is built
+        with pytest.raises(ValueError, match=f"point ideal {mask!r} is not a mask"):
+            Spectrum(b2(), [mask], "lattice-closed")
+
 
 class TestHochsterDual:
     def test_dual_of_c3_is_sierpinski(self):
