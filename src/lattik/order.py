@@ -50,9 +50,10 @@ def transpose(rows, width):
     """The transposed bit matrix: bit i of out[j] is set iff bit j of rows[i] is, j < width."""
     out = [0] * width
     for i, row in enumerate(rows):
-        bit = 1 << i
-        for j in bits(row):
-            out[j] |= bit
+        if row:
+            bit = 1 << i
+            for j in bits(row):
+                out[j] |= bit
     return tuple(out)
 
 

@@ -11,8 +11,10 @@ from .topology import (
     cl_lattice,
     enumerate_continuous,
     is_continuous,
+    lane_bytes,
     omega_lattice,
     pull_back_opens,
+    read_lanes,
     spectrum_for,
     validate_support_datum,  # re-exported: the datum and its validator live by the spectra
 )
@@ -24,19 +26,23 @@ _SPECTRUM_OF_FLAVOR = topology._SPECTRUM_OF_FLAVOR
 
 
 def enumerate_support_data(l, x, flavor, guard=None):
-    """All valid support data of the flavor on (l, x).
+    """All valid support data of the flavor on (l, x), sorted by σ."""
+    return [SupportDatum(l, x, s, flavor) for s in sorted(_support_sigmas(l, x, flavor, guard))]
+
+
+def _support_sigmas(l, x, flavor, guard):
+    """The σ tuple of every valid support datum of the flavor on (l, x), unsorted.
 
     Per definition a datum is a lattice morphism into Cl(X) (or Ω(X) for the
-    open flavor), so the enumeration runs over those morphisms.
+    open flavor), so the enumeration runs over those morphisms.  ValueError
+    for an unknown flavor, before any search.
     """
+    if flavor not in FLAVORS:
+        raise ValueError(f"unknown flavor {flavor!r}")
     setlat = omega_lattice(x) if flavor == "lattice-open" else cl_lattice(x)
     kind = "jsl" if flavor == "semilattice-closed" else "blat"
-    data = []
-    for phi in enumerate_morphisms(l, setlat, kind, guard):
-        sigma = tuple(setlat.masks[v] for v in phi)
-        data.append(SupportDatum(l, x, sigma, flavor))
-    data.sort(key=lambda d: d.sigma)
-    return data
+    masks = setlat.masks.__getitem__
+    return [tuple(map(masks, phi)) for phi in enumerate_morphisms(l, setlat, kind, guard)]
 
 
 def sigma_of_map(f, x, spectrum):
@@ -48,7 +54,7 @@ def sigma_of_map(f, x, spectrum):
     preimage of the open ``spectrum.supp_opens[a]``, or of its complement
     for the closed flavors.
     """
-    pulled = pull_back_opens(f, x, spectrum.space)
+    pulled = pull_back_opens([tuple(f)], x, spectrum.space)[1]
     if not x.openset.issuperset(pulled):
         raise NotContinuous("map into the spectrum is not continuous")
     flip = 0 if spectrum.supp.flavor == "lattice-open" else x.full
@@ -114,28 +120,21 @@ class AdjunctionCertificate:
         self.bijection = bijection
 
     def to_json(self):
-        names = {}  # each distinct mask is named once; every entry gets its own list
-
-        def named(mask):
-            if mask not in names:
-                names[mask] = self.space.subset_names(mask)
-            return list(names[mask])
-
+        x = self.space
+        masks = set(x.opens).union(*(sigma for _, sigma in self.matching))
+        names = {m: x.subset_names(m) for m in masks}  # every entry gets its own list
         return {
             "lattice": list(self.lattice.elements),
             "space": {
-                "points": list(self.space.points),
-                "opens": [named(u) for u in self.space.opens],
+                "points": list(x.points),
+                "opens": [list(names[u]) for u in x.opens],
             },
             "flavor": self.flavor,
             "map_count": self.map_count,
             "datum_count": self.datum_count,
             "bijection": self.bijection,
             "witness_pairs": [
-                {
-                    "map": list(f),
-                    "sigma": [named(s) for s in sigma],
-                }
+                {"map": list(f), "sigma": [list(names[s]) for s in sigma]}
                 for f, sigma in self.matching
             ],
         }
@@ -144,16 +143,22 @@ class AdjunctionCertificate:
 def check_adjunction(l, x, flavor, guard=None):
     """Certify that Σ is a bijection between continuous maps and support data.
 
-    Both sides are enumerated independently, then certified in one pass over
-    the maps.  Every map f goes through sigma_of_map, whose literal
-    continuity check is the one check per map: every open of the spectrum
-    is pulled back along f and looked up in O(X).  Σ(f) is validated
-    literally (each σ(a) is looked up in the flavor's family, and every
-    pair a < b is checked for join and, in the lattice flavors, meet), must
-    be a datum that no earlier map reached, and must map back:
-    map_of_sigma(Σ(f)) = f is checked pointwise.  The tables these checks read (pull-back rows, pair
-    lists, membership sets) depend on one space, lattice or spectrum each;
-    no check result is kept.
+    Both sides are enumerated independently, the data as σ tuples from the
+    morphism search.  The maps are then certified in one bit-sliced pass:
+    pull_back_opens makes map k lane k of each int, and each test below is
+    lane-local (bitwise, or read lane by lane), so it holds at every lane
+    iff the per-map test holds at every map.  S[a] is the pull-back of
+    ``spectrum.supp_opens[a]``, XOR X in every lane for the closed flavors,
+    so lane k of S[a] is Σ(f_k)(a), as in sigma_of_map.  The tests are
+    continuity (every lane of every pull-back is open in X); the checks of
+    validate_support_datum, in _first_invalid_lane; the roundtrip
+    map_of_sigma(Σ(f)) = f, which sends a point p with f(p) = v back to v
+    iff {a : p ∉ σ(a)} is the ideal I_v, that is iff S[a] & fibres[v] is 0
+    for a in I_v and fibres[v] otherwise; and that each σ reaches a datum
+    no earlier map reached.  Up to the first lane that fails a test the
+    maps are those the per-map pass accepts; from there on they go through
+    sigma_of_map, _require_valid and _point_map, so every exception,
+    witness and verdict is the per-map pass's.  No check result is kept.
 
     The bijection holds iff there are as many maps as data and every datum
     is reached.  Then every datum d is Σ(f) for exactly one map f, and
@@ -162,11 +167,27 @@ def check_adjunction(l, x, flavor, guard=None):
     """
     spectrum = spectrum_for(l, flavor)
     maps = enumerate_continuous(x, spectrum.space, guard)
-    data = enumerate_support_data(l, x, flavor, guard)
-    unreached = {d.sigma for d in data}
-    matching = []
-    ok = len(maps) == len(data)
-    for f in maps:
+    data = _support_sigmas(l, x, flavor, guard)
+    count, size = len(maps), lane_bytes(x.n)
+    fibres, pulled = pull_back_opens(maps, x, spectrum.space)
+    full = int.from_bytes(x.full.to_bytes(size, "little") * count, "little")  # X in every lane
+    S = [pulled[k] ^ (0 if flavor == "lattice-open" else full) for k in spectrum.supp_opens]
+    bad = 0  # the bits where the roundtrip fails
+    for fibre, ideal in zip(fibres, spectrum.point_ideals):
+        for a, s in enumerate(S):
+            bad |= fibre & s if ideal >> a & 1 else fibre & ~s
+    invalid = _first_invalid_lane(l, x, flavor, S, count, full)
+    first = min(invalid, _first_lane(x, count, pulled, bad))  # continuity and the roundtrip
+    sigmas = list(zip(*(read_lanes(s, count, size) for s in S)))
+    unreached = set(data)
+    for k, sigma in enumerate(sigmas[:first]):
+        if sigma not in unreached:
+            first = k
+            break
+        unreached.discard(sigma)
+    matching = list(zip(maps[:first], sigmas))
+    ok = count == len(data)
+    for f in maps[first:]:
         d = sigma_of_map(f, x, spectrum)
         _require_valid(d)
         if d.sigma not in unreached or _point_map(d, spectrum) != f:
@@ -174,6 +195,36 @@ def check_adjunction(l, x, flavor, guard=None):
         unreached.discard(d.sigma)
         matching.append((f, d.sigma))
     return AdjunctionCertificate(l, x, flavor, maps, data, matching, ok and not unreached)
+
+
+def _first_lane(x, count, opens, bad):
+    """The first of count lanes where a value of opens is not open in x or bad is set, or count."""
+    size = lane_bytes(x.n)
+    first = count
+    for value in opens:
+        lanes = read_lanes(value, count, size)
+        if not x.openset.issuperset(lanes):
+            first = min(first, next(k for k, u in enumerate(lanes) if u not in x.openset))
+    if bad:
+        first = min(first, next(k for k, m in enumerate(read_lanes(bad, count, size)) if m))
+    return first
+
+
+def _first_invalid_lane(l, x, flavor, S, count, full):
+    """The first of count lanes whose σ, lane k of each S[a], fails validate_support_datum.
+
+    ``full`` is X in every lane, and count is returned if no lane fails.  Each
+    check of the validator is one big-int test over all the lanes.
+    """
+    bad = S[l.bottom]
+    for a, b, j in l.join_pairs():
+        bad |= S[j] ^ (S[a] | S[b])
+    if flavor != "semilattice-closed":
+        bad |= S[l.top] ^ full
+        for a, b, m in l.meet_pairs():
+            bad |= S[m] ^ (S[a] & S[b])
+    flip = 0 if flavor == "lattice-open" else full
+    return _first_lane(x, count, [s ^ flip for s in S], bad)
 
 
 def datum_morphisms_to_final(d, spectrum):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import InvalidDatum, NotT0, SizeGuardExceeded
 from .order import (
     DEFAULT_SIZE_GUARD,
@@ -53,25 +55,10 @@ class FiniteSpace:
         self.minimal_opens = tuple(minimal)
         self._cl = None
         self._omega = None
-        self._pullbacks = {}
 
     def closed_sets(self):
         """The closed sets, by size then mask."""
         return tuple(sorted_by_size(self.full & ~u for u in self.opens))
-
-    def pullbacks(self, n):
-        """Pull-back rows for maps from an n-point space; built on first use per n.
-
-        ``rows[i][v]`` is bit i of each open, pulled back along a map with
-        f(i) = v: 1 << i where v lies in the open, else 0.  The column sums
-        of the n rows that f picks are the preimages of the opens.
-        """
-        if n not in self._pullbacks:
-            self._pullbacks[n] = tuple(
-                tuple(tuple((u >> v & 1) << i for u in self.opens) for v in range(self.n))
-                for i in range(n)
-            )
-        return self._pullbacks[n]
 
     def subset_names(self, mask):
         return [self.points[i] for i in bits(mask)]
@@ -325,26 +312,51 @@ def specialization_order(x):
     return Poset(x.points, up)
 
 
-def pull_back_opens(f, x, y):
-    """The preimage along the point map f: x -> y of every open of y, in y.opens order.
+def lane_bytes(n):
+    """The bytes of one lane of a bit-sliced map from an n-point space: ⌈n/8⌉, at least 1."""
+    return (n + 7) // 8 or 1
 
-    These are the column sums of the rows of ``y.pullbacks(x.n)`` that f
-    picks; ValueError unless f is total on x with values among y's points.
+
+def read_lanes(value, count, size):
+    """The count lanes of size bytes of a bit-sliced value, lane 0 first, as ints."""
+    raw = value.to_bytes(count * size, "little")
+    if size == 1:
+        return raw
+    return [int.from_bytes(raw[k : k + size], "little") for k in range(0, len(raw), size)]
+
+
+def pull_back_opens(maps, x, y):
+    """(fibres, pulled): every open of y pulled back along each point map x -> y at once.
+
+    Point i of map k is bit k·w + i, in lanes of w = 8 · lane_bytes(x.n) bits
+    that read_lanes reads at C speed.  ``fibres[v]`` holds the bits whose
+    map sends the point to v, the transpose of the maps' one-hot rows, and
+    ``pulled[u]``, in y.opens order, the OR of the fibres of the open's
+    points, so its lane k is maps[k]⁻¹(open).  ValueError unless every map
+    is total on x with int values (a bool is none) among y's points.
     """
-    f = tuple(f)
-    if len(f) != x.n:
+    if not {x.n}.issuperset(map(len, maps)):
         raise ValueError("map must be total on the points of the source")
-    if not f:
-        return [0] * len(y.opens)
-    if not 0 <= min(f) <= max(f) < y.n:
+    values = list(chain.from_iterable(maps))
+    if not {int}.issuperset(map(type, values)) or not set(values) <= set(range(y.n)):
         raise ValueError("map must send every point to a point of the target")
-    rows = y.pullbacks(x.n)
-    return list(map(sum, zip(*[rows[i][v] for i, v in enumerate(f)])))
+    w = 8 * lane_bytes(x.n)
+    rows = [0] * (w * len(maps))
+    for i, column in enumerate(zip(*maps)):
+        rows[i::w] = map((1).__lshift__, column)
+    # 64 lanes are transposed at a time, as an OR into an int costs the int's length
+    step = 64 * w
+    parts = [transpose(rows[s : s + step], y.n) for s in range(0, len(rows) or 1, step)]
+    fibres = parts[0] if len(parts) == 1 else [
+        int.from_bytes(b"".join(p[v].to_bytes(step // 8, "little") for p in parts), "little")
+        for v in range(y.n)
+    ]
+    return fibres, [sum(map(fibres.__getitem__, bits(u))) for u in y.opens]
 
 
 def is_continuous(f, x, y):
     """True iff the preimage of every open of y is open in x."""
-    return x.openset.issuperset(pull_back_opens(f, x, y))
+    return x.openset.issuperset(pull_back_opens([tuple(f)], x, y)[1])
 
 
 def enumerate_continuous(x, y, guard=None):
@@ -375,6 +387,8 @@ def enumerate_continuous(x, y, guard=None):
 def is_homeomorphism(f, x, y):
     """True iff the point map f is a bijection x -> y, continuous both ways."""
     f = tuple(f)
+    if not {int}.issuperset(map(type, f)):
+        raise ValueError("map must send every point to a point of the target")
     if len(f) != x.n or sorted(f) != list(range(y.n)):
         return False
     inv = [0] * y.n

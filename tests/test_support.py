@@ -1,11 +1,12 @@
 """Support data, validation, the Sigma adjunction, translation, and naturality."""
 
+import copy
 from collections import Counter
 from itertools import product
 
 import pytest
 
-from lattik import support, topology
+from lattik import support
 from lattik.corpus import b2, chain, m3, n5, space_corpus
 from lattik.errors import InvalidDatum, NotContinuous
 from lattik.ideals import is_prime
@@ -163,6 +164,10 @@ class TestValidation:
             SupportDatum(two(), x, (0, x.full), "bogus")
         with pytest.raises(ValueError, match="^unknown flavor 'bogus'$"):
             spectrum_for(two(), "bogus")
+        # M3 has no morphism to build a datum from, N5 has one
+        for l in (m3(), n5()):
+            with pytest.raises(ValueError, match="^unknown flavor 'bogus'$"):
+                enumerate_support_data(l, x, "bogus")
 
     def test_repr_names_each_set_in_point_order(self):
         x = discrete_space(["p", "q"])
@@ -202,6 +207,30 @@ class TestValidation:
         assert set(failures) == {"closed", "open", "empty", "join", "full", "meet", None}
 
 
+def test_sliced_validation_flags_the_lanes_the_validator_rejects(corpus5):
+    # each σ, valid or a mutant, is one lane of the columns S[a]: alone, the
+    # sliced checks flag it iff validate_support_datum rejects it, and packed,
+    # the first lane flagged is the first σ rejected
+    flagged = 0
+    for l in corpus5:
+        for x in space_corpus(2):
+            for flavor in FLAVORS:
+                data = enumerate_support_data(l, x, flavor)
+                lanes = [b.sigma for d in data for b in mutants(d) if b.flavor == flavor]
+
+                def first(sigmas):
+                    S = [int.from_bytes(bytes(s[a] for s in sigmas), "little") for a in range(l.n)]
+                    full = int.from_bytes(bytes([x.full]) * len(sigmas), "little")
+                    return support._first_invalid_lane(l, x, flavor, S, len(sigmas), full)
+
+                valid = [validate_support_datum(SupportDatum(l, x, s, flavor)).ok for s in lanes]
+                for sigma, ok in zip(lanes, valid):
+                    assert first([sigma]) == ok
+                assert first(lanes) == (valid + [False]).index(False)
+                flagged += valid.count(False)
+    assert flagged > 1000
+
+
 def preimage_sigma(f, x, spectrum):
     """Σ(f) by its definition, a ↦ f^{-1}(supp(a)), after the literal is_continuous."""
     if not is_continuous(f, x, spectrum.space):
@@ -235,7 +264,9 @@ class TestSigmaOfMap:
         # Spc(M3) has no point, so the empty map is the only map into it
         assert spectrum_for(m3(), "lattice-closed").space.n == 0
 
-    @pytest.mark.parametrize("f", [(0,), (0, 0, 0), (0, 2), (-1, 0)])
+    @pytest.mark.parametrize(
+        "f", [(0,), (0, 0, 0), (0, 2), (-1, 0), (0, True), (1.0, 0), ("a", 0), (None, 0)]
+    )
     def test_map_off_the_points_is_rejected(self, f):
         spec = sp_space(two())
         with pytest.raises(ValueError, match="map must"):
@@ -368,26 +399,69 @@ def backward_roundtrips(monkeypatch):
     return calls
 
 
+def per_map_check_adjunction(l, x, flavor):
+    """check_adjunction as it was before the bit-sliced pass, verbatim: one map at a time.
+
+    It reads every helper through the support module, so a fault patched
+    there reaches it.
+    """
+    spectrum = support.spectrum_for(l, flavor)
+    maps = support.enumerate_continuous(x, spectrum.space)
+    data = support.enumerate_support_data(l, x, flavor)
+    unreached = {d.sigma for d in data}
+    matching = []
+    ok = len(maps) == len(data)
+    for f in maps:
+        d = support.sigma_of_map(f, x, spectrum)
+        support._require_valid(d)
+        if d.sigma not in unreached or support._point_map(d, spectrum) != f:
+            ok = False
+        unreached.discard(d.sigma)
+        matching.append((f, d.sigma))
+    return support.AdjunctionCertificate(l, x, flavor, maps, data, matching, ok and not unreached)
+
+
+def summary(cert):
+    return cert.bijection, cert.map_count, cert.datum_count, cert.matching
+
+
+def outcome(check, *args):
+    """The certificate's summary, or the type and message of what the check raised."""
+    try:
+        return summary(check(*args))
+    except (InvalidDatum, NotContinuous) as e:
+        return type(e), str(e)
+
+
+def chain_space(n):
+    """The n points c0 < … < c(n-1) of a chain, with the down-sets closed."""
+    points = [f"c{i}" for i in range(n)]
+    return space_from_closed_basis(points, [(1 << i) - 1 for i in range(n + 1)])
+
+
 @pytest.mark.parametrize("flavor", FLAVORS)
-def test_every_map_is_certified_through_the_traced_functions(monkeypatch, flavor):
-    # bench/tracer.py reads its per-layer rows off these two names
-    calls = Counter()
-
-    def counting(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(support, "sigma_of_map", counting("sigma_of_map", sigma_of_map))
-    validating = counting("validate_support_datum", validate_support_datum)
-    monkeypatch.setattr(support, "validate_support_datum", validating)
-    monkeypatch.setattr(topology, "validate_support_datum", validating)
-    cert = check_adjunction(chain(3), discrete_space(["p", "q"]), flavor)
-    assert cert.bijection and cert.map_count > 0
-    assert calls["sigma_of_map"] == cert.map_count
-    assert calls["validate_support_datum"] >= cert.map_count
+def test_every_lane_agrees_with_the_per_map_functions(corpus5, spaces3, flavor):
+    # the sliced σ of each map is sigma_of_map's, a valid datum, mapped back to
+    # the map, and the certificate is the per-map pass's; a sample of the
+    # 4-point spaces, a 9-point chain (lanes of 2 bytes) and a 17-point chain
+    # (3 bytes) join the spaces of up to 3 points
+    spaces = spaces3 + space_corpus(4)[::80] + [chain_space(9)]
+    pairs = [(l, x) for l in corpus5 for x in spaces]
+    pairs.append((two(), chain_space(17)))
+    maps = []
+    for l, x in pairs:
+        spec = spectrum_for(l, flavor)
+        cert = check_adjunction(l, x, flavor)
+        assert cert.bijection
+        assert summary(cert) == summary(per_map_check_adjunction(l, x, flavor))
+        for f, sigma in cert.matching:
+            d = sigma_of_map(f, x, spec)
+            assert sigma == d.sigma == preimage_sigma(f, x, spec)
+            assert validate_support_datum(d).ok
+            assert map_of_sigma(d, spec) == f
+        maps.append(cert.map_count)
+    # pull_back_opens transposes 64 lanes at a time
+    assert max(maps) > 128
 
 
 class TestAdjunction:
@@ -412,6 +486,18 @@ class TestAdjunction:
     def test_empty_space(self):
         cert = check_adjunction(two(), FiniteSpace([], [0]), "semilattice-closed")
         assert cert.bijection and cert.map_count == cert.datum_count == 1
+
+    def test_zero_maps_and_the_empty_space(self):
+        # Spc of the 1-element lattice is empty, so a point has no map into it
+        # and no datum of a lattice flavor; the empty space has one of each
+        one, empty = chain(1), FiniteSpace([], [0])
+        for flavor in FLAVORS:
+            for l, x in [(one, sierpinski()), (one, empty), (m3(), empty), (n5(), empty)]:
+                cert = check_adjunction(l, x, flavor)
+                assert cert.bijection
+                assert summary(cert) == summary(per_map_check_adjunction(l, x, flavor))
+                expected = x.n == 0 or flavor == "semilattice-closed"
+                assert cert.map_count == cert.datum_count == expected
 
     def test_empty_spectrum_side(self):
         # Spc(M3) is empty, so both sides of the bijection are empty
@@ -507,13 +593,39 @@ def two_pass_check_adjunction(l, x, flavor):
     return ok, len(maps), len(data), matching
 
 
+def reversed_points(spectrum, *args):
+    """A copy of the spectrum whose point ↔ ideal table runs backwards."""
+    out = copy.copy(spectrum)
+    out.point_ideals = spectrum.point_ideals[::-1]
+    out._point = {m: p for p, m in enumerate(out.point_ideals)}
+    return out
+
+
+def swapped_supp(spectrum, *args):
+    """A copy of the spectrum whose last two elements swap the opens that σ pulls back."""
+    out = copy.copy(spectrum)
+    out.supp_opens = spectrum.supp_opens[:-2] + spectrum.supp_opens[:-3:-1]
+    return out
+
+
+def with_discontinuous_map(found, x, y, *args):
+    """The maps found, then the first point map x -> y that is not continuous, if any."""
+    maps = product(range(y.n), repeat=x.n)
+    return found + [f for f in maps if not is_continuous(f, x, y)][:1]
+
+
+def changed(original, change):
+    return lambda *args: change(original(*args), *args)
+
+
+# (support name, change): the name returns change(what it returned, *its arguments)
 ADJUNCTION_FAULTS = {
     "none": None,
-    "drop first map": ("enumerate_continuous", lambda found: found[1:]),
-    "duplicate a map": ("enumerate_continuous", lambda found: found + found[:1]),
-    "drop first datum": ("enumerate_support_data", lambda found: found[1:]),
-    "duplicate a datum": ("enumerate_support_data", lambda found: found + found[:1]),
-    "reverse the point map": ("_point_map", lambda found: found[::-1]),
+    "drop first map": ("enumerate_continuous", lambda found, *args: found[1:]),
+    "duplicate a map": ("enumerate_continuous", lambda found, *args: found + found[:1]),
+    "drop first datum": ("_support_sigmas", lambda found, *args: found[1:]),
+    "duplicate a datum": ("_support_sigmas", lambda found, *args: found + found[:1]),
+    "reverse the point map": ("spectrum_for", reversed_points),
 }
 
 
@@ -521,8 +633,7 @@ ADJUNCTION_FAULTS = {
 def test_one_pass_matches_the_two_pass_certificate(monkeypatch, corpus4, fault):
     if ADJUNCTION_FAULTS[fault]:
         name, change = ADJUNCTION_FAULTS[fault]
-        original = getattr(support, name)
-        monkeypatch.setattr(support, name, lambda *args: change(original(*args)))
+        monkeypatch.setattr(support, name, changed(getattr(support, name), change))
     cases = raised = refused = 0
     for l in corpus4:
         for x in space_corpus(2):
@@ -542,6 +653,44 @@ def test_one_pass_matches_the_two_pass_certificate(monkeypatch, corpus4, fault):
     # a fault can leave a case intact (no map to drop, a one-point map to reverse)
     assert cases == 90 and (refused > 0) is (fault != "none")
     assert (raised > 0) is (fault == "reverse the point map")
+
+
+PER_MAP_FAULTS = {
+    **{name: [fault] if fault else [] for name, fault in ADJUNCTION_FAULTS.items()},
+    # as many maps as data, all data reached, yet one datum reached twice
+    "duplicate a map and a datum": [
+        ADJUNCTION_FAULTS["duplicate a map"],
+        ADJUNCTION_FAULTS["duplicate a datum"],
+    ],
+    "append a discontinuous map": [("enumerate_continuous", with_discontinuous_map)],
+    "swap two supp_opens": [("spectrum_for", swapped_supp)],
+    "early roundtrip mismatch, then a raising map": [
+        ("spectrum_for", reversed_points),
+        ("enumerate_continuous", with_discontinuous_map),
+    ],
+}
+# the verdicts and exceptions that each fault gives, where not {True, False}
+VERDICTS = {
+    "none": {True},
+    "append a discontinuous map": {True, NotContinuous},
+    "swap two supp_opens": {True, InvalidDatum},
+    "early roundtrip mismatch, then a raising map": {True, False, NotContinuous},
+}
+
+
+@pytest.mark.parametrize("fault", PER_MAP_FAULTS)
+def test_sliced_pass_matches_the_per_map_pass(monkeypatch, corpus4, fault):
+    for name, change in PER_MAP_FAULTS[fault]:
+        monkeypatch.setattr(support, name, changed(getattr(support, name), change))
+    verdicts = set()
+    for l in corpus4:
+        for x in space_corpus(2):
+            for flavor in FLAVORS:
+                got = outcome(check_adjunction, l, x, flavor)
+                assert got == outcome(per_map_check_adjunction, l, x, flavor)
+                verdicts.add(got[0])
+    # a fault can leave a case intact (no map to drop, no discontinuous map to append)
+    assert verdicts == VERDICTS.get(fault, {True, False})
 
 
 class TestSpectrumFor:

@@ -1,5 +1,6 @@
 """Finite spaces, the spectra, specialization order, and continuity."""
 
+import random
 from functools import reduce
 from itertools import product
 from operator import and_
@@ -19,7 +20,10 @@ from lattik.topology import (
     hochster_dual,
     is_continuous,
     is_homeomorphism,
+    lane_bytes,
     omega_lattice,
+    pull_back_opens,
+    read_lanes,
     sp_space,
     space_from_closed_basis,
     space_from_open_basis,
@@ -392,6 +396,39 @@ class TestContinuity:
     def test_map_off_the_points_is_rejected(self, f):
         with pytest.raises(ValueError, match="map must"):
             is_continuous(f, discrete_space(["p", "q"]), discrete_space(["u"]))
+
+    @pytest.mark.parametrize("value", [True, 1.0, "a", None])
+    def test_point_that_is_no_int_is_rejected(self, value):
+        # True read as point 1 of d2, and the others raised TypeError
+        d2 = discrete_space(["p", "q"])
+        message = "^map must send every point to a point of the target$"
+        for check in (is_continuous, is_homeomorphism):
+            with pytest.raises(ValueError, match=message):
+                check((value, 0), d2, d2)
+        with pytest.raises(ValueError, match=message):
+            pull_back_opens([(0, 1), (value, 0)], d2, d2)
+
+    def test_pull_back_opens_reads_each_lane_as_one_map(self):
+        # lane k of each pull-back is the preimage along map k, and lane k of
+        # fibre v the preimage of {v}: lanes of 1, 2 and 3 bytes, no maps, one
+        # map, and more than the 64 lanes transposed at a time
+        def chain_space(n):
+            return space_from_closed_basis(range(n), [(1 << i) - 1 for i in range(n + 1)])
+
+        y = discrete_space(["u", "v", "w"])
+        rng = random.Random(1)
+        for x in (FiniteSpace([], [0]), sierpinski(), chain_space(9), chain_space(17)):
+            drawn = [tuple(rng.randrange(y.n) for _ in range(x.n)) for _ in range(150)]
+            for maps in ([], [(0,) * x.n], drawn):
+                fibres, pulled = pull_back_opens(maps, x, y)
+                size = lane_bytes(x.n)
+                assert size == 1 + (x.n > 8) + (x.n > 16)
+                for u, p in zip(y.opens, pulled):
+                    assert list(read_lanes(p, len(maps), size)) == [preimage(f, u) for f in maps]
+                for v, a in enumerate(fibres):
+                    assert list(read_lanes(a, len(maps), size)) == [
+                        preimage(f, 1 << v) for f in maps
+                    ]
 
     def test_guard_bounds_candidate_maps_only(self):
         # the search expands 1 + 3 + 9 nodes of 3 values each, 39 > 27 attempts,
