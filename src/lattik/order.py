@@ -230,8 +230,8 @@ class BoundedLattice(Poset):
         self._meet_pairs = None
         self._meet_to = None
         self._spectra = {}  # topology.spectrum_for, keyed by flavor
-        self._ji = None  # tensor.random_tensor_lattice: the join-irreducibles
-        self._ji_below = None  # and, per element, their positions below it
+        self._ji = None  # tensor._draw: the join-irreducibles
+        self._cells = None  # and, per pair (a, b), the flat pairs of them below a and b
 
     def join_pairs(self):
         """(a, b, a ∨ b) for every pair a < b, in the order of a, then b; built on first use."""

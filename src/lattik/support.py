@@ -259,13 +259,36 @@ class NaturalityCertificate:
 
 
 def check_naturality(l, g, x, y, flavor, guard=None):
-    """Verify Σ(f ∘ g) = preimage-along-g ∘ Σ(f) for every continuous f: y -> spectrum."""
+    """Verify Σ(f ∘ g) = preimage-along-g ∘ Σ(f) for every continuous f: y -> spectrum.
+
+    The maps f are pulled back on y in one bit-sliced pull_back_opens call
+    and the composites f ∘ g on x in another, as in check_adjunction, so
+    lane k of a pull-back belongs to map k.  Lane k of σ(a) on y is Σ(f)(a),
+    as in sigma_of_map; its preimage along g is compared with lane k of σ(a)
+    on x, which is Σ(f ∘ g)(a).  Up to the first lane where a pull-back is
+    not open or the two differ, the maps are those the per-map loop accepts;
+    from there on they go through sigma_of_map one at a time, so every
+    exception, count and witness is the per-map loop's.
+    """
     g = tuple(g)
     if not is_continuous(g, x, y):
         raise NotContinuous("g is not continuous")
     spectrum = spectrum_for(l, flavor)
-    checked = 0
-    for f in enumerate_continuous(y, spectrum.space, guard):
+    maps = enumerate_continuous(y, spectrum.space, guard)
+    count = len(maps)
+    on_y = pull_back_opens(maps, y, spectrum.space)[1]
+    on_x = pull_back_opens([tuple(f[i] for i in g) for f in maps], x, spectrum.space)[1]
+    first = min(_first_lane(y, count, on_y, 0), _first_lane(x, count, on_x, 0))
+    flip_x, flip_y = (0, 0) if flavor == "lattice-open" else (x.full, y.full)
+    for k in spectrum.supp_opens:
+        left = [u ^ flip_x for u in read_lanes(on_x[k], count, lane_bytes(x.n))]
+        right = [u ^ flip_y for u in read_lanes(on_y[k], count, lane_bytes(y.n))]
+        along_g = {u: preimage(g, u) for u in set(right)}
+        right = list(map(along_g.__getitem__, right))
+        if left != right:
+            first = min(first, next(i for i, (u, v) in enumerate(zip(left, right)) if u != v))
+    checked = first
+    for f in maps[first:]:
         fg = tuple(f[g[i]] for i in range(x.n))
         left = sigma_of_map(fg, x, spectrum)
         sig_f = sigma_of_map(f, y, spectrum)

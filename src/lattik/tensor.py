@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import chain
+from itertools import chain, repeat
 
 from .errors import (
     NotDistributiveOverJoin,
@@ -156,14 +156,15 @@ def radical_closure(t, seeds):
     and every ↓m is an ideal.  It then adds every a with a ⊗ a in it.  A round
     adds only what each radical tensor ideal above the seeds holds, and a mask
     it keeps is such an ideal, so the fixpoint is the least.  A seed is an
-    element name or index; ValueError for an index off the carrier.
+    element name or index; ValueError for any other seed, an index off the
+    carrier included.  An index is an int: a float or a bool is not.
     """
     base = t.base
     mask = 1 << base.bottom
     for s in seeds:
         if isinstance(s, str):
             s = base.index(s)
-        elif not 0 <= s < base.n:
+        elif type(s) is not int or not 0 <= s < base.n:
             raise ValueError(f"seed {s!r} is not an element index of the carrier")
         mask |= 1 << s
     return _closure(t)(mask)
@@ -329,64 +330,81 @@ def is_associative(t):
     return True
 
 
-def random_tensor_lattice(base, rng):
-    """Draw a candidate tensor structure on the given lattice, or None.
+def _draw(base, rng):
+    """Draw a candidate tensor structure on the lattice as (unit, product), before validation.
 
     The unit is drawn first, then a value at each pair (i, j) of
     join-irreducibles, i outer and j inner, an order the fuzz stream rests on.
-    Both factors extend by their join decomposition: row[i][b] joins the values
-    at (i, j) over j <= b, and a ⊗ b joins row[i][b] over i <= a.  Any failure
-    of the axioms rejects the draw.
+    a ⊗ b folds the join over the values at the cells (i, j) with ji[i] <= a
+    and ji[j] <= b, from the bottom; the unit row is the identity and column
+    ``unit`` of every other row is a.  Join is associative and commutative,
+    so this equals joining, over i <= a, the join of the values at (i, j)
+    over j <= b.  The cell table is built on first use and kept on the base.
     """
     n = base.n
-    if base._ji is None:
+    if base._cells is None:
         base._ji = ji = join_irreducibles(base)
-        base._ji_below = [[k for k, i in enumerate(ji) if base.leq(i, a)] for a in range(n)]
+        m = len(ji)
+        below = [[k for k, i in enumerate(ji) if base.leq(i, a)] for a in range(n)]
+        base._cells = tuple(
+            tuple(tuple(i * m + j for i in ia for j in jb) for jb in below) for ia in below
+        )
     unit = rng.randrange(n)
-    drawn = [[rng.randrange(n) for _ in base._ji] for _ in base._ji]
+    vals = list(map(rng.randrange, repeat(n, len(base._ji) ** 2)))
     z, join = base.bottom, base.join
-    rows = []
-    for vals in drawn:
-        row = []
-        for ks in base._ji_below:
-            acc = z
-            for k in ks:
-                acc = join[acc][vals[k]]
-            row.append(acc)
-        rows.append(row)
     product = []
-    for a in range(n):
-        pa = list(range(n))
-        if a != unit:
-            for b in range(n):
-                acc = z
-                for k in base._ji_below[a]:
-                    acc = join[acc][rows[k][b]]
-                pa[b] = acc
-            pa[unit] = a
-        product.append(pa)
+    for a, row in enumerate(base._cells):
+        if a == unit:
+            product.append(tuple(range(n)))
+            continue
+        pa = []
+        for cell in row:
+            acc = z
+            for k in cell:
+                acc = join[acc][vals[k]]
+            pa.append(acc)
+        pa[unit] = a
+        product.append(tuple(pa))
+    return unit, tuple(product)
+
+
+def _tensor_or_none(base, product, unit):
+    """TensorLattice(base, product, unit), or None if it fails a tensor axiom."""
     try:
         return TensorLattice(base, product, unit)
     except (NotDistributiveOverJoin, UnitLawFails, ZeroLawFails):
         return None
 
 
+def random_tensor_lattice(base, rng):
+    """Draw a candidate tensor structure on the given lattice, or None.
+
+    The draw is that of _draw; any failure of the axioms rejects it.
+    """
+    unit, product = _draw(base, rng)
+    return _tensor_or_none(base, product, unit)
+
+
 def fuzz_tensor_lattices(bases, seed, count):
     """Yield `count` valid tensor lattices fuzzed over the given lattices.
 
     Deterministic for a fixed seed and base order.  Raises SizeGuardExceeded
-    if the draw budget runs out before enough valid structures appear.  A
-    draw equal to an earlier valid one (same base position, unit and
-    product) yields that earlier TensorLattice, so the tables kept on a
-    structure are built once per distinct structure; every draw is still
-    made and validated, so the stream is that of random_tensor_lattice.
+    if the draw budget runs out before enough valid structures appear.  Every
+    draw is made, so the stream is that of random_tensor_lattice, but each
+    distinct draw (same base position, unit and product) is validated once:
+    a repeat gets the earlier verdict, and a valid repeat yields the earlier
+    TensorLattice, so the tables kept on a structure are built once per
+    distinct structure.
     """
     rng = random.Random(seed)
     bases = list(bases)
     budget = count * 10_000
     produced = 0
     draws = 0
-    seen = {}  # (base position, unit, product) -> the first valid draw of it
+    # per base position: the unit and product entries, one char each -> the
+    # TensorLattice of the first such draw, or None if it is invalid; a str of
+    # code points below 256 takes one byte per char
+    seen = [{} for _ in bases]
     while produced < count:
         if draws >= budget:
             raise SizeGuardExceeded(
@@ -394,7 +412,12 @@ def fuzz_tensor_lattices(bases, seed, count):
             )
         k = rng.randrange(len(bases))
         draws += 1
-        t = random_tensor_lattice(bases[k], rng)
+        unit, product = _draw(bases[k], rng)
+        key = "".join(map(chr, chain((unit,), *product)))
+        memo = seen[k]
+        if key not in memo:
+            memo[key] = _tensor_or_none(bases[k], product, unit)
+        t = memo[key]
         if t is not None:
             produced += 1
-            yield seen.setdefault((k, t.unit, t.product), t)
+            yield t

@@ -737,7 +737,74 @@ class TestFinality:
             datum_morphisms_to_final(d, spectrum_for(l, "lattice-closed"))
 
 
+def per_map_naturality(l, g, x, y, flavor, guard=None):
+    """check_naturality as a loop that runs sigma_of_map on one map at a time."""
+    g = tuple(g)
+    if not is_continuous(g, x, y):
+        raise NotContinuous("g is not continuous")
+    spectrum = spectrum_for(l, flavor)
+    checked = 0
+    for f in support.enumerate_continuous(y, spectrum.space, guard):
+        fg = tuple(f[g[i]] for i in range(x.n))
+        left = support.sigma_of_map(fg, x, spectrum)
+        sig_f = support.sigma_of_map(f, y, spectrum)
+        right = tuple(support.preimage(g, sig_f.sigma[a]) for a in range(l.n))
+        if left.sigma != right:
+            return support.NaturalityCertificate(flavor, checked, False, {"f": list(f)})
+        checked += 1
+    return support.NaturalityCertificate(flavor, checked, True)
+
+
+def naturality_outcome(check, *args):
+    try:
+        return check(*args).to_json()
+    except NotContinuous as exc:
+        return "NotContinuous", str(exc)
+
+
 class TestNaturality:
+    def cases(self, lattices, spaces):
+        # continuous g: the identity and every constant map of each space
+        for l in lattices:
+            for y in spaces:
+                gs = [tuple(range(y.n))] + [(p,) * y.n for p in range(y.n)]
+                for g in gs:
+                    for flavor in FLAVORS:
+                        yield l, g, y, y, flavor
+
+    def test_sliced_is_the_per_map_loop(self, corpus4, spaces3):
+        for case in self.cases(corpus4, spaces3):
+            ours = naturality_outcome(check_naturality, *case)
+            assert ours["ok"], case
+            assert ours == naturality_outcome(per_map_naturality, *case)
+
+    def test_sliced_is_the_per_map_loop_on_a_broken_sigma(self, monkeypatch, corpus4, spaces3):
+        # the preimage of {point 1} gains point 0, which breaks Σ(f ∘ g) = g⁻¹Σ(f)
+        # at the first map f whose σ takes that value
+        def broken(f, mask):
+            return preimage(f, mask) | (mask == 0b10)
+
+        monkeypatch.setattr(support, "preimage", broken)
+        seen = Counter()
+        for case in self.cases(corpus4, spaces3):
+            ours = naturality_outcome(check_naturality, *case)
+            assert ours == naturality_outcome(per_map_naturality, *case)
+            seen[ours["ok"], ours["checked"] > 0] += 1
+        assert seen[True, True] and seen[False, True], seen
+
+    def test_sliced_is_the_per_map_loop_on_discontinuous_maps(self, monkeypatch, corpus4):
+        # every point map into the spectrum, discontinuous ones included
+        def every_map(x, y, guard=None):
+            return list(product(range(y.n), repeat=x.n))
+
+        monkeypatch.setattr(support, "enumerate_continuous", every_map)
+        seen = Counter()
+        for case in self.cases(corpus4, [sierpinski(), discrete_space(["u", "v"])]):
+            ours = naturality_outcome(check_naturality, *case)
+            assert ours == naturality_outcome(per_map_naturality, *case)
+            seen[ours[0] if isinstance(ours, tuple) else ours["ok"]] += 1
+        assert seen["NotContinuous"] and seen[True], seen
+
     def test_sierpinski_into_discrete(self):
         x, y = sierpinski(), discrete_space(["u", "v"])
         for g in enumerate_continuous(x, y):

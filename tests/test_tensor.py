@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -132,6 +133,11 @@ class TestRadicalClosure:
     @pytest.mark.parametrize("seed", [4, 7, -1])
     def test_index_off_the_carrier_is_rejected(self, seed):
         with pytest.raises(ValueError, match=f"seed {seed}"):
+            radical_closure(meet_tensor(b2()), [seed])
+
+    @pytest.mark.parametrize("seed", [True, False, 1.0, 2.0, None, (1,)])
+    def test_seed_that_is_no_index_is_rejected(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed {seed!r} is not an element index")):
             radical_closure(meet_tensor(b2()), [seed])
 
     def closure_examples(self):
@@ -357,7 +363,10 @@ class TestFuzz:
                         assert l.leq(prod[a][b], prod[a][c]) and l.leq(prod[b][a], prod[c][a])
 
     def test_budget_exhaustion(self, monkeypatch):
-        monkeypatch.setattr(tensor, "random_tensor_lattice", lambda base, rng: None)
+        def invalid(base, product, unit):
+            raise ZeroLawFails("every draw is invalid")
+
+        monkeypatch.setattr(tensor, "validate_tensor_axioms", invalid)
         with pytest.raises(SizeGuardExceeded, match="only 0 valid structures in 10000 draws"):
             list(fuzz_tensor_lattices(lattice_corpus(4), seed=3, count=1))
 
@@ -470,6 +479,27 @@ def leq_draw(base, rng):
     return product, unit
 
 
+def validate_every_draw(bases, seed, count):
+    """fuzz_tensor_lattices as a loop that validates every draw, repeats included."""
+    rng = random.Random(seed)
+    bases = list(bases)
+    budget = count * 10_000
+    produced = 0
+    draws = 0
+    seen = {}  # (base position, unit, product) -> the first valid draw of it
+    while produced < count:
+        if draws >= budget:
+            raise SizeGuardExceeded(
+                f"fuzzing produced only {produced} valid structures in {draws} draws"
+            )
+        k = rng.randrange(len(bases))
+        draws += 1
+        t = random_tensor_lattice(bases[k], rng)
+        if t is not None:
+            produced += 1
+            yield seen.setdefault((k, t.unit, t.product), t)
+
+
 def axiom_outcome(check, base, product, unit):
     try:
         check(base, product, unit)
@@ -521,11 +551,55 @@ class TestOracles:
         assert seen["UnitLawFails", 1] and seen["ZeroLawFails", 1], seen
         assert seen["left"] and seen["right"], seen
 
-    def test_row_extension_is_the_leq_extension(self, monkeypatch):
+    def test_row_extension_is_the_leq_extension(self):
         # every draw, rejected or not, as its (product, unit) before validation
-        monkeypatch.setattr(tensor, "TensorLattice", lambda base, product, unit: (product, unit))
         for base in lattice_corpus(5):
             ours, theirs = random.Random(base.n), random.Random(base.n)
             for _ in range(200):
-                assert random_tensor_lattice(base, ours) == leq_draw(base, theirs)
+                unit, product = tensor._draw(base, ours)
+                theirs_product, theirs_unit = leq_draw(base, theirs)
+                assert (list(map(list, product)), unit) == (theirs_product, theirs_unit)
             assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("seed, count", [(1, 1000), (7, 1000), (2026, 1000), (16, 2789)])
+    def test_memo_is_the_validate_every_draw_loop(self, monkeypatch, seed, count):
+        bases = lattice_corpus(5)
+        index = {id(l): k for k, l in enumerate(bases)}
+        theirs = list(validate_every_draw(bases, seed, count))
+        drawn = []
+        validated = Counter()
+        draw, validate = tensor._draw, tensor.validate_tensor_axioms
+
+        def record(base, rng):
+            unit, product = draw(base, rng)
+            drawn.append((index[id(base)], unit, product))
+            return unit, product
+
+        def spy(base, product, unit):
+            validated[index[id(base)], unit, product] += 1
+            validate(base, product, unit)
+
+        monkeypatch.setattr(tensor, "_draw", record)
+        monkeypatch.setattr(tensor, "validate_tensor_axioms", spy)
+        ours = list(fuzz_tensor_lattices(bases, seed, count))
+        monkeypatch.undo()
+
+        def structures(ts):
+            return [(index[id(t.base)], t.unit, t.product) for t in ts]
+
+        def identity_pattern(ts):
+            first = {}
+            return [first.setdefault(id(t), i) for i, t in enumerate(ts)]
+
+        assert structures(ours) == structures(theirs)
+        assert identity_pattern(ours) == identity_pattern(theirs)
+        # one validation per distinct draw, and every draw gets the verdict
+        # of a fresh validation of it
+        assert set(validated) == set(drawn) and set(validated.values()) == {1}
+        fresh = [
+            d for d in drawn if axiom_outcome(validate_tensor_axioms, bases[d[0]], d[2], d[1]) is None
+        ]
+        assert fresh == structures(ours)
+        assert len(drawn) > len(validated) > len(set(map(id, ours)))
+        if seed == 16:
+            assert not is_associative(ours[-1])
