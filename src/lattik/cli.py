@@ -140,7 +140,7 @@ def cmd_support_check(args):
 
 
 def cmd_adjunction(args):
-    flavors = [args.flavor] if args.flavor else list(supportmod.FLAVORS)
+    flavors = [args.flavor] if args.flavor else list(topomod.FLAVORS)
     if args.corpus_max_n is not None:
         if args.lattice or args.space:
             raise InputError("give LATTICE and SPACE files or --corpus-max-n, not both")
@@ -177,7 +177,7 @@ def cmd_naturality(args):
     x = space_from_json(x_obj)
     y = space_from_json(y_obj)
     g = _map_from_json(images, x.points, y.points, "points of space_x to points of space_y")
-    if flavor not in supportmod.FLAVORS:
+    if not isinstance(flavor, str) or flavor not in topomod.FLAVORS:
         raise InputError(f"unknown flavor {flavor!r}")
     cert = supportmod.check_naturality(lattice, g, x, y, flavor, args.size_guard)
     if not cert.ok:
@@ -392,7 +392,7 @@ def build_parser():
     p = add("adjunction", cmd_adjunction)
     p.add_argument("lattice", nargs="?")
     p.add_argument("space", nargs="?")
-    p.add_argument("--flavor", choices=list(supportmod.FLAVORS), default=None)
+    p.add_argument("--flavor", choices=list(topomod.FLAVORS), default=None)
     p.add_argument("--corpus-max-n", type=int, default=None, metavar="N")
     p.add_argument("--space-points", type=int, default=None, metavar="K")
 

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 from .errors import InputError, UnknownName
 from .order import as_bounded_lattice, bits, build_poset
-from .support import FLAVORS, SupportDatum
 from .tensor import TensorLattice
-from .topology import FiniteSpace
+from .topology import FLAVORS, FiniteSpace, SupportDatum
 
 
 def _strings(value, what):
@@ -108,7 +107,7 @@ def datum_from_json(obj):
     )
     _, lattice = lattice_from_json(lattice_obj)
     space = space_from_json(space_obj)
-    if flavor not in FLAVORS:
+    if not isinstance(flavor, str) or flavor not in FLAVORS:
         raise InputError(f"unknown flavor {flavor!r}")
     if not isinstance(images, dict):
         raise InputError("sigma must be an object from elements to lists of points")

@@ -6,10 +6,12 @@ from . import topology
 from .errors import InvalidDatum, NotContinuous
 from .order import dual, enumerate_morphisms, preimage, transpose
 from .topology import (
+    FLAVORS,
     SupportDatum,
     _require_valid,
     cl_lattice,
     enumerate_continuous,
+    flavor_of,
     is_continuous,
     lane_bytes,
     omega_lattice,
@@ -19,9 +21,8 @@ from .topology import (
     validate_support_datum,  # re-exported: the datum and its validator live by the spectra
 )
 
-# the flavors and their spectra live by the spectra too; the CLI, jsonio and
-# bench/ read them here
-FLAVORS = topology.FLAVORS
+# FLAVORS and the spectra live by the spectra; bench/ (its workloads and tests)
+# and the test of the names it reads are the last to read them through support
 _SPECTRUM_OF_FLAVOR = topology._SPECTRUM_OF_FLAVOR
 
 
@@ -37,10 +38,9 @@ def _support_sigmas(l, x, flavor, guard):
     open flavor), so the enumeration runs over those morphisms.  ValueError
     for an unknown flavor, before any search.
     """
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
-    setlat = omega_lattice(x) if flavor == "lattice-open" else cl_lattice(x)
-    kind = "jsl" if flavor == "semilattice-closed" else "blat"
+    row = flavor_of(flavor)
+    setlat = cl_lattice(x) if row.closed else omega_lattice(x)
+    kind = "blat" if row.bounded else "jsl"
     masks = setlat.masks.__getitem__
     return [tuple(map(masks, phi)) for phi in enumerate_morphisms(l, setlat, kind, guard)]
 
@@ -48,18 +48,22 @@ def _support_sigmas(l, x, flavor, guard):
 def sigma_of_map(f, x, spectrum):
     """Σ(f): the support datum a ↦ f^{-1}(supp(a)) of a continuous map into the spectrum.
 
-    Continuity is checked literally, as in is_continuous: every open of the
-    spectrum is pulled back along f and looked up in O(X), and
-    NotContinuous is raised when one preimage is not open.  σ(a) is the
-    preimage of the open ``spectrum.supp_opens[a]``, or of its complement
-    for the closed flavors.
+    It is the one-lane case of _sigma_lanes, and continuity is checked literally,
+    as in is_continuous: NotContinuous is raised when one preimage is not open.
     """
-    pulled = pull_back_opens([tuple(f)], x, spectrum.space)[1]
+    _, pulled, _, S = _sigma_lanes([tuple(f)], x, spectrum)
     if not x.openset.issuperset(pulled):
         raise NotContinuous("map into the spectrum is not continuous")
-    flip = 0 if spectrum.supp.flavor == "lattice-open" else x.full
-    sigma = [pulled[k] ^ flip for k in spectrum.supp_opens]
-    return SupportDatum(spectrum.lattice, x, sigma, spectrum.supp.flavor)
+    return SupportDatum(spectrum.lattice, x, S, spectrum.supp.flavor)
+
+
+def _sigma_lanes(maps, x, spectrum):
+    """pull_back_opens' (fibres, pulled) of the maps x -> spectrum, X in every lane,
+    and S, where lane k of S[a] is Σ(maps[k])(a), read through X for a closed flavor."""
+    fibres, pulled = pull_back_opens(maps, x, spectrum.space)
+    full = int.from_bytes(x.full.to_bytes(lane_bytes(x.n), "little") * len(maps), "little")
+    flip = full if FLAVORS[spectrum.supp.flavor].closed else 0
+    return fibres, pulled, full, [pulled[k] ^ flip for k in spectrum.supp_opens]
 
 
 def map_of_sigma(d, spectrum):
@@ -82,7 +86,6 @@ def _require_same_source(d, spectrum):
 
 def _point_map(d, spectrum):
     """map_of_sigma on a datum already validated."""
-    l = d.lattice
     f = []
     # members[p]: the a with p not in σ(a)
     for members in transpose([d.space.full ^ s for s in d.sigma], d.space.n):
@@ -90,19 +93,17 @@ def _point_map(d, spectrum):
             f.append(spectrum.point_of_ideal(members))
         except ValueError:
             raise InvalidDatum(
-                f"value {l.subset_names(members)} is not a point of the spectrum"
+                f"value {d.lattice.subset_names(members)} is not a point of the spectrum"
             ) from None
     return tuple(f)
 
 
 def open_closed_translate(d):
     """Complement each σ(a); swaps open data on L with closed data on L^op."""
-    if d.flavor == "lattice-open":
-        new_flavor = "lattice-closed"
-    elif d.flavor == "lattice-closed":
-        new_flavor = "lattice-open"
-    else:
+    row = FLAVORS[d.flavor]
+    if not row.bounded:
         raise InvalidDatum("translation applies to the bounded-lattice flavors only")
+    new_flavor = next(n for n, r in FLAVORS.items() if r.bounded and r.closed != row.closed)
     tau = tuple(d.space.full & ~s for s in d.sigma)
     return SupportDatum(dual(d.lattice), d.space, tau, new_flavor)
 
@@ -147,9 +148,8 @@ def check_adjunction(l, x, flavor, guard=None):
     morphism search.  The maps are then certified in one bit-sliced pass:
     pull_back_opens makes map k lane k of each int, and each test below is
     lane-local (bitwise, or read lane by lane), so it holds at every lane
-    iff the per-map test holds at every map.  S[a] is the pull-back of
-    ``spectrum.supp_opens[a]``, XOR X in every lane for the closed flavors,
-    so lane k of S[a] is Σ(f_k)(a), as in sigma_of_map.  The tests are
+    iff the per-map test holds at every map.  Lane k of S[a] is Σ(f_k)(a),
+    read off _sigma_lanes as in sigma_of_map.  The tests are
     continuity (every lane of every pull-back is open in X); the checks of
     validate_support_datum, in _first_invalid_lane; the roundtrip
     map_of_sigma(Σ(f)) = f, which sends a point p with f(p) = v back to v
@@ -169,9 +169,7 @@ def check_adjunction(l, x, flavor, guard=None):
     maps = enumerate_continuous(x, spectrum.space, guard)
     data = _support_sigmas(l, x, flavor, guard)
     count, size = len(maps), lane_bytes(x.n)
-    fibres, pulled = pull_back_opens(maps, x, spectrum.space)
-    full = int.from_bytes(x.full.to_bytes(size, "little") * count, "little")  # X in every lane
-    S = [pulled[k] ^ (0 if flavor == "lattice-open" else full) for k in spectrum.supp_opens]
+    fibres, pulled, full, S = _sigma_lanes(maps, x, spectrum)
     bad = 0  # the bits where the roundtrip fails
     for fibre, ideal in zip(fibres, spectrum.point_ideals):
         for a, s in enumerate(S):
@@ -219,11 +217,11 @@ def _first_invalid_lane(l, x, flavor, S, count, full):
     bad = S[l.bottom]
     for a, b, j in l.join_pairs():
         bad |= S[j] ^ (S[a] | S[b])
-    if flavor != "semilattice-closed":
+    if FLAVORS[flavor].bounded:
         bad |= S[l.top] ^ full
         for a, b, m in l.meet_pairs():
             bad |= S[m] ^ (S[a] & S[b])
-    flip = 0 if flavor == "lattice-open" else full
+    flip = full if FLAVORS[flavor].closed else 0
     return _first_lane(x, count, [s ^ flip for s in S], bad)
 
 
@@ -233,13 +231,15 @@ def datum_morphisms_to_final(d, spectrum):
     A morphism of support data is a continuous map f with σ(a) = f^{-1}(supp(a))
     for every a, that is Σ(f) = σ; finality of the spectrum means there is
     exactly one.  ValueError unless the spectrum is that of d's lattice and flavor.
+    Σ of every map is read off one _sigma_lanes call, after one continuity check.
     """
     _require_same_source(d, spectrum)
-    return [
-        f
-        for f in enumerate_continuous(d.space, spectrum.space)
-        if sigma_of_map(f, d.space, spectrum).sigma == d.sigma
-    ]
+    maps = enumerate_continuous(d.space, spectrum.space)
+    _, pulled, _, S = _sigma_lanes(maps, d.space, spectrum)
+    if _first_lane(d.space, len(maps), pulled, 0) < len(maps):
+        raise NotContinuous("map into the spectrum is not continuous")
+    sigmas = zip(*(read_lanes(s, len(maps), lane_bytes(d.space.n)) for s in S))
+    return [f for f, sigma in zip(maps, sigmas) if sigma == d.sigma]
 
 
 class NaturalityCertificate:
@@ -261,14 +261,14 @@ class NaturalityCertificate:
 def check_naturality(l, g, x, y, flavor, guard=None):
     """Verify Σ(f ∘ g) = preimage-along-g ∘ Σ(f) for every continuous f: y -> spectrum.
 
-    The maps f are pulled back on y in one bit-sliced pull_back_opens call
-    and the composites f ∘ g on x in another, as in check_adjunction, so
-    lane k of a pull-back belongs to map k.  Lane k of σ(a) on y is Σ(f)(a),
-    as in sigma_of_map; its preimage along g is compared with lane k of σ(a)
-    on x, which is Σ(f ∘ g)(a).  Up to the first lane where a pull-back is
-    not open or the two differ, the maps are those the per-map loop accepts;
-    from there on they go through sigma_of_map one at a time, so every
-    exception, count and witness is the per-map loop's.
+    The maps f are pulled back on y in one _sigma_lanes call and the
+    composites f ∘ g on x in another, as in check_adjunction, so lane k of a
+    pull-back belongs to map k.  Lane k of σ(a) on y is Σ(f)(a); its preimage
+    along g is compared with lane k of σ(a) on x, which is Σ(f ∘ g)(a).  Up
+    to the first lane where a pull-back is not open or the two differ, the
+    maps are those the per-map loop accepts; from there on they go through
+    sigma_of_map one at a time, so every exception, count and witness is the
+    per-map loop's.
     """
     g = tuple(g)
     if not is_continuous(g, x, y):
@@ -276,24 +276,21 @@ def check_naturality(l, g, x, y, flavor, guard=None):
     spectrum = spectrum_for(l, flavor)
     maps = enumerate_continuous(y, spectrum.space, guard)
     count = len(maps)
-    on_y = pull_back_opens(maps, y, spectrum.space)[1]
-    on_x = pull_back_opens([tuple(f[i] for i in g) for f in maps], x, spectrum.space)[1]
+    _, on_y, _, S_y = _sigma_lanes(maps, y, spectrum)
+    _, on_x, _, S_x = _sigma_lanes([tuple(f[i] for i in g) for f in maps], x, spectrum)
     first = min(_first_lane(y, count, on_y, 0), _first_lane(x, count, on_x, 0))
-    flip_x, flip_y = (0, 0) if flavor == "lattice-open" else (x.full, y.full)
-    for k in spectrum.supp_opens:
-        left = [u ^ flip_x for u in read_lanes(on_x[k], count, lane_bytes(x.n))]
-        right = [u ^ flip_y for u in read_lanes(on_y[k], count, lane_bytes(y.n))]
+    for s_x, s_y in zip(S_x, S_y):
+        left = list(read_lanes(s_x, count, lane_bytes(x.n)))
+        right = read_lanes(s_y, count, lane_bytes(y.n))
         along_g = {u: preimage(g, u) for u in set(right)}
         right = list(map(along_g.__getitem__, right))
         if left != right:
             first = min(first, next(i for i, (u, v) in enumerate(zip(left, right)) if u != v))
     checked = first
     for f in maps[first:]:
-        fg = tuple(f[g[i]] for i in range(x.n))
-        left = sigma_of_map(fg, x, spectrum)
-        sig_f = sigma_of_map(f, y, spectrum)
-        right = tuple(preimage(g, sig_f.sigma[a]) for a in range(l.n))
-        if left.sigma != right:
+        left = sigma_of_map(tuple(f[i] for i in g), x, spectrum).sigma
+        right = tuple(preimage(g, s) for s in sigma_of_map(f, y, spectrum).sigma)
+        if left != right:
             return NaturalityCertificate(flavor, checked, False, {"f": list(f)})
         checked += 1
     return NaturalityCertificate(flavor, checked, True)

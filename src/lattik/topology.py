@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain
 
 from .errors import InvalidDatum, NotT0, SizeGuardExceeded
@@ -135,15 +136,29 @@ def cl_lattice(x):
     return x._cl
 
 
-FLAVORS = ("semilattice-closed", "lattice-closed", "lattice-open")
+# What a support-datum flavor decides: ``closed``, that σ(a) is a closed set, read
+# through X; ``bounded``, that σ also keeps 1 and ∧, so the datum search is "blat",
+# not "jsl".  The CLI and the bench iterate the names in this order.
+Flavor = namedtuple("Flavor", "closed bounded")
+FLAVORS = {
+    "semilattice-closed": Flavor(closed=True, bounded=False),
+    "lattice-closed": Flavor(closed=True, bounded=True),
+    "lattice-open": Flavor(closed=False, bounded=True),
+}
+
+
+def flavor_of(name):
+    """The FLAVORS row of a flavor name; ValueError for any other value, a non-string too."""
+    if isinstance(name, str) and name in FLAVORS:
+        return FLAVORS[name]
+    raise ValueError(f"unknown flavor {name!r}")
 
 
 class SupportDatum:
     """An assignment element ↦ point set (bitmask), of one of the three flavors."""
 
     def __init__(self, lattice, space, sigma, flavor):
-        if flavor not in FLAVORS:
-            raise ValueError(f"unknown flavor {flavor!r}")
+        flavor_of(flavor)
         self.sigma = tuple(sigma)
         if len(self.sigma) != lattice.n:
             raise ValueError("sigma must have one point set per lattice element")
@@ -189,7 +204,7 @@ def validate_support_datum(d):
     def fail(axiom, witness):
         return Certificate(False, {"axiom": axiom, "witness": witness})
 
-    flip, kindname = (0, "open") if d.flavor == "lattice-open" else (x.full, "closed")
+    flip, kindname = (x.full, "closed") if FLAVORS[d.flavor].closed else (0, "open")
     for a, s in enumerate(sigma):
         if s ^ flip not in x.openset:
             return fail(kindname, l.elements[a])
@@ -198,7 +213,7 @@ def validate_support_datum(d):
     for a, b, j in l.join_pairs():
         if sigma[j] != sigma[a] | sigma[b]:
             return fail("join", (l.elements[a], l.elements[b]))
-    if d.flavor in ("lattice-closed", "lattice-open"):
+    if FLAVORS[d.flavor].bounded:
         if sigma[l.top] != x.full:
             return fail("full", l.elements[l.top])
         for a, b, m in l.meet_pairs():
@@ -219,13 +234,13 @@ class Spectrum:
     """The spectrum of the support-datum flavor on the ideals ``point_ideals`` of a lattice.
 
     The points are the ideals, labelled by their members, and
-    supp(a) = {I : a not in I}.  "semilattice-closed" (Sp) and
-    "lattice-closed" (Spc) read the supp sets as a closed basis;
-    "lattice-open" (Spc^v) has the points and supp of Spc and reads them, by
-    Hochster duality, as an open basis.  supp must then be a support datum of
-    the flavor on that space; validate_support_datum checks it, and a failure
-    raises InvalidDatum naming the axiom and its witness.  A point ideal that
-    is not an int mask on the carrier raises ValueError first.
+    supp(a) = {I : a not in I}.  The open basis of the space is the supp sets,
+    by Hochster duality, for "lattice-open" (Spc^v), and their complements for
+    the closed flavors, "semilattice-closed" (Sp) and "lattice-closed" (Spc).
+    supp must then be a support datum of the flavor on that space;
+    validate_support_datum checks it, and a failure raises InvalidDatum naming
+    the axiom and its witness.  A point ideal that is not an int mask on the
+    carrier raises ValueError first, and an unknown flavor next.
     """
 
     def __init__(self, lattice, point_ideals, flavor):
@@ -233,26 +248,16 @@ class Spectrum:
         for m in self.point_ideals:
             if not (isinstance(m, int) and 0 <= m <= lattice.full):
                 raise ValueError(f"point ideal {m!r} is not a mask on the carrier")
+        flip = (1 << len(self.point_ideals)) - 1 if flavor_of(flavor).closed else 0
         labels = [set_label(lattice.elements, m) for m in self.point_ideals]
         sigma = transpose([lattice.full ^ m for m in self.point_ideals], lattice.n)
-        if flavor == "lattice-open":
-            space = space_from_open_basis(labels, sigma)
-        else:
-            space = space_from_closed_basis(labels, sigma)
-        self.supp = SupportDatum(lattice, space, sigma, flavor)
+        basis = [s ^ flip for s in sigma]
+        self.lattice, self.space = lattice, space_from_open_basis(labels, basis)
+        self.supp = SupportDatum(lattice, self.space, sigma, flavor)
         _require_valid(self.supp)
         self._point = {m: p for p, m in enumerate(self.point_ideals)}
-        # per a, the index in space.opens of supp(a), or of its complement if closed
-        flip = 0 if flavor == "lattice-open" else space.full
-        self.supp_opens = tuple(space.opens.index(s ^ flip) for s in sigma)
-
-    @property
-    def lattice(self):
-        return self.supp.lattice
-
-    @property
-    def space(self):
-        return self.supp.space
+        # per a, the index in space.opens of supp(a)'s basis set
+        self.supp_opens = tuple(map(self.space.opens.index, basis))
 
     def point_of_ideal(self, members):
         """The point whose ideal has the member mask; ValueError if there is none."""
@@ -289,8 +294,7 @@ def spectrum_for(l, flavor):
 
     Kept on the lattice (``l._spectra``) on first use, keyed by the flavor.
     """
-    if flavor not in FLAVORS:
-        raise ValueError(f"unknown flavor {flavor!r}")
+    flavor_of(flavor)
     if flavor not in l._spectra:
         l._spectra[flavor] = _SPECTRUM_OF_FLAVOR[flavor](l)
     return l._spectra[flavor]

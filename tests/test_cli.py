@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from lattik.cli import build_parser, main
 from lattik.corpus import b2, b3, chain, m3, n5
 from lattik.jsonio import datum_to_json, lattice_from_json, lattice_to_json, space_to_json
-from lattik.support import FLAVORS, SupportDatum, spectrum_for
-from lattik.topology import discrete_space, space_from_closed_basis
+from lattik.support import SupportDatum, spectrum_for
+from lattik.topology import FLAVORS, discrete_space, space_from_closed_basis
 
 
 VERBS = next(
@@ -144,6 +144,14 @@ class TestExitCodes:
         code, out, err = run(capsys, "support-check", write(tmp_path, "datum.json", obj))
         assert code == 2 and out == "" and "Traceback" not in err
         assert "input error: sigma key 'zzz' names no element" in err
+
+    @pytest.mark.parametrize("flavor", ["bogus", [], {}, None, 1])
+    def test_support_check_unknown_flavor_is_input_error(self, capsys, tmp_path, flavor):
+        obj = datum_to_json(spectrum_for(chain(2), "semilattice-closed").supp)
+        obj["flavor"] = flavor
+        code, out, err = run(capsys, "support-check", write(tmp_path, "datum.json", obj))
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert f"input error: unknown flavor {flavor!r}" in err
 
     def test_support_check_sigma_not_an_object_is_input_error(self, capsys, tmp_path):
         obj = datum_to_json(spectrum_for(chain(2), "semilattice-closed").supp)
@@ -332,6 +340,10 @@ class TestNaturalityVerb:
             ("map", {"p": "u", "q": "u", "zzz": "u"}, "map key 'zzz' names nothing in the source"),
             ("map", {"p": "u", "zzz": "u"}, "no image for 'q'"),
             ("map", {"p": "u", "q": "w", "zzz": "u"}, "image 'w' of 'q' is unknown"),
+            ("flavor", [], "unknown flavor []"),
+            ("flavor", {}, "unknown flavor {}"),
+            ("flavor", None, "unknown flavor None"),
+            ("flavor", 1, "unknown flavor 1"),
         ],
     )
     def test_malformed_input_is_input_error(self, capsys, tmp_path, field, value, message):

@@ -1,6 +1,7 @@
 """Support data, validation, the Sigma adjunction, translation, and naturality."""
 
 import copy
+import re
 from collections import Counter
 from itertools import product
 
@@ -12,7 +13,6 @@ from lattik.errors import InvalidDatum, NotContinuous
 from lattik.ideals import is_prime
 from lattik.order import Certificate, dual, preimage, two
 from lattik.support import (
-    FLAVORS,
     SupportDatum,
     check_adjunction,
     check_naturality,
@@ -25,6 +25,7 @@ from lattik.support import (
     validate_support_datum,
 )
 from lattik.topology import (
+    FLAVORS,
     FiniteSpace,
     discrete_space,
     enumerate_continuous,
@@ -168,6 +169,17 @@ class TestValidation:
         for l in (m3(), n5()):
             with pytest.raises(ValueError, match="^unknown flavor 'bogus'$"):
                 enumerate_support_data(l, x, "bogus")
+
+    @pytest.mark.parametrize("flavor", [[], {}, None, 1])
+    def test_unknown_flavor_that_is_not_a_string(self, flavor):
+        x = discrete_space(["p"])
+        message = f"^unknown flavor {re.escape(repr(flavor))}$"
+        with pytest.raises(ValueError, match=message):
+            SupportDatum(two(), x, (0, x.full), flavor)
+        with pytest.raises(ValueError, match=message):
+            spectrum_for(two(), flavor)
+        with pytest.raises(ValueError, match=message):
+            enumerate_support_data(n5(), x, flavor)
 
     def test_repr_names_each_set_in_point_order(self):
         x = discrete_space(["p", "q"])
@@ -723,6 +735,25 @@ class TestFinality:
                 assert datum_morphisms_to_final(spec.supp, spec) == [
                     tuple(range(spec.space.n))
                 ]
+
+    def test_matches_the_per_map_oracle(self, corpus4, spaces3):
+        # every datum and every mutant of its flavor, valid or not, against the
+        # maps whose Σ, by its definition, is σ
+        found = Counter()
+        for l in corpus4:
+            for x in spaces3:
+                for flavor in FLAVORS:
+                    spec = spectrum_for(l, flavor)
+                    maps = enumerate_continuous(x, spec.space)
+                    sigmas = [preimage_sigma(f, x, spec) for f in maps]
+                    for d in enumerate_support_data(l, x, flavor):
+                        for b in mutants(d):
+                            if b.flavor == flavor:
+                                got = datum_morphisms_to_final(b, spec)
+                                assert got == [f for f, s in zip(maps, sigmas) if s == b.sigma]
+                                found[len(got)] += 1
+        # a mutant can land on another valid datum, so both counts occur
+        assert set(found) == {0, 1}
 
     def test_rejects_the_spectrum_of_another_lattice(self):
         x = discrete_space(["p"])

@@ -8,6 +8,7 @@ from functools import reduce
 from pathlib import Path
 
 import lattik
+from lattik.topology import FLAVORS
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "bench" / "tracer.py"
@@ -287,6 +288,33 @@ def test_fibre_tables_go_through_transpose():
     # transpose of one-hot rows, built by order.transpose; build_poset's loop
     # sets the bits of an edge list into the up-sets, which is no transpose
     assert fibre_loops() == ["order:build_poset"]
+
+
+def flavor_comparisons():
+    """``module:line`` for every ==, !=, in or not in in lattik with an operand that is
+    a flavor name, or a tuple of flavor names."""
+
+    def is_name(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return bool(node.elts) and all(map(is_name, node.elts))
+        return isinstance(node, ast.Constant) and node.value in FLAVORS
+
+    out = []
+    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Compare)
+                and any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops)
+                and any(map(is_name, [node.left, *node.comparators]))
+            ):
+                out.append(f"{path.stem}:{node.lineno}")
+    return out
+
+
+def test_no_flavor_name_is_compared():
+    # what a flavor decides is read off its row of topology.FLAVORS, so that a
+    # new flavor is one more row and not one more test at every site
+    assert flavor_comparisons() == []
 
 
 def tracer_names(variable):
