@@ -177,8 +177,7 @@ def cmd_naturality(args):
     x = space_from_json(x_obj)
     y = space_from_json(y_obj)
     g = _map_from_json(images, x.points, y.points, "points of space_x to points of space_y")
-    if not isinstance(flavor, str) or flavor not in topomod.FLAVORS:
-        raise InputError(f"unknown flavor {flavor!r}")
+    topomod.flavor_of(flavor)
     cert = supportmod.check_naturality(lattice, g, x, y, flavor, args.size_guard)
     if not cert.ok:
         raise CheckFailure(cert.to_json())

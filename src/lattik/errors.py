@@ -31,6 +31,10 @@ class NoBottom(InputError):
     pass
 
 
+class UnknownFlavor(InputError, ValueError):
+    """A support-datum flavor that is not a name in FLAVORS."""
+
+
 class SizeGuardExceeded(LattikError):
     """An exhaustive search exceeded the configured candidate bound."""
 

@@ -72,9 +72,9 @@ def ideal_of_morphism(l, phi, kind="jsl"):
 def morphism_of_ideal(l, mask, kind="jsl"):
     """The image tuple of the characteristic map into two() with kernel the ideal mask.
 
-    ValueError if the mask is no ideal of l.  The map is a jsl morphism for
-    every ideal, and a blat morphism iff the ideal is prime; otherwise
-    KindMismatch.
+    The README's named inverse of ideal_of_morphism.  ValueError if the mask
+    is no ideal of l.  The map is a jsl morphism for every ideal, and a blat
+    morphism iff the ideal is prime; otherwise KindMismatch.
     """
     if not is_ideal(l, mask):
         what = f"mask {mask:#b}" if mask & ~l.full else l.subset_names(mask)

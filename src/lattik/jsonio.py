@@ -5,7 +5,7 @@ from __future__ import annotations
 from .errors import InputError, UnknownName
 from .order import as_bounded_lattice, bits, build_poset
 from .tensor import TensorLattice
-from .topology import FLAVORS, FiniteSpace, SupportDatum
+from .topology import FiniteSpace, SupportDatum, flavor_of
 
 
 def _strings(value, what):
@@ -107,8 +107,7 @@ def datum_from_json(obj):
     )
     _, lattice = lattice_from_json(lattice_obj)
     space = space_from_json(space_obj)
-    if not isinstance(flavor, str) or flavor not in FLAVORS:
-        raise InputError(f"unknown flavor {flavor!r}")
+    flavor_of(flavor)
     if not isinstance(images, dict):
         raise InputError("sigma must be an object from elements to lists of points")
     sigma = []

@@ -8,6 +8,7 @@ from .order import dual, enumerate_morphisms, preimage, transpose
 from .topology import (
     FLAVORS,
     SupportDatum,
+    _datum_faults,
     _require_valid,
     cl_lattice,
     enumerate_continuous,
@@ -24,6 +25,8 @@ from .topology import (
 # FLAVORS and the spectra live by the spectra; bench/ (its workloads and tests)
 # and the test of the names it reads are the last to read them through support
 _SPECTRUM_OF_FLAVOR = topology._SPECTRUM_OF_FLAVOR
+
+_NOT_CONTINUOUS = "map into the spectrum is not continuous"
 
 
 def enumerate_support_data(l, x, flavor, guard=None):
@@ -51,19 +54,25 @@ def sigma_of_map(f, x, spectrum):
     It is the one-lane case of _sigma_lanes, and continuity is checked literally,
     as in is_continuous: NotContinuous is raised when one preimage is not open.
     """
-    _, pulled, _, S = _sigma_lanes([tuple(f)], x, spectrum)
-    if not x.openset.issuperset(pulled):
-        raise NotContinuous("map into the spectrum is not continuous")
-    return SupportDatum(spectrum.lattice, x, S, spectrum.supp.flavor)
+    sigmas, continuous, *_ = _sigma_lanes([tuple(f)], x, spectrum)
+    if not continuous:
+        raise NotContinuous(_NOT_CONTINUOUS)
+    return SupportDatum(spectrum.lattice, x, sigmas[0], spectrum.supp.flavor)
 
 
 def _sigma_lanes(maps, x, spectrum):
-    """pull_back_opens' (fibres, pulled) of the maps x -> spectrum, X in every lane,
-    and S, where lane k of S[a] is Σ(maps[k])(a), read through X for a closed flavor."""
+    """Σ of every map x -> spectrum at once: (sigmas, continuous, fibres, S, full).
+
+    sigmas[k] is Σ(maps[k]) as a tuple, and the first ``continuous`` maps pull
+    every open back to an open of x.  fibres are pull_back_opens', full is X in
+    every lane, and lane k of S[a] is sigmas[k][a]."""
     fibres, pulled = pull_back_opens(maps, x, spectrum.space)
-    full = int.from_bytes(x.full.to_bytes(lane_bytes(x.n), "little") * len(maps), "little")
+    count, size = len(maps), lane_bytes(x.n)
+    full = int.from_bytes(x.full.to_bytes(size, "little") * count, "little")
     flip = full if FLAVORS[spectrum.supp.flavor].closed else 0
-    return fibres, pulled, full, [pulled[k] ^ flip for k in spectrum.supp_opens]
+    S = [pulled[k] ^ flip for k in spectrum.supp_opens]
+    sigmas = list(zip(*(read_lanes(s, count, size) for s in S)))
+    return sigmas, _first_lane(x, count, pulled, 0), fibres, S, full
 
 
 def map_of_sigma(d, spectrum):
@@ -146,19 +155,21 @@ def check_adjunction(l, x, flavor, guard=None):
 
     Both sides are enumerated independently, the data as σ tuples from the
     morphism search.  The maps are then certified in one bit-sliced pass:
-    pull_back_opens makes map k lane k of each int, and each test below is
-    lane-local (bitwise, or read lane by lane), so it holds at every lane
-    iff the per-map test holds at every map.  Lane k of S[a] is Σ(f_k)(a),
-    read off _sigma_lanes as in sigma_of_map.  The tests are
-    continuity (every lane of every pull-back is open in X); the checks of
-    validate_support_datum, in _first_invalid_lane; the roundtrip
-    map_of_sigma(Σ(f)) = f, which sends a point p with f(p) = v back to v
-    iff {a : p ∉ σ(a)} is the ideal I_v, that is iff S[a] & fibres[v] is 0
-    for a in I_v and fibres[v] otherwise; and that each σ reaches a datum
-    no earlier map reached.  Up to the first lane that fails a test the
-    maps are those the per-map pass accepts; from there on they go through
-    sigma_of_map, _require_valid and _point_map, so every exception,
-    witness and verdict is the per-map pass's.  No check result is kept.
+    _sigma_lanes makes map k lane k of each int and reads its σ, and each
+    test below is lane-local, so it holds at every lane iff the per-map test
+    holds at every map.  The tests are continuity (every lane of every
+    pull-back is open in X); the checks of validate_support_datum, in
+    _first_invalid_lane; the roundtrip map_of_sigma(Σ(f)) = f, which sends a
+    point p with f(p) = v back to v iff {a : p ∉ σ(a)} is the ideal I_v, that
+    is iff S[a] & fibres[v] is 0 for a in I_v and fibres[v] otherwise; and
+    that each σ reaches a datum no earlier map reached.
+
+    The failures are decided off the lanes as the per-map pass (sigma_of_map,
+    _require_valid, then the datum and the roundtrip, map by map) decides them.
+    Up to stop, the first lane not continuous or not valid, a σ reached before
+    or a failed roundtrip makes the verdict False; only the latter goes through
+    _point_map, which raises InvalidDatum if a value is no point.  The lane at
+    stop raises NotContinuous or, in _require_valid, InvalidDatum.
 
     The bijection holds iff there are as many maps as data and every datum
     is reached.  Then every datum d is Σ(f) for exactly one map f, and
@@ -168,31 +179,28 @@ def check_adjunction(l, x, flavor, guard=None):
     spectrum = spectrum_for(l, flavor)
     maps = enumerate_continuous(x, spectrum.space, guard)
     data = _support_sigmas(l, x, flavor, guard)
-    count, size = len(maps), lane_bytes(x.n)
-    fibres, pulled, full, S = _sigma_lanes(maps, x, spectrum)
+    count = len(maps)
+    sigmas, continuous, fibres, S, full = _sigma_lanes(maps, x, spectrum)
     bad = 0  # the bits where the roundtrip fails
     for fibre, ideal in zip(fibres, spectrum.point_ideals):
         for a, s in enumerate(S):
             bad |= fibre & s if ideal >> a & 1 else fibre & ~s
-    invalid = _first_invalid_lane(l, x, flavor, S, count, full)
-    first = min(invalid, _first_lane(x, count, pulled, bad))  # continuity and the roundtrip
-    sigmas = list(zip(*(read_lanes(s, count, size) for s in S)))
-    unreached = set(data)
-    for k, sigma in enumerate(sigmas[:first]):
-        if sigma not in unreached:
-            first = k
-            break
-        unreached.discard(sigma)
-    matching = list(zip(maps[:first], sigmas))
+    stop = min(continuous, _first_invalid_lane(l, x, flavor, S, count, full))
     ok = count == len(data)
-    for f in maps[first:]:
-        d = sigma_of_map(f, x, spectrum)
-        _require_valid(d)
-        if d.sigma not in unreached or _point_map(d, spectrum) != f:
+    unreached = set(data)
+    for f, sigma, wrong in zip(maps[:stop], sigmas, read_lanes(bad, count, lane_bytes(x.n))):
+        if sigma not in unreached or (
+            wrong and _point_map(SupportDatum(l, x, sigma, flavor), spectrum) != f
+        ):
             ok = False
-        unreached.discard(d.sigma)
-        matching.append((f, d.sigma))
-    return AdjunctionCertificate(l, x, flavor, maps, data, matching, ok and not unreached)
+        unreached.discard(sigma)
+    if stop == continuous < count:
+        raise NotContinuous(_NOT_CONTINUOUS)
+    if stop < count:
+        _require_valid(SupportDatum(l, x, sigmas[stop], flavor))
+    return AdjunctionCertificate(
+        l, x, flavor, maps, data, list(zip(maps, sigmas)), ok and not unreached
+    )
 
 
 def _first_lane(x, count, opens, bad):
@@ -212,15 +220,11 @@ def _first_invalid_lane(l, x, flavor, S, count, full):
     """The first of count lanes whose σ, lane k of each S[a], fails validate_support_datum.
 
     ``full`` is X in every lane, and count is returned if no lane fails.  Each
-    check of the validator is one big-int test over all the lanes.
+    equation of _datum_faults is one big-int test over all the lanes.
     """
-    bad = S[l.bottom]
-    for a, b, j in l.join_pairs():
-        bad |= S[j] ^ (S[a] | S[b])
-    if FLAVORS[flavor].bounded:
-        bad |= S[l.top] ^ full
-        for a, b, m in l.meet_pairs():
-            bad |= S[m] ^ (S[a] & S[b])
+    bad = 0
+    for _, _, fault in _datum_faults(l, flavor, S, full):
+        bad |= fault
     flip = full if FLAVORS[flavor].closed else 0
     return _first_lane(x, count, [s ^ flip for s in S], bad)
 
@@ -235,10 +239,9 @@ def datum_morphisms_to_final(d, spectrum):
     """
     _require_same_source(d, spectrum)
     maps = enumerate_continuous(d.space, spectrum.space)
-    _, pulled, _, S = _sigma_lanes(maps, d.space, spectrum)
-    if _first_lane(d.space, len(maps), pulled, 0) < len(maps):
-        raise NotContinuous("map into the spectrum is not continuous")
-    sigmas = zip(*(read_lanes(s, len(maps), lane_bytes(d.space.n)) for s in S))
+    sigmas, continuous, *_ = _sigma_lanes(maps, d.space, spectrum)
+    if continuous < len(maps):
+        raise NotContinuous(_NOT_CONTINUOUS)
     return [f for f, sigma in zip(maps, sigmas) if sigma == d.sigma]
 
 
@@ -262,35 +265,23 @@ def check_naturality(l, g, x, y, flavor, guard=None):
     """Verify Σ(f ∘ g) = preimage-along-g ∘ Σ(f) for every continuous f: y -> spectrum.
 
     The maps f are pulled back on y in one _sigma_lanes call and the
-    composites f ∘ g on x in another, as in check_adjunction, so lane k of a
-    pull-back belongs to map k.  Lane k of σ(a) on y is Σ(f)(a); its preimage
-    along g is compared with lane k of σ(a) on x, which is Σ(f ∘ g)(a).  Up
-    to the first lane where a pull-back is not open or the two differ, the
-    maps are those the per-map loop accepts; from there on they go through
-    sigma_of_map one at a time, so every exception, count and witness is the
-    per-map loop's.
+    composites f ∘ g on x in another, so sigma of map k is Σ(f_k) on y and
+    Σ(f_k ∘ g) on x.  As in the per-map loop, which runs sigma_of_map on
+    both and compares, the witness is the first map where the two differ,
+    among the maps before the first where f or f ∘ g is not continuous;
+    without one, that discontinuous map raises NotContinuous.
     """
     g = tuple(g)
     if not is_continuous(g, x, y):
         raise NotContinuous("g is not continuous")
     spectrum = spectrum_for(l, flavor)
     maps = enumerate_continuous(y, spectrum.space, guard)
-    count = len(maps)
-    _, on_y, _, S_y = _sigma_lanes(maps, y, spectrum)
-    _, on_x, _, S_x = _sigma_lanes([tuple(f[i] for i in g) for f in maps], x, spectrum)
-    first = min(_first_lane(y, count, on_y, 0), _first_lane(x, count, on_x, 0))
-    for s_x, s_y in zip(S_x, S_y):
-        left = list(read_lanes(s_x, count, lane_bytes(x.n)))
-        right = read_lanes(s_y, count, lane_bytes(y.n))
-        along_g = {u: preimage(g, u) for u in set(right)}
-        right = list(map(along_g.__getitem__, right))
-        if left != right:
-            first = min(first, next(i for i, (u, v) in enumerate(zip(left, right)) if u != v))
-    checked = first
-    for f in maps[first:]:
-        left = sigma_of_map(tuple(f[i] for i in g), x, spectrum).sigma
-        right = tuple(preimage(g, s) for s in sigma_of_map(f, y, spectrum).sigma)
-        if left != right:
-            return NaturalityCertificate(flavor, checked, False, {"f": list(f)})
-        checked += 1
-    return NaturalityCertificate(flavor, checked, True)
+    on_y, continuous_y, *_ = _sigma_lanes(maps, y, spectrum)
+    on_x, continuous_x, *_ = _sigma_lanes([tuple(f[i] for i in g) for f in maps], x, spectrum)
+    stop = min(continuous_y, continuous_x)
+    for k, (left, right) in enumerate(zip(on_x[:stop], on_y)):
+        if left != tuple(preimage(g, s) for s in right):
+            return NaturalityCertificate(flavor, k, False, {"f": list(maps[k])})
+    if stop < len(maps):
+        raise NotContinuous(_NOT_CONTINUOUS)
+    return NaturalityCertificate(flavor, stop, True)

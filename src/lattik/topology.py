@@ -5,7 +5,7 @@ from __future__ import annotations
 from collections import namedtuple
 from itertools import chain
 
-from .errors import InvalidDatum, NotT0, SizeGuardExceeded
+from .errors import InvalidDatum, NotT0, SizeGuardExceeded, UnknownFlavor
 from .order import (
     DEFAULT_SIZE_GUARD,
     Certificate,
@@ -148,10 +148,10 @@ FLAVORS = {
 
 
 def flavor_of(name):
-    """The FLAVORS row of a flavor name; ValueError for any other value, a non-string too."""
+    """The FLAVORS row of a flavor name; UnknownFlavor for any other value, a non-string too."""
     if isinstance(name, str) and name in FLAVORS:
         return FLAVORS[name]
-    raise ValueError(f"unknown flavor {name!r}")
+    raise UnknownFlavor(f"unknown flavor {name!r}")
 
 
 class SupportDatum:
@@ -191,35 +191,40 @@ def validate_support_datum(d):
 
     Every check is literal: each σ(a) is looked up in the flavor's family
     (the opens, or the sets s whose complement s ^ X is open, which a bit
-    outside X keeps out), σ(0) = ∅, and σ(a ∨ b) = σ(a) ∪ σ(b) for every
-    pair a < b; the bounded-lattice flavors also check σ(1) = X
-    and σ(a ∧ b) = σ(a) ∩ σ(b) for every pair a < b.  The pairs are read
-    from the lattice's ``join_pairs()`` and ``meet_pairs()``.  The Certificate's
-    detail names the first violated axiom ("closed" or "open", "empty",
-    "join", "full", "meet") in that order, and its witness, both None on
-    success.
+    outside X keeps out), then the equations of _datum_faults are read in
+    their order.  The Certificate's detail names the first violated axiom
+    ("closed" or "open", "empty", "join", "full", "meet") in that order, and
+    its witness, both None on success.
     """
-    l, x, sigma = d.lattice, d.space, d.sigma
-
-    def fail(axiom, witness):
-        return Certificate(False, {"axiom": axiom, "witness": witness})
-
+    l, x = d.lattice, d.space
     flip, kindname = (x.full, "closed") if FLAVORS[d.flavor].closed else (0, "open")
-    for a, s in enumerate(sigma):
+    for a, s in enumerate(d.sigma):
         if s ^ flip not in x.openset:
-            return fail(kindname, l.elements[a])
-    if sigma[l.bottom] != 0:
-        return fail("empty", l.elements[l.bottom])
-    for a, b, j in l.join_pairs():
-        if sigma[j] != sigma[a] | sigma[b]:
-            return fail("join", (l.elements[a], l.elements[b]))
-    if FLAVORS[d.flavor].bounded:
-        if sigma[l.top] != x.full:
-            return fail("full", l.elements[l.top])
-        for a, b, m in l.meet_pairs():
-            if sigma[m] != sigma[a] & sigma[b]:
-                return fail("meet", (l.elements[a], l.elements[b]))
+            return Certificate(False, {"axiom": kindname, "witness": l.elements[a]})
+    for axiom, witness, fault in _datum_faults(l, d.flavor, d.sigma, x.full):
+        if fault:
+            return Certificate(False, {"axiom": axiom, "witness": witness})
     return Certificate(True, {"axiom": None, "witness": None})
+
+
+def _datum_faults(l, flavor, S, full):
+    """(axiom, witness, fault) for each equation of a support datum of the flavor on l.
+
+    S[a] is σ(a) and full is X, as ints; bit-sliced over many data, each is one
+    datum per lane.  fault is 0 exactly at the lanes where the equation holds.
+    The equations are σ(0) = ∅ and σ(a ∨ b) = σ(a) ∪ σ(b) for every pair a < b;
+    the bounded flavors add σ(1) = X and σ(a ∧ b) = σ(a) ∩ σ(b).  The pairs are
+    read from the lattice's ``join_pairs()`` and ``meet_pairs()``, and the
+    witness is the element or pair of elements, by name.
+    """
+    names = l.elements
+    yield "empty", names[l.bottom], S[l.bottom]
+    for a, b, j in l.join_pairs():
+        yield "join", (names[a], names[b]), S[j] ^ (S[a] | S[b])
+    if FLAVORS[flavor].bounded:
+        yield "full", names[l.top], S[l.top] ^ full
+        for a, b, m in l.meet_pairs():
+            yield "meet", (names[a], names[b]), S[m] ^ (S[a] & S[b])
 
 
 def _require_valid(d):

@@ -10,6 +10,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lattik import corpus, support
 from lattik.cli import build_parser, main
 from lattik.corpus import b2, b3, chain, m3, n5
 from lattik.jsonio import datum_to_json, lattice_from_json, lattice_to_json, space_to_json
@@ -190,6 +191,17 @@ class TestAdjunctionVerb:
         code, _, err = run(capsys, "adjunction")
         assert code == 2
 
+    def test_a_failed_bijection_exits_one_with_the_certificates(
+        self, capsys, monkeypatch, b2_file, sierp_file
+    ):
+        # one map fewer than data: the check fails, and stdout carries the witness
+        found = support.enumerate_continuous
+        monkeypatch.setattr(support, "enumerate_continuous", lambda *args: found(*args)[1:])
+        code, out, err = run(capsys, "adjunction", b2_file, sierp_file)
+        data = json.loads(out)
+        assert code == 1 and err == "" and data["ok"] is False
+        assert data["witness"]["all_bijective"] is False
+
     @pytest.mark.parametrize("points", ["-1", "-2"])
     def test_negative_space_points_is_input_error(self, capsys, points):
         code, out, err = run(
@@ -329,6 +341,21 @@ class TestNaturalityVerb:
         path = write(tmp_path, "nat.json", naturality_obj())
         code, out, _ = run(capsys, "naturality", path)
         assert code == 0 and json.loads(out)["ok"] is True
+
+    def test_a_failed_square_exits_one_with_the_map(self, capsys, monkeypatch, tmp_path):
+        # the preimage of {v} gains u, so Σ(f ∘ g) = g⁻¹Σ(f) fails at the fourth f
+        preimage = support.preimage
+
+        def broken(f, mask):
+            return preimage(f, mask) | (mask == 0b10)
+
+        monkeypatch.setattr(support, "preimage", broken)
+        code, out, err = run(capsys, "naturality", write(tmp_path, "nat.json", naturality_obj()))
+        data = json.loads(out)
+        assert code == 1 and err == "" and data["ok"] is False
+        assert data["witness"] == {
+            "flavor": "semilattice-closed", "checked": 3, "ok": False, "witness": {"f": [1, 0]}
+        }
 
     @pytest.mark.parametrize(
         "field, value, message",
@@ -502,6 +529,14 @@ class TestCorpusVerb:
         data = json.loads(out)
         assert code == 0 and data["ok"] is True
         assert data["counts"] == {"1": 1, "2": 1, "3": 1, "4": 2, "5": 5}
+
+    def test_a_wrong_count_exits_one_with_the_counts(self, capsys, monkeypatch):
+        monkeypatch.setitem(corpus.LATTICE_COUNTS, 5, corpus.LATTICE_COUNTS[5] + 1)
+        code, out, err = run(capsys, "corpus", "--max-n", "5")
+        data = json.loads(out)
+        assert code == 1 and err == "" and data["ok"] is False
+        assert data["witness"]["ok"] is False
+        assert data["witness"]["counts"]["5"] == 5 and data["witness"]["expected"]["5"] == 6
 
     def test_dump(self, capsys):
         code, out, _ = run(capsys, "corpus", "--max-n", "4", "--dump")

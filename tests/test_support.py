@@ -613,6 +613,20 @@ def reversed_points(spectrum, *args):
     return out
 
 
+def bottomless_point(spectrum, *args):
+    """A copy of the spectrum whose point 0 has its ideal less the bottom, no ideal at all.
+
+    A map onto point 0 then fails its roundtrip, and the point map of its σ
+    meets the true ideal, which is no longer a point."""
+    out = copy.copy(spectrum)
+    ideals = list(spectrum.point_ideals)
+    if ideals:
+        ideals[0] ^= 1 << spectrum.lattice.bottom
+    out.point_ideals = tuple(ideals)
+    out._point = {m: p for p, m in enumerate(out.point_ideals)}
+    return out
+
+
 def swapped_supp(spectrum, *args):
     """A copy of the spectrum whose last two elements swap the opens that σ pulls back."""
     out = copy.copy(spectrum)
@@ -624,6 +638,11 @@ def with_discontinuous_map(found, x, y, *args):
     """The maps found, then the first point map x -> y that is not continuous, if any."""
     maps = product(range(y.n), repeat=x.n)
     return found + [f for f in maps if not is_continuous(f, x, y)][:1]
+
+
+def discontinuous_map_first(found, x, y, *args):
+    """The first point map x -> y that is not continuous, if any, then the maps found."""
+    return with_discontinuous_map([], x, y) + found
 
 
 def changed(original, change):
@@ -676,6 +695,13 @@ PER_MAP_FAULTS = {
     ],
     "append a discontinuous map": [("enumerate_continuous", with_discontinuous_map)],
     "swap two supp_opens": [("spectrum_for", swapped_supp)],
+    # a failed roundtrip whose value is no point raises InvalidDatum in _point_map
+    "a point ideal without the bottom": [("spectrum_for", bottomless_point)],
+    # the per-map pass meets the discontinuous map before any invalid datum
+    "prepend a discontinuous map, swap two supp_opens": [
+        ("enumerate_continuous", discontinuous_map_first),
+        ("spectrum_for", swapped_supp),
+    ],
     "early roundtrip mismatch, then a raising map": [
         ("spectrum_for", reversed_points),
         ("enumerate_continuous", with_discontinuous_map),
@@ -686,6 +712,8 @@ VERDICTS = {
     "none": {True},
     "append a discontinuous map": {True, NotContinuous},
     "swap two supp_opens": {True, InvalidDatum},
+    "a point ideal without the bottom": {True, InvalidDatum},
+    "prepend a discontinuous map, swap two supp_opens": {True, InvalidDatum, NotContinuous},
     "early roundtrip mismatch, then a raising map": {True, False, NotContinuous},
 }
 
@@ -835,6 +863,27 @@ class TestNaturality:
             assert ours == naturality_outcome(per_map_naturality, *case)
             seen[ours[0] if isinstance(ours, tuple) else ours["ok"]] += 1
         assert seen["NotContinuous"] and seen[True], seen
+
+    def test_sliced_is_the_per_map_loop_on_a_broken_sigma_and_discontinuous_maps(
+        self, monkeypatch, corpus4
+    ):
+        # both faults at once: the per-map loop returns a witness when a broken σ
+        # comes before the first discontinuous map, and raises otherwise; the maps
+        # run last first, where a broken σ can come before a discontinuous map
+        def broken(f, mask):
+            return preimage(f, mask) | (mask == 0b10)
+
+        def every_map(x, y, guard=None):
+            return list(product(range(y.n), repeat=x.n))[::-1]
+
+        monkeypatch.setattr(support, "preimage", broken)
+        monkeypatch.setattr(support, "enumerate_continuous", every_map)
+        seen = Counter()
+        for case in self.cases(corpus4, [sierpinski(), discrete_space(["u", "v"])]):
+            ours = naturality_outcome(check_naturality, *case)
+            assert ours == naturality_outcome(per_map_naturality, *case)
+            seen[ours[0] if isinstance(ours, tuple) else ours["ok"]] += 1
+        assert seen["NotContinuous"] and seen[False], seen
 
     def test_sierpinski_into_discrete(self):
         x, y = sierpinski(), discrete_space(["u", "v"])

@@ -105,6 +105,27 @@ def test_every_import_is_read():
     assert [x for x in unread_imports() if x != "lattik/support.py:validate_support_datum"] == []
 
 
+def sigma_of_map_callers():
+    """``module:function`` for every def in lattik whose body calls sigma_of_map."""
+    out = []
+    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(n, ast.Call)
+                and getattr(n.func, "id", getattr(n.func, "attr", None)) == "sigma_of_map"
+                for stmt in node.body
+                for n in ast.walk(stmt)
+            ):
+                out.append(f"{path.stem}:{node.name}")
+    return out
+
+
+def test_no_function_calls_sigma_of_map():
+    # Σ of a map is computed in one place, the bit-sliced _sigma_lanes, which
+    # also decides every failure; sigma_of_map is its one-lane API for callers
+    assert sigma_of_map_callers() == []
+
+
 def instance_dict_reads():
     """``module:line`` for every call to ``vars`` and every ``__dict__`` in lattik."""
     out = []
