@@ -61,10 +61,11 @@ def ideal_of_morphism(l, phi, kind="jsl"):
     """The mask of the ideal phi^{-1}(0) of a morphism phi: l -> 2, an image tuple.
 
     Raises KindMismatch unless phi has one image per element of l, takes
-    only the values 0 and 1, and is a morphism of the kind into two(); the
-    kernel of a blat morphism is then a prime ideal.
+    only the int values 0 and 1 (a bool is none), and is a morphism of the
+    kind into two(); the kernel of a blat morphism is then a prime ideal.
     """
-    if len(phi) != l.n or not set(phi) <= {0, 1} or not is_morphism(l, two(), phi, kind):
+    zero_one = {(int, 0), (int, 1)}.issuperset(zip(map(type, phi), phi))
+    if len(phi) != l.n or not zero_one or not is_morphism(l, two(), phi, kind):
         raise KindMismatch(f"expected a {kind} morphism into the 2-chain")
     return preimage(phi, 1)
 

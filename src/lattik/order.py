@@ -230,8 +230,6 @@ class BoundedLattice(Poset):
         self._meet_pairs = None
         self._meet_to = None
         self._spectra = {}  # topology.spectrum_for, keyed by flavor
-        self._ji = None  # tensor._draw: the join-irreducibles
-        self._cells = None  # and, per pair (a, b), the flat pairs of them below a and b
 
     def join_pairs(self):
         """(a, b, a ∨ b) for every pair a < b, in the order of a, then b; built on first use."""
@@ -385,6 +383,8 @@ MORPHISM_KINDS = ("jsl", "blat")
 def is_morphism(src, tgt, mapping, kind):
     """Check the kind's laws on an image tuple; ValueError unless one tgt index per src element.
 
+    An index is an int: a float, a str or a bool is none.
+
     The join and meet laws are tested at the pairs a < b of ``join_pairs()``
     and ``meet_pairs()``: a pair a = b never fails, and a pair a > b repeats
     b < a, as the join and meet tables are symmetric and idempotent.
@@ -394,7 +394,7 @@ def is_morphism(src, tgt, mapping, kind):
     f = mapping
     if len(f) != src.n:
         raise ValueError("mapping must have one image per source element")
-    if not 0 <= min(f) <= max(f) < tgt.n:
+    if not {int}.issuperset(map(type, f)) or not 0 <= min(f) <= max(f) < tgt.n:
         raise ValueError("mapping must send every element to an element of the target")
     if f[src.bottom] != tgt.bottom:
         return False

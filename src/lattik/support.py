@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 from . import topology
 from .errors import InvalidDatum, NotContinuous
 from .order import dual, enumerate_morphisms, preimage, transpose
@@ -72,7 +74,7 @@ def _sigma_lanes(maps, x, spectrum):
     flip = full if FLAVORS[spectrum.supp.flavor].closed else 0
     S = [pulled[k] ^ flip for k in spectrum.supp_opens]
     sigmas = list(zip(*(read_lanes(s, count, size) for s in S)))
-    return sigmas, _first_lane(x, count, pulled, 0), fibres, S, full
+    return sigmas, _first_lane(x, count, pulled), fibres, S, full
 
 
 def map_of_sigma(d, spectrum):
@@ -158,11 +160,13 @@ def check_adjunction(l, x, flavor, guard=None):
     _sigma_lanes makes map k lane k of each int and reads its σ, and each
     test below is lane-local, so it holds at every lane iff the per-map test
     holds at every map.  The tests are continuity (every lane of every
-    pull-back is open in X); the checks of validate_support_datum, in
-    _first_invalid_lane; the roundtrip map_of_sigma(Σ(f)) = f, which sends a
-    point p with f(p) = v back to v iff {a : p ∉ σ(a)} is the ideal I_v, that
-    is iff S[a] & fibres[v] is 0 for a in I_v and fibres[v] otherwise; and
-    that each σ reaches a datum no earlier map reached.
+    pull-back is open in X), which is also the validator's family check, as
+    S[a] is a pull-back, complemented for a closed flavor; the equations of
+    validate_support_datum, in _first_invalid_lane; the roundtrip
+    map_of_sigma(Σ(f)) = f, which sends a point p with f(p) = v back to v
+    iff {a : p ∉ σ(a)} is the ideal I_v, that is iff S[a] & fibres[v] is 0
+    for a in I_v and fibres[v] otherwise; and that each σ reaches a datum no
+    earlier map reached.
 
     The failures are decided off the lanes as the per-map pass (sigma_of_map,
     _require_valid, then the datum and the roundtrip, map by map) decides them.
@@ -203,30 +207,32 @@ def check_adjunction(l, x, flavor, guard=None):
     )
 
 
-def _first_lane(x, count, opens, bad):
-    """The first of count lanes where a value of opens is not open in x or bad is set, or count."""
+def _first_lane(x, count, opens):
+    """The first of count lanes where a value of opens is not open in x, or count."""
     size = lane_bytes(x.n)
     first = count
     for value in opens:
         lanes = read_lanes(value, count, size)
         if not x.openset.issuperset(lanes):
             first = min(first, next(k for k, u in enumerate(lanes) if u not in x.openset))
-    if bad:
-        first = min(first, next(k for k, m in enumerate(read_lanes(bad, count, size)) if m))
     return first
 
 
 def _first_invalid_lane(l, x, flavor, S, count, full):
-    """The first of count lanes whose σ, lane k of each S[a], fails validate_support_datum.
+    """The first of count lanes whose σ, lane k of each S[a], fails an equation
+    of _datum_faults, each one big-int test over all the lanes, or count.
 
-    ``full`` is X in every lane, and count is returned if no lane fails.  Each
-    equation of _datum_faults is one big-int test over all the lanes.
+    ``full`` is X in every lane.  The validator's family check (each σ(a)
+    closed, or open) is left out: in check_adjunction each S[a] ^ flip is
+    pulled[supp_opens[a]], which _sigma_lanes has checked for openness, so a
+    lane failing it is at or past ``continuous``, and stop cannot change.
     """
     bad = 0
     for _, _, fault in _datum_faults(l, flavor, S, full):
         bad |= fault
-    flip = full if FLAVORS[flavor].closed else 0
-    return _first_lane(x, count, [s ^ flip for s in S], bad)
+    if not bad:
+        return count
+    return next(k for k, m in enumerate(read_lanes(bad, count, lane_bytes(x.n))) if m)
 
 
 def datum_morphisms_to_final(d, spectrum):
@@ -279,8 +285,10 @@ def check_naturality(l, g, x, y, flavor, guard=None):
     on_y, continuous_y, *_ = _sigma_lanes(maps, y, spectrum)
     on_x, continuous_x, *_ = _sigma_lanes([tuple(f[i] for i in g) for f in maps], x, spectrum)
     stop = min(continuous_y, continuous_x)
+    # σ takes few distinct values on y across the maps: each is pulled back once
+    pulled = {s: preimage(g, s) for s in set(chain.from_iterable(on_y[:stop]))}
     for k, (left, right) in enumerate(zip(on_x[:stop], on_y)):
-        if left != tuple(preimage(g, s) for s in right):
+        if left != tuple(map(pulled.__getitem__, right)):
             return NaturalityCertificate(flavor, k, False, {"f": list(maps[k])})
     if stop < len(maps):
         raise NotContinuous(_NOT_CONTINUOUS)

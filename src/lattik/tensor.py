@@ -32,6 +32,15 @@ class TensorLattice:
     The product must distribute over binary joins on both sides, absorb the
     bottom, and have the unit; it need not be commutative.  Associativity is
     not validated, but the tensor lemma and the classification assume it.
+
+    Every table is built here: the radical closure, ⟨a⟩ for each a, the
+    radical tensor ideal masks, and L(⊗) with its projection.  Building L(⊗)
+    never raises, associative or not.  ⟨a⟩, the least radical tensor ideal
+    holding a, exists: the carrier is one, and so is an intersection of them.
+    ⟨0⟩ lies below every ⟨a⟩, which holds the bottom.  ⟨a ∨ b⟩ is the least
+    ⟨c⟩ above ⟨a⟩ and ⟨b⟩: it holds a and b, an ideal being a down-set, and
+    a ⟨c⟩ that holds a and b holds a ∨ b.  So SetLattice finds a least member
+    and every join, and the label of a class, its members, is its own.
     """
 
     def __init__(self, base, product, unit):
@@ -40,11 +49,15 @@ class TensorLattice:
         self.n = base.n
         self.product = tuple(tuple(row) for row in product)
         self.unit = unit
-        # built on first use and kept, as the spectra are kept on a lattice
-        self._close = None  # _closer(self)
-        self._generated = None  # ⟨a⟩ for each a
-        self._radicals = None  # the radical tensor ideal masks
-        self._quotient = None  # L(⊗) and the projection, before the formula checks
+        self._close = close = _closer(self)
+        self._generated = gen = tuple(close(1 << a) for a in range(self.n))
+        self._radicals = tuple(m for m in ideal_masks(base) if is_radical_tensor_ideal(self, m))
+
+        def label(m):
+            return "[" + "=".join(base.elements[a] for a in range(self.n) if gen[a] == m) + "]"
+
+        lattice = SetLattice(set(gen), label)
+        self._quotient = lattice, tuple(map(lattice.index_of_mask, gen))
 
 
 def validate_tensor_axioms(base, product, unit):
@@ -167,39 +180,17 @@ def radical_closure(t, seeds):
         elif type(s) is not int or not 0 <= s < base.n:
             raise ValueError(f"seed {s!r} is not an element index of the carrier")
         mask |= 1 << s
-    return _closure(t)(mask)
-
-
-def _closure(t):
-    """The radical closure of t, built by _closer on first use and kept on t."""
-    if t._close is None:
-        t._close = _closer(t)
-    return t._close
-
-
-def _generated(t):
-    """⟨a⟩ for each a, as a tuple kept on t; the checks read it, callers get copies."""
-    if t._generated is None:
-        close = _closure(t)
-        t._generated = tuple(close(1 << a) for a in range(t.n))
-    return t._generated
+    return t._close(mask)
 
 
 def generated_ideals(t):
     """The radical tensor ideals ⟨a⟩ generated by each single element a."""
-    return list(_generated(t))
-
-
-def _radicals(t):
-    """The radical tensor ideal masks, as a tuple kept on t."""
-    if t._radicals is None:
-        t._radicals = tuple(m for m in ideal_masks(t.base) if is_radical_tensor_ideal(t, m))
-    return t._radicals
+    return list(t._generated)
 
 
 def radical_masks(t):
     """Masks of the radical tensor ideals, in ideal_masks order."""
-    return list(_radicals(t))
+    return list(t._radicals)
 
 
 def all_radical_tensor_ideals(t):
@@ -210,7 +201,7 @@ def all_radical_tensor_ideals(t):
     which is the radical closure of the union; this function certifies
     neither description, the tests check the join.
     """
-    return SetLattice(_radicals(t), lambda m: set_label(t.base.elements, m))
+    return SetLattice(t._radicals, lambda m: set_label(t.base.elements, m))
 
 
 class QuotientFormulaError(ValueError):
@@ -228,17 +219,9 @@ def quotient_lattice(t):
     Returns (lattice, projection) where projection[a] is the quotient index
     of ⟨a⟩.  Certifies [a]∨[b] = [a∨b] and [a]∧[b] = [a⊗b]; raises
     QuotientFormulaError at the first pair (a, b) where one fails.  The
-    lattice and projection are kept on t, and the formulas are checked on
-    every call.
+    lattice and projection are built with t, and the formulas are checked
+    on every call.
     """
-    if t._quotient is None:
-        gen = _generated(t)
-
-        def label(m):
-            return "[" + "=".join(t.base.elements[a] for a in range(t.n) if gen[a] == m) + "]"
-
-        lattice = SetLattice(set(gen), label)
-        t._quotient = lattice, tuple(lattice.index_of_mask(g) for g in gen)
     lattice, projection = t._quotient
     # join and meet of classes are realized by ∨ and ⊗ on representatives
     for a in range(t.n):
@@ -257,7 +240,7 @@ def check_tensor_lemma(t):
 
     The lemma assumes an associative product; a non-associative one can fail.
     """
-    gen = _generated(t)
+    gen = t._generated
     for a in range(t.n):
         for b in range(t.n):
             lhs = gen[a] & gen[b]
@@ -291,7 +274,7 @@ def check_classification(t):
     if not is_distributive(lattice):
         return Certificate(False, {"reason": "quotient is not distributive"})
 
-    radicals = _radicals(t)
+    radicals = t._radicals
     reason = inclusion_isomorphism_failure(
         ideal_masks(lattice),
         radicals,
@@ -330,30 +313,32 @@ def is_associative(t):
     return True
 
 
-def _draw(base, rng):
+def _cells(base):
+    """The cell table of _draw: per pair (a, b), the flat indices i·m + j of the
+    pairs of join-irreducibles ji[i] <= a and ji[j] <= b, m being their number."""
+    ji = join_irreducibles(base)
+    m = len(ji)
+    below = [[k for k, i in enumerate(ji) if base.leq(i, a)] for a in range(base.n)]
+    return tuple(tuple(tuple(i * m + j for i in ia for j in jb) for jb in below) for ia in below)
+
+
+def _draw(base, cells, rng):
     """Draw a candidate tensor structure on the lattice as (unit, product), before validation.
 
     The unit is drawn first, then a value at each pair (i, j) of
-    join-irreducibles, i outer and j inner, an order the fuzz stream rests on.
-    a ⊗ b folds the join over the values at the cells (i, j) with ji[i] <= a
-    and ji[j] <= b, from the bottom; the unit row is the identity and column
-    ``unit`` of every other row is a.  Join is associative and commutative,
-    so this equals joining, over i <= a, the join of the values at (i, j)
-    over j <= b.  The cell table is built on first use and kept on the base.
+    join-irreducibles, i outer and j inner, an order the fuzz stream rests on;
+    those are the m² cells of (1, 1).  a ⊗ b folds the join over the values
+    at the cells of (a, b) in ``cells``, _cells(base), from the bottom; the
+    unit row is the identity and column ``unit`` of every other row is a.
+    Join is associative and commutative, so this equals joining, over
+    i <= a, the join of the values at (i, j) over j <= b.
     """
     n = base.n
-    if base._cells is None:
-        base._ji = ji = join_irreducibles(base)
-        m = len(ji)
-        below = [[k for k, i in enumerate(ji) if base.leq(i, a)] for a in range(n)]
-        base._cells = tuple(
-            tuple(tuple(i * m + j for i in ia for j in jb) for jb in below) for ia in below
-        )
     unit = rng.randrange(n)
-    vals = list(map(rng.randrange, repeat(n, len(base._ji) ** 2)))
+    vals = list(map(rng.randrange, repeat(n, len(cells[base.top][base.top]))))
     z, join = base.bottom, base.join
     product = []
-    for a, row in enumerate(base._cells):
+    for a, row in enumerate(cells):
         if a == unit:
             product.append(tuple(range(n)))
             continue
@@ -379,9 +364,10 @@ def _tensor_or_none(base, product, unit):
 def random_tensor_lattice(base, rng):
     """Draw a candidate tensor structure on the given lattice, or None.
 
-    The draw is that of _draw; any failure of the axioms rejects it.
+    The draw is that of _draw, on a cell table built for this call; any
+    failure of the axioms rejects it.
     """
-    unit, product = _draw(base, rng)
+    unit, product = _draw(base, _cells(base), rng)
     return _tensor_or_none(base, product, unit)
 
 
@@ -393,8 +379,8 @@ def fuzz_tensor_lattices(bases, seed, count):
     draw is made, so the stream is that of random_tensor_lattice, but each
     distinct draw (same base position, unit and product) is validated once:
     a repeat gets the earlier verdict, and a valid repeat yields the earlier
-    TensorLattice, so the tables kept on a structure are built once per
-    distinct structure.
+    TensorLattice, so the tables a structure is built with are built once per
+    distinct structure.  Each base's cell table is built once per call.
     """
     rng = random.Random(seed)
     bases = list(bases)
@@ -405,6 +391,7 @@ def fuzz_tensor_lattices(bases, seed, count):
     # TensorLattice of the first such draw, or None if it is invalid; a str of
     # code points below 256 takes one byte per char
     seen = [{} for _ in bases]
+    cells = list(map(_cells, bases))
     while produced < count:
         if draws >= budget:
             raise SizeGuardExceeded(
@@ -412,7 +399,7 @@ def fuzz_tensor_lattices(bases, seed, count):
             )
         k = rng.randrange(len(bases))
         draws += 1
-        unit, product = _draw(bases[k], rng)
+        unit, product = _draw(bases[k], cells[k], rng)
         key = "".join(map(chr, chain((unit,), *product)))
         memo = seen[k]
         if key not in memo:

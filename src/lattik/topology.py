@@ -245,13 +245,13 @@ class Spectrum:
     supp must then be a support datum of the flavor on that space;
     validate_support_datum checks it, and a failure raises InvalidDatum naming
     the axiom and its witness.  A point ideal that is not an int mask on the
-    carrier raises ValueError first, and an unknown flavor next.
+    carrier (a bool is none) raises ValueError first, and an unknown flavor next.
     """
 
     def __init__(self, lattice, point_ideals, flavor):
         self.point_ideals = tuple(point_ideals)  # base-lattice mask per point
         for m in self.point_ideals:
-            if not (isinstance(m, int) and 0 <= m <= lattice.full):
+            if not (type(m) is int and 0 <= m <= lattice.full):
                 raise ValueError(f"point ideal {m!r} is not a mask on the carrier")
         flip = (1 << len(self.point_ideals)) - 1 if flavor_of(flavor).closed else 0
         labels = [set_label(lattice.elements, m) for m in self.point_ideals]

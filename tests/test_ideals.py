@@ -244,6 +244,11 @@ class TestMorphismIdealDictionary:
         with pytest.raises(KindMismatch):
             ideal_of_morphism(two(), (0, 2))
 
+    @pytest.mark.parametrize("phi", [(False, True), (0, 1.0), (0, "1")])
+    def test_value_that_is_no_int_is_rejected(self, phi):
+        with pytest.raises(KindMismatch):
+            ideal_of_morphism(two(), phi)
+
     def test_jsl_morphism_breaking_meets_is_rejected_as_blat(self):
         l = b2()
         phi = tuple(0 if e == "0" else 1 for e in l.elements)

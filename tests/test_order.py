@@ -582,9 +582,20 @@ class TestMorphisms:
             enumerate_morphisms(b2(), b2(), "blat", guard=2)
 
     @pytest.mark.parametrize("kind", MORPHISM_KINDS)
-    @pytest.mark.parametrize("images", [(0, 1, 1, 1, 1), (0, 1), (0, 1, 1, 5), (0, -1, 1, 1)])
+    @pytest.mark.parametrize(
+        "images",
+        [
+            (0, 1, 1, 1, 1),
+            (0, 1),
+            (0, 1, 1, 5),
+            (0, -1, 1, 1),
+            (0, 1, 1, 1.0),
+            (0, True, 1, 1),
+            (0, "1", 1, 1),
+        ],
+    )
     def test_image_tuple_of_wrong_shape_is_rejected(self, images, kind):
-        # one image per element of b2, each an index of two()
+        # one image per element of b2, each an int index of two()
         with pytest.raises(ValueError, match="mapping must"):
             is_morphism(b2(), two(), images, kind)
 

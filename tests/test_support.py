@@ -221,19 +221,26 @@ class TestValidation:
 
 def test_sliced_validation_flags_the_lanes_the_validator_rejects(corpus5):
     # each σ, valid or a mutant, is one lane of the columns S[a]: alone, the
-    # sliced checks flag it iff validate_support_datum rejects it, and packed,
-    # the first lane flagged is the first σ rejected
+    # sliced equations or the literal family check flag it iff
+    # validate_support_datum rejects it, and packed, the first lane either
+    # flags is the first σ rejected.  check_adjunction leaves the family
+    # check to continuity, as each S[a] there is a pull-back of an open
     flagged = 0
     for l in corpus5:
         for x in space_corpus(2):
             for flavor in FLAVORS:
                 data = enumerate_support_data(l, x, flavor)
                 lanes = [b.sigma for d in data for b in mutants(d) if b.flavor == flavor]
+                flip = x.full if FLAVORS[flavor].closed else 0
 
                 def first(sigmas):
                     S = [int.from_bytes(bytes(s[a] for s in sigmas), "little") for a in range(l.n)]
                     full = int.from_bytes(bytes([x.full]) * len(sigmas), "little")
-                    return support._first_invalid_lane(l, x, flavor, S, len(sigmas), full)
+                    family = [all(s ^ flip in x.openset for s in sigma) for sigma in sigmas]
+                    return min(
+                        support._first_invalid_lane(l, x, flavor, S, len(sigmas), full),
+                        (family + [False]).index(False),
+                    )
 
                 valid = [validate_support_datum(SupportDatum(l, x, s, flavor)).ok for s in lanes]
                 for sigma, ok in zip(lanes, valid):

@@ -555,8 +555,9 @@ class TestOracles:
         # every draw, rejected or not, as its (product, unit) before validation
         for base in lattice_corpus(5):
             ours, theirs = random.Random(base.n), random.Random(base.n)
+            cells = tensor._cells(base)
             for _ in range(200):
-                unit, product = tensor._draw(base, ours)
+                unit, product = tensor._draw(base, cells, ours)
                 theirs_product, theirs_unit = leq_draw(base, theirs)
                 assert (list(map(list, product)), unit) == (theirs_product, theirs_unit)
             assert ours.getstate() == theirs.getstate()
@@ -570,8 +571,8 @@ class TestOracles:
         validated = Counter()
         draw, validate = tensor._draw, tensor.validate_tensor_axioms
 
-        def record(base, rng):
-            unit, product = draw(base, rng)
+        def record(base, cells, rng):
+            unit, product = draw(base, cells, rng)
             drawn.append((index[id(base)], unit, product))
             return unit, product
 

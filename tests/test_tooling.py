@@ -168,6 +168,42 @@ def test_no_private_attribute_is_probed():
     assert private_attribute_probes() == []
 
 
+def unread_tables():
+    """``module:Class._name`` for every underscore attribute that a class's
+    ``__init__`` sets on self and no code of the class's own module reads."""
+    out = []
+    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {
+            n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+        }
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for init in cls.body:
+                if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+                    continue
+                for n in ast.walk(init):
+                    if (
+                        isinstance(n, ast.Attribute)
+                        and isinstance(n.ctx, ast.Store)
+                        and isinstance(n.value, ast.Name)
+                        and n.value.id == "self"
+                        and n.attr.startswith("_")
+                        and n.attr not in read
+                    ):
+                        out.append(f"{path.stem}:{cls.name}.{n.attr}")
+    return out
+
+
+def test_tables_are_read_by_their_owner():
+    # a table lives on the object of the module that reads it; the spectra of a
+    # lattice are the one exception, kept on it by topology.spectrum_for
+    assert unread_tables() == ["order:BoundedLattice._spectra"]
+
+
 def innermost_defs(tree):
     """{node: the name of its innermost enclosing def} for every node in a def."""
     owner = {}

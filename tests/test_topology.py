@@ -267,7 +267,7 @@ class TestSpcSpace:
         with pytest.raises(TypeError):
             Spectrum(s.supp, reversed(s.point_ideals))
 
-    @pytest.mark.parametrize("mask", [1 << 4, -1, "x"])
+    @pytest.mark.parametrize("mask", [1 << 4, -1, "x", True])
     def test_point_ideal_off_the_carrier(self, mask):
         # rejected, naming the mask, before any label is built
         with pytest.raises(ValueError, match=f"point ideal {mask!r} is not a mask"):
