@@ -11,6 +11,7 @@ from .order import (
     maximal_extension,
     scheduled_search,
     transpose,
+    twin_pairs,
 )
 from .topology import FiniteSpace, _union_closure
 
@@ -24,10 +25,19 @@ LATTICE_COUNTS = {
 }
 
 
+def _check_size(what, name, n, low, high=None):
+    """BoundExceeded unless n is an int (a bool is none) with low <= n, and n <= high if given."""
+    if type(n) is not int or n < low or high is not None and n > high:
+        if high is None:
+            span = f"needs an int {name} >= {low}"
+        else:
+            span = f"is bounded at an int {low} <= {name} <= {high}"
+        raise BoundExceeded(f"{what} {span}, got {n!r}")
+
+
 def chain(n):
     """The n-element chain c0 < c1 < ... (named 0, m1, ..., 1 for readability)."""
-    if n < 1:
-        raise BoundExceeded(f"chain needs n >= 1, got {n}")
+    _check_size("chain", "n", n, 1)
     names = ["0", *(f"m{i}" for i in range(1, n - 1)), "1"][:n]
     pairs = [(names[i], names[i + 1]) for i in range(n - 1)]
     return as_bounded_lattice(build_poset(names, pairs))
@@ -86,12 +96,32 @@ def _grow(max_n, downsets):
     in level order, by each mask of ``downsets(p)`` in turn.  The first
     extension seen of each isomorphism class is its representative; a level
     is sorted by canonical key.
+
+    A down-set d that holds a twin b of p (see ``twin_pairs``) but not the
+    twin a before it is skipped: an isomorphic extension comes earlier from
+    the same parent, so the first extension seen of a class is never
+    skipped, and every representative stays.  The twins have the same
+    strict up-set, so an element of d above b would put a in d; thus b is in
+    the antichain A of d's maximal elements.  Swapping a and b is an
+    automorphism of p, so it sends d to the down-set d' with the antichain
+    A - {b} + {a}, whose extension is isomorphic to d's.  ``downsets(p)``
+    lists d' too: ``_downset_masks`` lists every down-set, and
+    ``_meet_downsets`` keeps those whose extension is a meet-semilattice,
+    which isomorphic extensions are or are not alike.  As a < b and a is not
+    in A, A - {b} + {a} is lexicographically smaller than A, and
+    ``_downset_masks`` visits antichains in lexicographic order, so d' comes
+    before d.  Each such swap lowers the sum of the indices in d, so
+    repeating it ends at a down-set that holds each group of twins as a
+    prefix in index order, which is kept and comes before d.
     """
     levels = [[Poset([], [])]]
     for _ in range(max_n):
         seen = {}
         for p in levels[-1]:
+            twins = twin_pairs(p)
             for d in downsets(p):
+                if any(d >> b & 1 > d >> a & 1 for a, b in twins):
+                    continue
                 q = _extend(p, d)
                 seen.setdefault(canonical_key(q), q)
         levels.append([seen[k] for k in sorted(seen)])
@@ -99,7 +129,10 @@ def _grow(max_n, downsets):
 
 
 def _downset_masks(p):
-    """All down-sets, one per antichain of maximal elements (DFS, no dedup needed)."""
+    """All down-sets, one per antichain of maximal elements, antichains in lexicographic order.
+
+    A DFS over the antichains, each listed before its extensions; no dedup needed.
+    """
     out = []
 
     def extend(start, chosen_mask, downset):
@@ -120,8 +153,7 @@ def all_posets(max_n):
     maximal element whose down-set is any down-set of the smaller poset.
     Canonical keys deduplicate at each level.
     """
-    if max_n < 1:
-        raise BoundExceeded(f"poset generation needs max_n >= 1, got {max_n}")
+    _check_size("poset generation", "max_n", max_n, 1)
     return _grow(max_n, _downset_masks)[1:]
 
 
@@ -160,17 +192,18 @@ def all_lattices(max_n):
        the top's class at the end of its ``above`` tuple, and elements of
        one class have ``above`` tuples of one length.
     2. So the admissible relabellings of P + top are exactly those of P,
-       with the top sent to position n.
+       with the top sent to position n.  The twin order of
+       ``canonical_key`` is the same on both: the top is never a twin, as
+       no other element has all of P strictly below it, and two elements
+       of P are twins in P + top iff they are in P, as each strict up-set
+       gains the top and each strict down-set is unchanged.
     3. Under such a relabelling, the code of P + top is P's code with bit
        r·n + c moved to r·(n+1) + c, plus the bits r·(n+1) + n for r <= n,
        which do not depend on the relabelling.  The move is increasing on
        bit positions, so the least codes, and the keys of equal-size P,
        compare as before.
     """
-    if not 1 <= max_n <= MAX_CORPUS_N:
-        raise BoundExceeded(
-            f"corpus generation is bounded at 1 <= n <= {MAX_CORPUS_N}"
-        )
+    _check_size("corpus generation", "max_n", max_n, 1, MAX_CORPUS_N)
     return [
         [as_bounded_lattice(_extend(p, p.full)) for p in level]
         for level in _grow(max_n - 1, _meet_downsets)
@@ -194,10 +227,7 @@ def all_topologies(n_points):
     contain i and tests each pair k < i once, at i.  The spaces are sorted by
     (number of opens, opens).  Bounded at 4 points.
     """
-    if n_points < 0:
-        raise BoundExceeded(f"topology enumeration needs n_points >= 0, got {n_points}")
-    if n_points > 4:
-        raise BoundExceeded("topology enumeration is bounded at 4 points")
+    _check_size("topology enumeration", "n_points", n_points, 0, 4)
     points = [f"p{i}" for i in range(n_points)]
     masks = range(1 << n_points)
 
@@ -222,8 +252,7 @@ def all_topologies(n_points):
 
 def space_corpus(max_points):
     """All topologies on 0..max_points points, deterministically ordered."""
-    if max_points < 0:
-        raise BoundExceeded(f"space corpus needs max_points >= 0, got {max_points}")
+    _check_size("space corpus", "max_points", max_points, 0)
     out = []
     for n in range(max_points + 1):
         out.extend(all_topologies(n))

@@ -142,18 +142,18 @@ class Poset:
 def maximal_extension(p, d, name):
     """p with a new maximal element ``name`` over the down-set d, built from p's tables.
 
-    ValueError unless d is a down-set of p (a mask on p's carrier with
-    ↓i ⊆ d for each i in d) and name is a nonempty string that p does not
-    use.  The order is not checked again, as nothing can fail: the new
-    relation adds the pairs i <= e for i in d and e <= e.  It is reflexive,
-    as p is and e <= e.  It is antisymmetric: each new pair i <= e with
-    i != e has no reverse, since e is below no old element.  It is
-    transitive: for a <= b <= c with a new pair, either c = e and b in d,
+    ValueError unless d is a down-set of p (an int mask on p's carrier, a
+    bool being none, with ↓i ⊆ d for each i in d) and name is a nonempty
+    string that p does not use.  The order is not checked again, as nothing
+    can fail: the new relation adds the pairs i <= e for i in d and e <= e.
+    It is reflexive, as p is and e <= e.  It is antisymmetric: each new pair
+    i <= e with i != e has no reverse, since e is below no old element.  It
+    is transitive: for a <= b <= c with a new pair, either c = e and b in d,
     so a in ↓b ⊆ d and a <= e, or b = e, so c = e and a <= e already.  So
     up[i] gains e's bit for i in d, the old down-sets stay, and ↓e is
     d with e.
     """
-    if not (isinstance(d, int) and 0 <= d <= p.full):
+    if not (type(d) is int and 0 <= d <= p.full):
         raise ValueError(f"down-set mask {d!r} is off the carrier")
     for i in bits(d):
         if p.down[i] & ~d:
@@ -550,6 +550,24 @@ def _encode(rows, perm, n):
     return code
 
 
+def twin_pairs(p):
+    """(a, b) for each element b with a twin before it, a the last such twin.
+
+    Two elements are twins if they have the same strict up-set and the same
+    strict down-set.  Twins are incomparable, and swapping two of them is an
+    automorphism of p.  Each group of twins, in index order, gives its
+    consecutive pairs.
+    """
+    last = {}
+    out = []
+    for i, (u, d) in enumerate(zip(p.up, p.down)):
+        strict = (u & ~(1 << i), d & ~(1 << i))
+        if strict in last:
+            out.append((last[strict], i))
+        last[strict] = i
+    return out
+
+
 def canonical_key(p):
     """A label-independent key: minimal relation encoding over admissible relabelings.
 
@@ -558,8 +576,19 @@ def canonical_key(p):
     taken in rank order) are tried.  A discrete partition admits one, the
     class ids themselves.  Otherwise a scheduled_search assigns the
     positions class by class, each variable starting from its class's
-    block, with injectivity as the pair constraint.  A relabelling perm is
-    encoded row by row: bit perm[i]·n + perm[j] is set iff i <= j.
+    block, with injectivity as the pair constraint, and twins (see
+    twin_pairs) take ascending positions.  A relabelling perm is encoded row
+    by row: bit perm[i]·n + perm[j] is set iff i <= j.
+
+    The twin order keeps the least code.  Twins have equal signatures in
+    every round of the refinement, so they share a class.  Given any
+    admissible perm, let τ permute each group of twins so that perm ∘ τ
+    sends the group's members, in index order, to its positions in
+    ascending order.  perm ∘ τ sets the bits perm[τ(i)]·n + perm[τ(j)] for
+    i <= j, and τ is an automorphism, so τ(i) <= τ(j) iff i <= j: these are
+    the bits perm[x]·n + perm[y] for x <= y, the code of perm.  perm ∘ τ
+    keeps each class on its block, so it is admissible and twin-sorted, and
+    the search yields it.
     """
     cls = _refine_classes(p)
     rows = [bits(u) for u in p.up]
@@ -568,9 +597,12 @@ def canonical_key(p):
     order = sorted(range(p.n), key=lambda i: (cls[i], i))
     block = transpose([1 << cls[i] for i in order], p.n)  # block[c]: the positions of class c
     distinct = [p.full & ~(1 << v) for v in range(p.n)]
+    after = [p.full & -(2 << v) for v in range(p.n)]  # after[v]: the positions above v
+    twin_before = {b: a for a, b in twin_pairs(p)}
     start = [block[cls[i]] for i in order]
     pairs = [
-        [(k, distinct) for k in order[:s] if cls[k] == cls[i]] for s, i in enumerate(order)
+        [(k, after if twin_before.get(i) == k else distinct) for k in order[:s] if cls[k] == cls[i]]
+        for s, i in enumerate(order)
     ]
     search = scheduled_search(order, p.n, start, pairs, [[]] * p.n)
     return (p.n, min(_encode(rows, perm, p.n) for perm in search))

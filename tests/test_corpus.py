@@ -79,15 +79,80 @@ class TestMaximalExtension:
             (0b1000, "e3", "off the carrier"),
             (-1, "e3", "off the carrier"),
             ("0", "e3", "off the carrier"),
+            (True, "e3", "off the carrier"),
             (0b011, "m1", "'m1' must be a fresh nonempty string"),
             (0b011, "", "must be a fresh nonempty string"),
             (0b011, 3, "must be a fresh nonempty string"),
         ],
-        ids=["not-down-set", "high-bit", "negative", "str-mask", "reused", "empty", "int-name"],
+        ids=[
+            "not-down-set", "high-bit", "negative", "str-mask", "bool-mask", "reused", "empty",
+            "int-name",
+        ],
     )
     def test_rejects(self, d, name, message):
         with pytest.raises(ValueError, match=message):
             maximal_extension(chain(3), d, name)
+
+
+def unpruned_grow(max_n, downsets):
+    """The _grow loop with no down-set skipped: the oracle of the twin skip."""
+    levels = [[Poset([], [])]]
+    for _ in range(max_n):
+        seen = {}
+        for p in levels[-1]:
+            for d in downsets(p):
+                q = _extend(p, d)
+                seen.setdefault(canonical_key(q), q)
+        levels.append([seen[k] for k in sorted(seen)])
+    return levels
+
+
+def orders(levels):
+    return [[(p.elements, p.up) for p in level] for level in levels]
+
+
+class TestTwinSkip:
+    # _grow skips a down-set that holds a twin but not the twin before it
+
+    @pytest.mark.parametrize(
+        "max_n, downsets, skipped",
+        [(6, _downset_masks, 208), (7, _meet_downsets, 156)],
+        ids=["posets", "meet"],
+    )
+    def test_each_skipped_downset_has_the_key_of_an_earlier_kept_one(
+        self, monkeypatch, max_n, downsets, skipped
+    ):
+        kept = {}
+
+        def recorder(p, d):
+            kept.setdefault(id(p), []).append(d)
+            return _extend(p, d)
+
+        monkeypatch.setattr(corpus, "_extend", recorder)
+        levels = _grow(max_n, downsets)
+        count = 0
+        for level in levels[:-1]:
+            for p in level:
+                mine = kept.get(id(p), [])
+                assert [d for d in downsets(p) if d in mine] == mine
+                earlier = set()
+                for d in downsets(p):
+                    key = canonical_key(_extend(p, d))
+                    if d in mine:
+                        earlier.add(key)
+                    else:
+                        assert key in earlier, (p.elements, p.up, d)
+                        count += 1
+        assert count == skipped
+
+    def test_posets_equal_the_unpruned_loop(self):
+        assert orders(all_posets(7)) == orders(unpruned_grow(7, _downset_masks)[1:])
+
+    def test_lattices_equal_the_unpruned_loop(self):
+        expected = [
+            [_extend(p, p.full) for p in level] for level in unpruned_grow(8, _meet_downsets)
+        ]
+        assert orders(all_lattices(9)) == orders(expected)
 
 
 class TestLatticeCounts:
@@ -213,6 +278,15 @@ class TestTopologies:
             all_topologies(n)
         with pytest.raises(BoundExceeded):
             space_corpus(n)
+
+
+@pytest.mark.parametrize(
+    "entry", [all_lattices, all_posets, lattice_corpus, all_topologies, space_corpus, chain]
+)
+@pytest.mark.parametrize("size", [True, 3.0], ids=["bool", "float"])
+def test_a_bool_or_non_int_size_is_rejected(entry, size):
+    with pytest.raises(BoundExceeded, match=f"an int .*, got {size!r}"):
+        entry(size)
 
 
 class TestDeterminism:

@@ -6,8 +6,11 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
-from lattik import corpus
+from lattik import corpus, order
 from lattik.corpus import (
+    _extend,
+    _grow,
+    _meet_downsets,
     all_lattices,
     all_posets,
     b2,
@@ -48,6 +51,7 @@ from lattik.order import (
     preimage,
     scheduled_search,
     transpose,
+    twin_pairs,
     two,
 )
 from lattik.topology import cl_lattice, discrete_space, omega_lattice
@@ -726,7 +730,28 @@ class TestKeyAgainstTheSearch:
         discrete = self.check(posets)
         assert 0 < discrete < len(posets)
 
-    def test_every_candidate_keyed_by_the_lattice_corpus(self, monkeypatch):
+    @staticmethod
+    def candidates(max_n):
+        """Every extension _grow(max_n, _meet_downsets) could key, the twin-skipped ones too."""
+        return [
+            _extend(p, d)
+            for level in _grow(max_n, _meet_downsets)[:-1]
+            for p in level
+            for d in _meet_downsets(p)
+        ]
+
+    def test_every_candidate_keyed_by_the_lattice_corpus(self):
+        # the candidates of all_lattices(8), and how many have a discrete partition
+        candidates = self.candidates(7)
+        assert (len(candidates), self.check(candidates)) == (695, 269)
+
+    def test_every_candidate_of_the_nine_element_lattices(self):
+        candidates = self.candidates(8)
+        assert (len(candidates), self.check(candidates)) == (3556, 1423)
+
+    def test_keys_searched_by_the_lattice_corpus(self, monkeypatch):
+        # work counter: the candidates all_lattices(8) keys, and how many have a
+        # discrete partition; _grow skips the down-sets that swap a twin in
         keyed = []
 
         def recorder(p):
@@ -735,7 +760,45 @@ class TestKeyAgainstTheSearch:
 
         monkeypatch.setattr(corpus, "canonical_key", recorder)
         all_lattices(8)
-        assert (len(keyed), self.check(keyed)) == (695, 269)
+        assert (len(keyed), sum(len(set(_refine_classes(p))) == p.n for p in keyed)) == (539, 225)
+
+    def test_relabellings_encoded_by_the_lattice_corpus(self, monkeypatch):
+        # work counter: one code per discrete partition and one per twin-sorted
+        # relabelling of the others
+        calls = []
+        encode = order._encode
+
+        def recorder(rows, perm, n):
+            calls.append(perm)
+            return encode(rows, perm, n)
+
+        monkeypatch.setattr(order, "_encode", recorder)
+        all_lattices(8)
+        assert len(calls) == 749
+
+
+class TestTwins:
+    def test_twin_pairs_equal_their_definition(self):
+        found = 0
+        for level in all_posets(6):
+            for p in level:
+                strict = [(p.up[i] & ~(1 << i), p.down[i] & ~(1 << i)) for i in range(p.n)]
+                expected = []
+                for b in range(p.n):
+                    before = [a for a in range(b) if strict[a] == strict[b]]
+                    if before:
+                        expected.append((before[-1], b))
+                assert twin_pairs(p) == expected
+                found += len(expected)
+        assert found > 0
+
+    def test_swapping_twins_is_an_automorphism(self):
+        for level in all_posets(6):
+            for p in level:
+                for a, b in twin_pairs(p):
+                    perm = list(range(p.n))
+                    perm[a], perm[b] = b, a
+                    assert relabelled(p, perm).up == p.up
 
 
 def class_preserving(cls):
