@@ -20,6 +20,18 @@ from .errors import (
 DEFAULT_SIZE_GUARD = 100_000_000
 
 
+def size_bound(guard):
+    """The bound a search guard sets: DEFAULT_SIZE_GUARD for None, else the guard.
+
+    Raises ValueError unless the guard is None or a positive int (a bool is none).
+    """
+    if guard is None:
+        return DEFAULT_SIZE_GUARD
+    if type(guard) is not int or guard < 1:
+        raise ValueError(f"size guard must be None or a positive int, got {guard!r}")
+    return guard
+
+
 def _bit_table(width):
     """t[m]: the set bit positions of m, ascending, for every m below 2^width."""
     table = [()]
@@ -481,12 +493,13 @@ def enumerate_morphisms(src, tgt, kind, guard=None):
     monotonicity.  The search therefore prunes exactly the partial
     extensions on which some already-determined equation fails.  Raises
     SizeGuardExceeded when the attempted partial extensions, tgt.n per
-    expanded node, pass the guard.  The candidate tables ``tgt.join_to()``
+    expanded node, pass the guard, and ValueError for a guard size_bound
+    rejects.  The candidate tables ``tgt.join_to()``
     and, for blat, ``tgt.meet_to()`` are built once per target lattice.
     """
     if kind not in MORPHISM_KINDS:
         raise ValueError(f"unknown morphism kind {kind!r}")
-    bound = DEFAULT_SIZE_GUARD if guard is None else guard
+    bound = size_bound(guard)
     need_meet = kind == "blat"
     order = src.linear_extension()
     pos = [0] * src.n
@@ -512,23 +525,32 @@ def enumerate_morphisms(src, tgt, kind, guard=None):
     return sorted(scheduled_search(order, tgt.n, start, pairs, triples, bound))
 
 
-def _refine_classes(p):
+def _refine_classes(p, twins):
     """Iterated invariant refinement; returns a class id per element.
 
     Each round ranks the elements by (class, classes below, classes above),
-    reading the up- and down-set bits once per call.  It stops when a round
-    splits no class, or at once when the partition is discrete (every class
-    one element): each signature starts with the element's own class, so a
-    further round would rank them the same.
+    reading the up- and down-set bits, listed once if a round runs.  It
+    stops when a round splits no class, or at once when the classes are the
+    twin groups: when their count is p.n - len(twins), for the twin_pairs
+    ``twins`` of p.  Twins have equal signatures in every round, so they
+    share a class and no round splits a group of them; every class is a
+    union of groups, and at that count each class is one group.  Each
+    signature starts with the element's own class, and twins agree on the
+    rest, so a further round would rank them the same and return the same
+    ids.  With no twins this is the discrete partition.
     """
-    below = [bits(d) for d in p.down]
-    above = [bits(u) for u in p.up]
-    raw = [(len(b), len(a)) for b, a in zip(below, above)]
+    raw = [(d.bit_count(), u.bit_count()) for d, u in zip(p.down, p.up)]
     ranks = {s: r for r, s in enumerate(sorted(set(raw)))}
     cls = [ranks[s] for s in raw]
-    while len(ranks) < p.n:
+    groups = p.n - len(twins)
+    if len(ranks) == groups:
+        return cls
+    below = [bits(d) for d in p.down]
+    above = [bits(u) for u in p.up]
+    while len(ranks) < groups:
+        get = cls.__getitem__
         sig = [
-            (c, tuple(sorted([cls[j] for j in b])), tuple(sorted([cls[j] for j in a])))
+            (c, tuple(sorted(map(get, b))), tuple(sorted(map(get, a))))
             for c, b, a in zip(cls, below, above)
         ]
         count = len(ranks)
@@ -573,12 +595,19 @@ def canonical_key(p):
 
     Elements are first partitioned by an iterated order invariant; only
     permutations mapping each class onto its block of positions (classes
-    taken in rank order) are tried.  A discrete partition admits one, the
-    class ids themselves.  Otherwise a scheduled_search assigns the
-    positions class by class, each variable starting from its class's
-    block, with injectivity as the pair constraint, and twins (see
-    twin_pairs) take ascending positions.  A relabelling perm is encoded row
-    by row: bit perm[i]·n + perm[j] is set iff i <= j.
+    taken in rank order) are tried, and twins (see twin_pairs) take
+    ascending positions.  A relabelling perm is encoded row by row: bit
+    perm[i]·n + perm[j] is set iff i <= j.
+
+    When every class is one group of twins, exactly one admissible perm is
+    twin-sorted, i ↦ the rank of (cls[i], i): an admissible perm maps each
+    class onto its block, and a twin-sorted one gives the members of a
+    group ascending positions in index order.  The search would yield that
+    perm alone, so its code is the key; a discrete partition is the case
+    with no twins.  Otherwise a scheduled_search assigns the positions class
+    by class, each variable starting from its class's block, with
+    injectivity as the pair constraint, and ascending positions for each
+    twin and the twin before it.
 
     The twin order keeps the least code.  Twins have equal signatures in
     every round of the refinement, so they share a class.  Given any
@@ -590,15 +619,19 @@ def canonical_key(p):
     keeps each class on its block, so it is admissible and twin-sorted, and
     the search yields it.
     """
-    cls = _refine_classes(p)
+    twins = twin_pairs(p)
+    cls = _refine_classes(p, twins)
     rows = [bits(u) for u in p.up]
-    if len(set(cls)) == p.n:
-        return (p.n, _encode(rows, cls, p.n))
-    order = sorted(range(p.n), key=lambda i: (cls[i], i))
+    order = sorted(range(p.n), key=cls.__getitem__)  # stable: by (cls[i], i)
+    if len(set(cls)) == p.n - len(twins):
+        perm = [0] * p.n
+        for s, i in enumerate(order):
+            perm[i] = s
+        return (p.n, _encode(rows, perm, p.n))
     block = transpose([1 << cls[i] for i in order], p.n)  # block[c]: the positions of class c
     distinct = [p.full & ~(1 << v) for v in range(p.n)]
     after = [p.full & -(2 << v) for v in range(p.n)]  # after[v]: the positions above v
-    twin_before = {b: a for a, b in twin_pairs(p)}
+    twin_before = {b: a for a, b in twins}
     start = [block[cls[i]] for i in order]
     pairs = [
         [(k, after if twin_before.get(i) == k else distinct) for k in order[:s] if cls[k] == cls[i]]

@@ -381,7 +381,11 @@ def fuzz_tensor_lattices(bases, seed, count):
     a repeat gets the earlier verdict, and a valid repeat yields the earlier
     TensorLattice, so the tables a structure is built with are built once per
     distinct structure.  Each base's cell table is built once per call.
+    Raises ValueError, on the first next(), unless count is a positive int
+    (a bool is none).
     """
+    if type(count) is not int or count < 1:
+        raise ValueError(f"fuzz count must be a positive int, got {count!r}")
     rng = random.Random(seed)
     bases = list(bases)
     budget = count * 10_000

@@ -7,13 +7,13 @@ from itertools import chain
 
 from .errors import InvalidDatum, NotT0, SizeGuardExceeded, UnknownFlavor
 from .order import (
-    DEFAULT_SIZE_GUARD,
     Certificate,
     Poset,
     SetLattice,
     bits,
     scheduled_search,
     set_label,
+    size_bound,
     sorted_by_size,
     transpose,
 )
@@ -375,10 +375,9 @@ def enumerate_continuous(x, y, guard=None):
     U_i implies f(j) in U_f(i), for the minimal open neighbourhoods U.  A
     scheduled_search assigns the points 0..n-1 in index order and tests each
     pair (i, j) once, at the later of the two depths.  The guard bounds the
-    y.n ** x.n candidate maps up front, and only there.
+    y.n ** x.n candidate maps up front, and only there; size_bound reads it.
     """
-    bound = DEFAULT_SIZE_GUARD if guard is None else guard
-    if y.n ** x.n > bound:
+    if y.n ** x.n > size_bound(guard):
         raise SizeGuardExceeded("continuous-map enumeration exceeds the size guard")
     # y_within[w]: the values v whose U_v contains w
     y_within = transpose(y.minimal_opens, y.n)

@@ -551,6 +551,11 @@ class TestMorphisms:
         with pytest.raises(SizeGuardExceeded):
             enumerate_morphisms(src, tgt, kind, guard=smallest - 1)
 
+    @pytest.mark.parametrize("guard", [True, 2.5, 0, -1])
+    def test_guard_that_is_no_positive_int_is_rejected(self, guard):
+        with pytest.raises(ValueError, match="size guard must be None or a positive int"):
+            enumerate_morphisms(two(), two(), "jsl", guard)
+
     def test_kept_tables_do_not_depend_on_first_use(self, corpus4):
         # a target keeps join_to and meet_to: use it as jsl first, then as blat,
         # and the reverse, across sources, against the unpruned filter
@@ -638,7 +643,7 @@ class TestCanonicalKey:
         # classes occupy consecutive blocks of positions, in class rank order
         for level in all_posets(5):
             for p in level:
-                cls = _refine_classes(p)
+                cls = _refine_classes(p, twin_pairs(p))
                 block = sorted(cls)
                 best = min(
                     encoding(p, perm)
@@ -661,7 +666,7 @@ class TestCanonicalKey:
         tower = [f"c{k}" for k in range(6)]
         pairs = [("0", a) for a in atoms] + [(a, "c0") for a in atoms]
         p = build_poset(["0", *atoms, *tower], pairs + list(zip(tower, tower[1:])))
-        perms = list(class_preserving(_refine_classes(p)))
+        perms = list(class_preserving(_refine_classes(p, twin_pairs(p))))
         assert len(perms) == 24
         key = canonical_key(p)
         assert key == (p.n, min(encoding(p, perm) for perm in perms))
@@ -719,7 +724,7 @@ class TestKeyAgainstTheSearch:
     def check(self, posets):
         discrete = 0
         for p in posets:
-            cls = _refine_classes(p)
+            cls = _refine_classes(p, twin_pairs(p))
             assert cls == oracle_refine_classes(p)
             assert canonical_key(p) == oracle_canonical_key(p)
             discrete += len(set(cls)) == p.n
@@ -760,7 +765,45 @@ class TestKeyAgainstTheSearch:
 
         monkeypatch.setattr(corpus, "canonical_key", recorder)
         all_lattices(8)
-        assert (len(keyed), sum(len(set(_refine_classes(p))) == p.n for p in keyed)) == (539, 225)
+        discrete = sum(len(set(_refine_classes(p, twin_pairs(p)))) == p.n for p in keyed)
+        assert (len(keyed), discrete) == (539, 225)
+
+    def test_searches_run_by_the_lattice_corpus(self, monkeypatch):
+        # work counter: canonical_key searches only the candidates whose classes
+        # are not all twin groups, 42 of the 314 keyed ones whose partition is
+        # not discrete
+        searches = []
+        search = order.scheduled_search
+
+        def recorder(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(order, "scheduled_search", recorder)
+        all_lattices(8)
+        assert len(searches) == 42
+
+    def test_refinements_run_by_the_lattice_corpus(self, monkeypatch):
+        # work counter: of the candidates all_lattices(8) keys, only those whose
+        # start classes are not the twin groups read the up- and down-set bits
+        # and run a refinement round
+        keyed = []
+
+        def recorder(p):
+            keyed.append(p)
+            return canonical_key(p)
+
+        monkeypatch.setattr(corpus, "canonical_key", recorder)
+        all_lattices(8)
+        read = []
+        monkeypatch.setattr(order, "bits", lambda mask: read.append(mask) or bits(mask))
+        refined = 0
+        for p in keyed:
+            twins = twin_pairs(p)
+            count = len(read)
+            _refine_classes(p, twins)
+            refined += len(read) > count
+        assert (len(keyed), refined) == (539, 145)
 
     def test_relabellings_encoded_by_the_lattice_corpus(self, monkeypatch):
         # work counter: one code per discrete partition and one per twin-sorted

@@ -370,6 +370,12 @@ class TestFuzz:
         with pytest.raises(SizeGuardExceeded, match="only 0 valid structures in 10000 draws"):
             list(fuzz_tensor_lattices(lattice_corpus(4), seed=3, count=1))
 
+    @pytest.mark.parametrize("count", [True, 2.0, -3, 0])
+    def test_count_that_is_no_positive_int_is_rejected(self, count):
+        stream = fuzz_tensor_lattices(lattice_corpus(4), seed=1, count=count)
+        with pytest.raises(ValueError, match=f"fuzz count must be a positive int, got {count!r}"):
+            next(stream)
+
     def test_pinned_stream(self):
         # the structures the fuzzer draws, as (base index, unit, product) lines;
         # classify --fuzz prints only counts, so this pins the samples themselves

@@ -438,6 +438,12 @@ class TestContinuity:
         with pytest.raises(SizeGuardExceeded):
             enumerate_continuous(x, y, guard=26)
 
+    @pytest.mark.parametrize("guard", [True, 2.5, 0, -1])
+    def test_guard_that_is_no_positive_int_is_rejected(self, guard):
+        x = discrete_space(["a", "b"])
+        with pytest.raises(ValueError, match="size guard must be None or a positive int"):
+            enumerate_continuous(x, x, guard)
+
 
 class TestHomeomorphism:
     def test_is_homeomorphism(self):
