@@ -8,6 +8,8 @@ in the subset.  The order relation is stored as a tuple of "up" masks,
 
 from __future__ import annotations
 
+from array import array
+
 from .errors import (
     DuplicateName,
     NoBottom,
@@ -242,6 +244,7 @@ class BoundedLattice(Poset):
         self._meet_pairs = None
         self._meet_to = None
         self._spectra = {}  # topology.spectrum_for, keyed by flavor
+        self._morphisms = {}  # enumerate_morphisms from self, keyed by (kind, target up-sets)
 
     def join_pairs(self):
         """(a, b, a ∨ b) for every pair a < b, in the order of a, then b; built on first use."""
@@ -422,6 +425,10 @@ def is_morphism(src, tgt, mapping, kind):
     return True
 
 
+def _guard_exceeded(bound):
+    return SizeGuardExceeded(f"morphism search exceeded {bound} candidate extensions")
+
+
 def scheduled_search(order, width, start, pairs, triples, bound=None):
     """Yield every assignment of values 0..width-1 to the variables 0..n-1.
 
@@ -439,7 +446,8 @@ def scheduled_search(order, width, start, pairs, triples, bound=None):
     early expands no further node.  With a ``bound`` (the morphism search's
     size guard), every expanded node counts ``width`` attempts, one per
     value as a try-every-value search would, and SizeGuardExceeded is raised
-    once the count passes the bound.
+    once the count passes the bound; a search run to its end returns the
+    count, as the value of its StopIteration.
     """
     n = len(order)
     img = [0] * n
@@ -454,9 +462,7 @@ def scheduled_search(order, width, start, pairs, triples, bound=None):
             if bound is not None:
                 attempts += width
                 if attempts > bound:
-                    raise SizeGuardExceeded(
-                        f"morphism search exceeded {bound} candidate extensions"
-                    )
+                    raise _guard_exceeded(bound)
             cand = start[s]
             for p, table in pairs[s]:
                 cand &= table[img[p]]
@@ -466,7 +472,7 @@ def scheduled_search(order, width, start, pairs, triples, bound=None):
         while s >= 0 and not cands[s]:
             s -= 1
         if s < 0:
-            return
+            return attempts
         low = cands[s] & -cands[s]
         cands[s] ^= low
         img[order[s]] = low.bit_length() - 1
@@ -474,10 +480,47 @@ def scheduled_search(order, width, start, pairs, triples, bound=None):
 
 
 def enumerate_morphisms(src, tgt, kind, guard=None):
-    """All morphisms src -> tgt of the given kind, as sorted image tuples.
+    """All morphisms src -> tgt of the given kind, as sorted image tuples, a new list each call.
 
     A morphism φ is the tuple of its images: φ[a] is the target index of
     source element a, as for the continuous maps of enumerate_continuous.
+    ValueError for an unknown kind or a guard size_bound rejects, before
+    anything else.
+
+    The search's result is kept on src, keyed by the kind and tgt.up, as
+    its attempt count and its sorted image tuples, laid end to end in one
+    array.  The key is exact.  Besides src's own tables, the search reads
+    only tgt.n, tgt.bottom, tgt.top, tgt.up, tgt.join_to() and
+    tgt.meet_to(), and BoundedLattice(poset), the one constructor of a
+    lattice, derives each of those from the up-sets: n is their count, the
+    bottom is the element whose up-set is the carrier, a ∨ b is the k with
+    ↑k = ↑a ∩ ↑b, and the down-sets, hence the top and the meets, are the
+    up-sets transposed; join_to and meet_to are read off the join and meet
+    tables.  So two targets with equal up-sets run the same search, with the
+    same tuples and the same attempt count.
+
+    The guard rule is that of a fresh search: SizeGuardExceeded is raised
+    iff the search's attempts, tgt.n per expanded node, pass the guard.  A
+    search counts its attempts as it goes and raises once they pass, so it
+    raises iff its whole count does, and a kept result raises iff its kept
+    count passes the guard.  A search that raises keeps nothing, so the
+    first call for a key that does not raise fills its entry.
+    """
+    if kind not in MORPHISM_KINDS:
+        raise ValueError(f"unknown morphism kind {kind!r}")
+    bound = size_bound(guard)
+    key = (kind, tgt.up)
+    kept = src._morphisms.get(key)
+    if kept is None:
+        kept = src._morphisms[key] = _search_morphisms(src, tgt, kind, bound)
+    attempts, images = kept
+    if attempts > bound:
+        raise _guard_exceeded(bound)
+    return list(zip(*[iter(images)] * src.n))
+
+
+def _search_morphisms(src, tgt, kind, bound):
+    """(attempts, images): the search's attempt count and its sorted tuples, end to end in an array.
 
     A scheduled_search assigns images in a linear extension of src.  Each
     preservation law is tested once, at the depth where its last
@@ -491,15 +534,11 @@ def enumerate_morphisms(src, tgt, kind, guard=None):
 
     For a comparable pair the join and meet equations say no more than
     monotonicity.  The search therefore prunes exactly the partial
-    extensions on which some already-determined equation fails.  Raises
-    SizeGuardExceeded when the attempted partial extensions, tgt.n per
-    expanded node, pass the guard, and ValueError for a guard size_bound
-    rejects.  The candidate tables ``tgt.join_to()``
-    and, for blat, ``tgt.meet_to()`` are built once per target lattice.
+    extensions on which some already-determined equation fails.  It raises
+    SizeGuardExceeded once its attempts pass the bound.  The candidate
+    tables ``tgt.join_to()`` and, for blat, ``tgt.meet_to()`` are built once
+    per target lattice.
     """
-    if kind not in MORPHISM_KINDS:
-        raise ValueError(f"unknown morphism kind {kind!r}")
-    bound = size_bound(guard)
     need_meet = kind == "blat"
     order = src.linear_extension()
     pos = [0] * src.n
@@ -522,7 +561,16 @@ def enumerate_morphisms(src, tgt, kind, guard=None):
             if need_meet:
                 first, last = (a, b) if pos[a] < pos[b] else (b, a)
                 triples[pos[last]].append((first, src.meet[a][b], tgt.meet_to()))
-    return sorted(scheduled_search(order, tgt.n, start, pairs, triples, bound))
+    search = scheduled_search(order, tgt.n, start, pairs, triples, bound)
+    found = []
+    try:
+        while True:
+            found.append(next(search))
+    except StopIteration as done:
+        attempts = done.value
+    found.sort()
+    code = "B" if tgt.n <= 256 else "I"  # one byte an image where it fits
+    return attempts, array(code, [v for f in found for v in f])
 
 
 def _refine_classes(p, twins):

@@ -964,7 +964,7 @@ class TestMutatedInputs:
     @given(mutated_inputs())
     def test_exit_code_contract(self, tmp_path_factory, case):
         verb, obj = case
-        path = tmp_path_factory.getbasetemp() / "mutated.json"
+        path = tmp_path_factory.mktemp("mutated") / "mutated.json"
         path.write_text(json.dumps(obj))
         code, out = run_quietly([verb, str(path)])
         assert code in (0, 1, 2)
@@ -975,8 +975,9 @@ class TestMutatedInputs:
     @given(mutated_adjunction_inputs())
     def test_adjunction_exit_code_contract(self, tmp_path_factory, case):
         paths = []
+        folder = tmp_path_factory.mktemp("adjunction")
         for name, obj in zip(["lattice.json", "space.json"], case):
-            paths.append(tmp_path_factory.getbasetemp() / name)
+            paths.append(folder / name)
             paths[-1].write_text(json.dumps(obj))
         code, out = run_quietly(["adjunction", *map(str, paths)])
         assert code in (0, 1, 2)

@@ -32,6 +32,7 @@ from lattik.errors import (
 from lattik.ideals import all_ideals
 from lattik.jsonio import lattice_from_json, lattice_to_json
 from lattik.order import (
+    DEFAULT_SIZE_GUARD,
     BoundedLattice,
     MORPHISM_KINDS,
     Certificate,
@@ -54,7 +55,8 @@ from lattik.order import (
     twin_pairs,
     two,
 )
-from lattik.topology import cl_lattice, discrete_space, omega_lattice
+from lattik.support import check_adjunction
+from lattik.topology import FLAVORS, cl_lattice, discrete_space, omega_lattice
 
 # Cl of the discrete 3-point space: the 8-element Boolean lattice of subsets
 CL_D3 = cl_lattice(discrete_space(["a", "b", "c"]))
@@ -614,6 +616,106 @@ class TestMorphisms:
             is_morphism(two(), two(), (0, 0), kind)
         with pytest.raises(ValueError, match="unknown morphism kind"):
             enumerate_morphisms(two(), two(), kind)
+
+
+def fresh(l):
+    """A copy of the lattice l that has kept no search."""
+    return as_bounded_lattice(Poset(l.elements, l.up))
+
+
+def set_lattices(spaces):
+    """Cl(X) and Ω(X) of each space."""
+    return [t for x in spaces for t in (cl_lattice(x), omega_lattice(x))]
+
+
+class StandIn:
+    """A target with only what the morphism search may read: any other read fails."""
+
+    __slots__ = ("n", "bottom", "top", "up", "join_to", "meet_to")
+
+    def __init__(self, l):
+        self.n, self.bottom, self.top, self.up = l.n, l.bottom, l.top, l.up
+        self.join_to, self.meet_to = l.join_to, l.meet_to
+
+
+class TestKeptSearch:
+    def test_a_hit_equals_a_fresh_search(self, corpus6, spaces3):
+        # many of the targets share their up-sets, so most calls on kept hit
+        targets = set_lattices(spaces3)
+        for src in corpus6:
+            kept = fresh(src)
+            for tgt in targets:
+                for kind in MORPHISM_KINDS:
+                    expected = enumerate_morphisms(fresh(src), tgt, kind)
+                    assert enumerate_morphisms(kept, tgt, kind) == expected
+                    assert (kind, tgt.up) in kept._morphisms
+                    assert enumerate_morphisms(kept, tgt, kind) == expected
+
+    def test_the_search_reads_only_what_the_key_determines(self, corpus5, spaces3):
+        # the result is kept by the target's up-sets, from which BoundedLattice
+        # derives everything the search reads of a target
+        for src in corpus5:
+            for tgt in set_lattices(spaces3):
+                for kind in MORPHISM_KINDS:
+                    got = enumerate_morphisms(fresh(src), StandIn(tgt), kind)
+                    assert got == enumerate_morphisms(fresh(src), tgt, kind)
+
+    def test_a_hit_keeps_the_guard_of_a_fresh_search(self, corpus5):
+        for src in corpus5:
+            for tgt in (two(), b2(), CL_D3):
+                for kind in MORPHISM_KINDS:
+                    smallest = order._search_morphisms(fresh(src), tgt, kind, DEFAULT_SIZE_GUARD)[0]
+                    expected = enumerate_morphisms(fresh(src), tgt, kind, smallest)
+                    with pytest.raises(SizeGuardExceeded) as raised:
+                        enumerate_morphisms(fresh(src), tgt, kind, smallest - 1)
+                    kept = fresh(src)
+                    # a search that raises keeps nothing
+                    with pytest.raises(SizeGuardExceeded):
+                        enumerate_morphisms(kept, tgt, kind, smallest - 1)
+                    assert kept._morphisms == {}
+                    assert enumerate_morphisms(kept, tgt, kind) == expected
+                    assert enumerate_morphisms(kept, tgt, kind, smallest) == expected
+                    with pytest.raises(SizeGuardExceeded) as on_hit:
+                        enumerate_morphisms(kept, tgt, kind, smallest - 1)
+                    assert str(on_hit.value) == str(raised.value)
+
+    @pytest.mark.parametrize("n", [256, 257, 300])
+    def test_images_past_one_byte_are_kept(self, n):
+        # a target of up to 256 elements keeps one byte an image, a larger one more
+        src, tgt = two(), chain(n)
+        expected = [(0, v) for v in range(n)]
+        assert enumerate_morphisms(src, tgt, "jsl") == expected
+        assert enumerate_morphisms(src, tgt, "jsl") == expected
+
+    def test_a_returned_list_is_the_callers(self, corpus4):
+        for src in corpus4:
+            got = enumerate_morphisms(src, b2(), "jsl")
+            expected = list(got)
+            got.append(got[0])
+            got.reverse()
+            got[0] = None
+            assert enumerate_morphisms(src, b2(), "jsl") == expected
+            got.clear()
+            assert enumerate_morphisms(src, b2(), "jsl") == expected
+
+    def test_the_adjunction_sweep_searches_each_target_order_once(self, monkeypatch):
+        # work counter: the 2625 triples of the bench's adjunction_sweep run the
+        # data search once per lattice, kind and up-sets of Cl(X) or Ω(X): the
+        # 35 spaces give 12 orders of closed sets and the same 12 of opens, so
+        # each lattice runs 12 jsl and 12 blat searches, 25 × 24 = 600 (2625 unkept)
+        lattices, spaces = lattice_corpus(6), space_corpus(3)
+        triples = [(l, x, f) for f in FLAVORS for l in lattices for x in spaces]
+        searches = []
+        search = order.scheduled_search
+
+        def recorder(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(order, "scheduled_search", recorder)
+        for l, x, flavor in triples:
+            assert check_adjunction(l, x, flavor).bijection
+        assert (len(triples), len(searches)) == (2625, 600)
 
 
 def relabelled(p, perm):
