@@ -561,16 +561,13 @@ def _search_morphisms(src, tgt, kind, bound):
             if need_meet:
                 first, last = (a, b) if pos[a] < pos[b] else (b, a)
                 triples[pos[last]].append((first, src.meet[a][b], tgt.meet_to()))
-    search = scheduled_search(order, tgt.n, start, pairs, triples, bound)
-    found = []
-    try:
-        while True:
-            found.append(next(search))
-    except StopIteration as done:
-        attempts = done.value
-    found.sort()
-    code = "B" if tgt.n <= 256 else "I"  # one byte an image where it fits
-    return attempts, array(code, [v for f in found for v in f])
+    count = []
+
+    def counted():
+        count.append((yield from scheduled_search(order, tgt.n, start, pairs, triples, bound)))
+
+    found = sorted(counted())
+    return count[0], array("I", [v for f in found for v in f])
 
 
 def _refine_classes(p, twins):
