@@ -121,18 +121,6 @@ def datum_from_json(obj):
     return SupportDatum(lattice, space, sigma, flavor)
 
 
-def datum_to_json(d):
-    return {
-        "lattice": lattice_to_json(d.lattice),
-        "space": space_to_json(d.space),
-        "flavor": d.flavor,
-        "sigma": {
-            e: d.space.subset_names(s)
-            for e, s in zip(d.lattice.elements, d.sigma)
-        },
-    }
-
-
 def _dot_quote(s):
     return '"' + s.replace('"', '\\"') + '"'
 

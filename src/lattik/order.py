@@ -244,7 +244,7 @@ class BoundedLattice(Poset):
         self._meet_pairs = None
         self._meet_to = None
         self._spectra = {}  # topology.spectrum_for, keyed by flavor
-        self._morphisms = {}  # enumerate_morphisms from self, keyed by (kind, target up-sets)
+        self._morphisms = {}  # enumerate_morphisms from self, keyed by (kind, tgt.up, bound)
 
     def join_pairs(self):
         """(a, b, a ∨ b) for every pair a < b, in the order of a, then b; built on first use."""
@@ -425,10 +425,6 @@ def is_morphism(src, tgt, mapping, kind):
     return True
 
 
-def _guard_exceeded(bound):
-    return SizeGuardExceeded(f"morphism search exceeded {bound} candidate extensions")
-
-
 def scheduled_search(order, width, start, pairs, triples, bound=None):
     """Yield every assignment of values 0..width-1 to the variables 0..n-1.
 
@@ -446,8 +442,7 @@ def scheduled_search(order, width, start, pairs, triples, bound=None):
     early expands no further node.  With a ``bound`` (the morphism search's
     size guard), every expanded node counts ``width`` attempts, one per
     value as a try-every-value search would, and SizeGuardExceeded is raised
-    once the count passes the bound; a search run to its end returns the
-    count, as the value of its StopIteration.
+    once the count passes the bound.
     """
     n = len(order)
     img = [0] * n
@@ -462,7 +457,9 @@ def scheduled_search(order, width, start, pairs, triples, bound=None):
             if bound is not None:
                 attempts += width
                 if attempts > bound:
-                    raise _guard_exceeded(bound)
+                    raise SizeGuardExceeded(
+                        f"morphism search exceeded {bound} candidate extensions"
+                    )
             cand = start[s]
             for p, table in pairs[s]:
                 cand &= table[img[p]]
@@ -472,7 +469,7 @@ def scheduled_search(order, width, start, pairs, triples, bound=None):
         while s >= 0 and not cands[s]:
             s -= 1
         if s < 0:
-            return attempts
+            return
         low = cands[s] & -cands[s]
         cands[s] ^= low
         img[order[s]] = low.bit_length() - 1
@@ -487,8 +484,8 @@ def enumerate_morphisms(src, tgt, kind, guard=None):
     ValueError for an unknown kind or a guard size_bound rejects, before
     anything else.
 
-    The search's result is kept on src, keyed by the kind and tgt.up, as
-    its attempt count and its sorted image tuples, laid end to end in one
+    The search's result is kept on src, keyed by the kind, tgt.up and
+    size_bound(guard), as its sorted image tuples, laid end to end in one
     array.  The key is exact.  Besides src's own tables, the search reads
     only tgt.n, tgt.bottom, tgt.top, tgt.up, tgt.join_to() and
     tgt.meet_to(), and BoundedLattice(poset), the one constructor of a
@@ -497,30 +494,26 @@ def enumerate_morphisms(src, tgt, kind, guard=None):
     ↑k = ↑a ∩ ↑b, and the down-sets, hence the top and the meets, are the
     up-sets transposed; join_to and meet_to are read off the join and meet
     tables.  So two targets with equal up-sets run the same search, with the
-    same tuples and the same attempt count.
+    same tuples.
 
     The guard rule is that of a fresh search: SizeGuardExceeded is raised
-    iff the search's attempts, tgt.n per expanded node, pass the guard.  A
-    search counts its attempts as it goes and raises once they pass, so it
-    raises iff its whole count does, and a kept result raises iff its kept
-    count passes the guard.  A search that raises keeps nothing, so the
-    first call for a key that does not raise fills its entry.
+    iff the search's attempts, tgt.n per expanded node, pass the guard.
+    Two calls with equal keys run the same search, so both raise
+    SizeGuardExceeded or neither does, and a search that raises keeps
+    nothing.
     """
     if kind not in MORPHISM_KINDS:
         raise ValueError(f"unknown morphism kind {kind!r}")
     bound = size_bound(guard)
-    key = (kind, tgt.up)
-    kept = src._morphisms.get(key)
-    if kept is None:
-        kept = src._morphisms[key] = _search_morphisms(src, tgt, kind, bound)
-    attempts, images = kept
-    if attempts > bound:
-        raise _guard_exceeded(bound)
+    key = (kind, tgt.up, bound)
+    images = src._morphisms.get(key)
+    if images is None:
+        images = src._morphisms[key] = _search_morphisms(src, tgt, kind, bound)
     return list(zip(*[iter(images)] * src.n))
 
 
 def _search_morphisms(src, tgt, kind, bound):
-    """(attempts, images): the search's attempt count and its sorted tuples, end to end in an array.
+    """The search's sorted image tuples, laid end to end in one array.
 
     A scheduled_search assigns images in a linear extension of src.  Each
     preservation law is tested once, at the depth where its last
@@ -561,13 +554,8 @@ def _search_morphisms(src, tgt, kind, bound):
             if need_meet:
                 first, last = (a, b) if pos[a] < pos[b] else (b, a)
                 triples[pos[last]].append((first, src.meet[a][b], tgt.meet_to()))
-    count = []
-
-    def counted():
-        count.append((yield from scheduled_search(order, tgt.n, start, pairs, triples, bound)))
-
-    found = sorted(counted())
-    return count[0], array("I", [v for f in found for v in f])
+    found = sorted(scheduled_search(order, tgt.n, start, pairs, triples, bound))
+    return array("I", [v for f in found for v in f])
 
 
 def _refine_classes(p, twins):

@@ -86,13 +86,6 @@ def _union_closure(masks):
     return out
 
 
-def _intersection_closure(masks, full):
-    out = {full}
-    for m in masks:
-        out |= {m & x for x in out}
-    return out
-
-
 def space_from_closed_basis(points, basis):
     """Topology whose closed sets are intersections of finite unions of basis sets.
 
@@ -105,14 +98,21 @@ def space_from_closed_basis(points, basis):
 def space_from_open_basis(points, basis):
     """Topology whose open sets are unions of finite intersections of basis sets.
 
-    ValueError if a basis set names a bit outside the points."""
+    The opens are the unions of the minimal opens U_i, where U_i is the
+    intersection of the basis sets that hold point i (the whole space if
+    none).  A finite intersection B of basis sets is the union of the U_i
+    for i in B, since U_i ⊆ B for each such i, and each U_i is such an
+    intersection.  ValueError if a basis set names a bit outside the points.
+    """
     points = tuple(points)
     full = (1 << len(points)) - 1
     if any(b & ~full for b in basis):
         raise ValueError("basis set references unknown point")
-    inters = _intersection_closure(basis, full)
-    opens = _union_closure(inters)
-    return FiniteSpace(points, opens)
+    minimal = [full] * len(points)
+    for b in basis:
+        for i in bits(b):
+            minimal[i] &= b
+    return FiniteSpace(points, _union_closure(minimal))
 
 
 def discrete_space(points):

@@ -1,7 +1,21 @@
 import pytest
 
 from lattik import corpus
+from lattik.jsonio import lattice_to_json, space_to_json
 from lattik.order import two
+
+
+def datum_to_json(d):
+    """The JSON object of a support datum, as datum_from_json reads it."""
+    return {
+        "lattice": lattice_to_json(d.lattice),
+        "space": space_to_json(d.space),
+        "flavor": d.flavor,
+        "sigma": {
+            e: d.space.subset_names(s)
+            for e, s in zip(d.lattice.elements, d.sigma)
+        },
+    }
 
 
 @pytest.fixture(scope="session")

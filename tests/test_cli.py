@@ -10,10 +10,11 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import datum_to_json
 from lattik import corpus, support
 from lattik.cli import build_parser, main
 from lattik.corpus import b2, b3, chain, m3, n5
-from lattik.jsonio import datum_to_json, lattice_from_json, lattice_to_json, space_to_json
+from lattik.jsonio import lattice_from_json, lattice_to_json, space_to_json
 from lattik.support import SupportDatum, spectrum_for
 from lattik.topology import FLAVORS, discrete_space, space_from_closed_basis
 

@@ -10,12 +10,18 @@ from itertools import product
 
 import pytest
 
-from lattik import frames, support
+from lattik import frames, support, tensor
 from lattik.corpus import b2, chain
 from lattik.errors import NotContinuous
 from lattik.frames import extend_morphism, id_vs_omega_dual, pt_ideal_vs_hochster
 from lattik.order import preimage, two
 from lattik.support import datum_morphisms_to_final, enumerate_support_data
+from lattik.tensor import (
+    QuotientFormulaError,
+    TensorLattice,
+    check_classification,
+    quotient_lattice,
+)
 from lattik.topology import is_continuous, space_from_closed_basis, spectrum_for
 
 # the two prime ideals of B2 = {0, a, b, 1}, as member masks: ↓a and ↓b
@@ -104,3 +110,74 @@ class TestDatumMorphismsToFinal:
         )
         with pytest.raises(NotContinuous, match="^map into the spectrum is not continuous$"):
             datum_morphisms_to_final(d, spectrum)
+
+
+def meet_tensor_on_b2():
+    """⊗ = ∧ on B2 with unit the top: L(⊗) is B2 again, by the identity projection."""
+    l = b2()
+    return TensorLattice(l, l.meet, l.top)
+
+
+class TestCheckClassification:
+    def test_unbroken_b2_is_certified(self):
+        assert check_classification(meet_tensor_on_b2()).to_json() == {
+            "ok": True,
+            "quotient_size": 4,
+            "radical_ideal_count": 4,
+        }
+
+    def test_a_projection_off_the_join_fails_the_join_formula(self, monkeypatch):
+        # the top projects to [a], so [a] ∨ [b] = [1] is not the class of a ∨ b;
+        # every pair before (a, b) keeps both formulas
+        t = meet_tensor_on_b2()
+        lattice, projection = t._quotient
+        assert projection == (0, 1, 2, 3)
+        monkeypatch.setattr(t, "_quotient", (lattice, (0, 1, 2, 1)))
+        message = r"^quotient join formula fails at \(a, b\)$"
+        with pytest.raises(QuotientFormulaError, match=message) as exc:
+            quotient_lattice(t)
+        assert (exc.value.reason, exc.value.pair) == ("quotient join formula fails", ("a", "b"))
+        assert check_classification(t).to_json() == {
+            "ok": False,
+            "reason": "quotient join formula fails",
+            "pair": ["a", "b"],
+        }
+
+    def test_a_quotient_read_as_not_distributive(self, monkeypatch):
+        t = meet_tensor_on_b2()
+        asked = []
+
+        def not_distributive(l):
+            asked.append(l)
+            return False
+
+        monkeypatch.setattr(tensor, "is_distributive", not_distributive)
+        cert = check_classification(t)
+        assert cert.to_json() == {"ok": False, "reason": "quotient is not distributive"}
+        assert asked == [t._quotient[0]]
+
+    def test_a_constant_pull_back_is_no_isomorphism(self, monkeypatch):
+        # every ideal of L(⊗) pulls back to the carrier, so Id(L(⊗)) → radicals
+        # is not injective
+        t = meet_tensor_on_b2()
+        monkeypatch.setattr(tensor, "preimage", lambda f, mask: t.base.full)
+        cert = check_classification(t)
+        assert cert.to_json() == {"ok": False, "reason": "map is not a bijection onto the target"}
+
+    def test_swapped_supports_fail_the_open_set_description(self, monkeypatch):
+        # the fault of TestIdVsOmegaDual, reached through the quotient; the
+        # detail of id_vs_omega_dual's failure replaces the outer reason
+        t = meet_tensor_on_b2()
+        union_map = frames.support_union_map
+        asked = []
+
+        def swapped(l):
+            asked.append(l)
+            masks, dualspec, images = union_map(l)
+            images[1], images[2] = images[2], images[1]
+            return masks, dualspec, images
+
+        monkeypatch.setattr(frames, "support_union_map", swapped)
+        cert = check_classification(t)
+        assert cert.to_json() == {"ok": False, "reason": "inverse roundtrip fails"}
+        assert asked == [t._quotient[0]]

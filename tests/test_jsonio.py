@@ -2,11 +2,11 @@
 
 import pytest
 
+from conftest import datum_to_json
 from lattik.corpus import b2, chain, lattice_corpus
 from lattik.errors import InputError, UnknownName
 from lattik.jsonio import (
     datum_from_json,
-    datum_to_json,
     fields,
     lattice_from_json,
     lattice_to_json,

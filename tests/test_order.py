@@ -639,6 +639,20 @@ class StandIn:
         self.join_to, self.meet_to = l.join_to, l.meet_to
 
 
+def smallest_passing_guard(src, tgt, kind):
+    """The least guard under which a fresh search src -> tgt raises no SizeGuardExceeded."""
+    low, high = 0, DEFAULT_SIZE_GUARD  # high passes; low is 0 or raises
+    while high - low > 1:
+        mid = (low + high) // 2
+        try:
+            enumerate_morphisms(fresh(src), tgt, kind, mid)
+        except SizeGuardExceeded:
+            low = mid
+        else:
+            high = mid
+    return high
+
+
 class TestKeptSearch:
     def test_a_hit_equals_a_fresh_search(self, corpus6, spaces3):
         # many of the targets share their up-sets, so most calls on kept hit
@@ -649,7 +663,7 @@ class TestKeptSearch:
                 for kind in MORPHISM_KINDS:
                     expected = enumerate_morphisms(fresh(src), tgt, kind)
                     assert enumerate_morphisms(kept, tgt, kind) == expected
-                    assert (kind, tgt.up) in kept._morphisms
+                    assert (kind, tgt.up, DEFAULT_SIZE_GUARD) in kept._morphisms
                     assert enumerate_morphisms(kept, tgt, kind) == expected
 
     def test_the_search_reads_only_what_the_key_determines(self, corpus5, spaces3):
@@ -665,7 +679,7 @@ class TestKeptSearch:
         for src in corpus5:
             for tgt in (two(), b2(), CL_D3):
                 for kind in MORPHISM_KINDS:
-                    smallest = order._search_morphisms(fresh(src), tgt, kind, DEFAULT_SIZE_GUARD)[0]
+                    smallest = smallest_passing_guard(src, tgt, kind)
                     expected = enumerate_morphisms(fresh(src), tgt, kind, smallest)
                     with pytest.raises(SizeGuardExceeded) as raised:
                         enumerate_morphisms(fresh(src), tgt, kind, smallest - 1)
@@ -679,6 +693,28 @@ class TestKeptSearch:
                     with pytest.raises(SizeGuardExceeded) as on_hit:
                         enumerate_morphisms(kept, tgt, kind, smallest - 1)
                     assert str(on_hit.value) == str(raised.value)
+
+    def test_a_search_runs_once_per_guard(self, corpus4, monkeypatch):
+        # None and DEFAULT_SIZE_GUARD set the same bound, so they share an entry
+        searches = []
+        search = order.scheduled_search
+
+        def recorder(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(order, "scheduled_search", recorder)
+        guards = [None, None, DEFAULT_SIZE_GUARD, 10**6, 10**6]
+        for src in corpus4:
+            for kind in MORPHISM_KINDS:
+                kept = fresh(src)
+                expected = enumerate_morphisms(fresh(src), b2(), kind)
+                runs = []
+                for guard in guards:
+                    before = len(searches)
+                    assert enumerate_morphisms(kept, b2(), kind, guard) == expected
+                    runs.append(len(searches) - before)
+                assert runs == [1, 0, 0, 1, 0]
 
     def test_a_returned_list_is_the_callers(self, corpus4):
         for src in corpus4:

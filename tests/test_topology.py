@@ -7,11 +7,12 @@ from operator import and_
 
 import pytest
 
-from lattik.corpus import b2, chain, m3, n5, space_corpus
+from lattik.corpus import b2, chain, lattice_corpus, m3, n5, space_corpus
 from lattik.errors import InvalidDatum, NotT0, SizeGuardExceeded
 from lattik.ideals import all_ideals, ideal_masks
 from lattik.order import as_bounded_lattice, bits, canonical_key, dual, preimage, two
 from lattik.topology import (
+    FLAVORS,
     FiniteSpace,
     Spectrum,
     cl_lattice,
@@ -29,6 +30,7 @@ from lattik.topology import (
     space_from_open_basis,
     spc_space,
     specialization_order,
+    spectrum_for,
 )
 
 
@@ -47,6 +49,18 @@ def literal_closed_basis_space(points, basis):
     for m in unions:
         closed |= {m & c for c in closed}
     return FiniteSpace(points, {full & ~c for c in closed})
+
+
+def literal_open_basis_space(points, basis):
+    """Opens as the unions of the finite intersections of the basis sets."""
+    full = (1 << len(points)) - 1
+    inters = {full}
+    for b in basis:
+        inters |= {b & m for m in inters}
+    opens = {0}
+    for m in inters:
+        opens |= {m | u for u in opens}
+    return FiniteSpace(points, opens)
 
 
 def literal_closure(x, mask):
@@ -122,6 +136,29 @@ class TestSpaceConstruction:
                 assert got.opens == literal_closed_basis_space(points, basis).opens
                 families += 1
         assert families == 278
+
+    def assert_matches_the_literal_open_basis(self, points, basis):
+        got = space_from_open_basis(points, basis)
+        expected = literal_open_basis_space(points, basis)
+        assert got.opens == expected.opens
+        assert got.minimal_opens == expected.minimal_opens
+
+    def test_open_basis_matches_the_literal_closure(self):
+        rng = random.Random(37)
+        for _ in range(500):
+            n = rng.randint(0, 6)
+            basis = [rng.getrandbits(n) for _ in range(rng.randint(0, 8))]
+            self.assert_matches_the_literal_open_basis([f"p{i}" for i in range(n)], basis)
+
+    def test_every_supp_basis_matches_the_literal_closure(self):
+        spectra = 0
+        for l in lattice_corpus(7):
+            for flavor in FLAVORS:
+                s = spectrum_for(l, flavor)
+                basis = [s.space.opens[k] for k in s.supp_opens]
+                self.assert_matches_the_literal_open_basis(s.space.points, basis)
+                spectra += 1
+        assert spectra == 78 * 3
 
     @pytest.mark.parametrize("build", [space_from_open_basis, space_from_closed_basis])
     def test_basis_rejects_unknown_point(self, build):
