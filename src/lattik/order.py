@@ -240,9 +240,7 @@ class BoundedLattice(Poset):
         self.top = of_down[self.full]
         self.meet = tuple(tuple(of_down[di & dj] for dj in self.down) for di in self.down)
         self._join_pairs = None
-        self._join_to = None
         self._meet_pairs = None
-        self._meet_to = None
         self._spectra = {}  # topology.spectrum_for, keyed by flavor
         self._morphisms = {}  # enumerate_morphisms from self, keyed by (kind, tgt.up, bound)
 
@@ -251,12 +249,6 @@ class BoundedLattice(Poset):
         if self._join_pairs is None:
             self._join_pairs = _pairs_with(self.join)
         return self._join_pairs
-
-    def join_to(self):
-        """join_to[x][y]: the one-bit mask of x ∨ y; built on first use."""
-        if self._join_to is None:
-            self._join_to = tuple(tuple(1 << v for v in row) for row in self.join)
-        return self._join_to
 
     def join_of_mask(self, mask):
         """Join of a subset; the empty join is the bottom element."""
@@ -270,12 +262,6 @@ class BoundedLattice(Poset):
         if self._meet_pairs is None:
             self._meet_pairs = _pairs_with(self.meet)
         return self._meet_pairs
-
-    def meet_to(self):
-        """meet_to[x][y]: the mask of the v with x ∧ v = y, x's one-hot meet row transposed."""
-        if self._meet_to is None:
-            self._meet_to = tuple(transpose([1 << y for y in row], self.n) for row in self.meet)
-        return self._meet_to
 
 
 def _pairs_with(table):
@@ -487,14 +473,12 @@ def enumerate_morphisms(src, tgt, kind, guard=None):
     The search's result is kept on src, keyed by the kind, tgt.up and
     size_bound(guard), as its sorted image tuples, laid end to end in one
     array.  The key is exact.  Besides src's own tables, the search reads
-    only tgt.n, tgt.bottom, tgt.top, tgt.up, tgt.join_to() and
-    tgt.meet_to(), and BoundedLattice(poset), the one constructor of a
-    lattice, derives each of those from the up-sets: n is their count, the
-    bottom is the element whose up-set is the carrier, a ∨ b is the k with
-    ↑k = ↑a ∩ ↑b, and the down-sets, hence the top and the meets, are the
-    up-sets transposed; join_to and meet_to are read off the join and meet
-    tables.  So two targets with equal up-sets run the same search, with the
-    same tuples.
+    only n, bottom, top, up, join and meet of the target, and
+    BoundedLattice(poset), the one constructor of a lattice, derives each of
+    those from the up-sets: n is their count, the bottom is the element
+    whose up-set is the carrier, a ∨ b is the k with ↑k = ↑a ∩ ↑b, and the
+    down-sets, hence the top and the meets, are the up-sets transposed.  So
+    two targets with equal up-sets run the same search, with the same tuples.
 
     The guard rule is that of a fresh search: SizeGuardExceeded is raised
     iff the search's attempts, tgt.n per expanded node, pass the guard.
@@ -528,18 +512,22 @@ def _search_morphisms(src, tgt, kind, bound):
     For a comparable pair the join and meet equations say no more than
     monotonicity.  The search therefore prunes exactly the partial
     extensions on which some already-determined equation fails.  It raises
-    SizeGuardExceeded once its attempts pass the bound.  The candidate
-    tables ``tgt.join_to()`` and, for blat, ``tgt.meet_to()`` are built once
-    per target lattice.
+    SizeGuardExceeded once its attempts pass the bound.  Of the target it
+    reads only n, bottom, top, up, join and meet, and builds its candidate
+    rows from the last two: join_to[x][y] is the one-bit mask of x ∨ y and,
+    for blat, meet_to[x][y] the mask of the v with x ∧ v = y, x's one-hot
+    meet row transposed.
     """
     need_meet = kind == "blat"
     order = src.linear_extension()
     pos = [0] * src.n
     for s, e in enumerate(order):
         pos[e] = s
+    join_to = [[1 << v for v in row] for row in tgt.join]
     start = [(1 << tgt.n) - 1] * src.n
     start[pos[src.bottom]] &= 1 << tgt.bottom
     if need_meet:
+        meet_to = [transpose([1 << y for y in row], tgt.n) for row in tgt.meet]
         start[pos[src.top]] &= 1 << tgt.top
     pairs = [[] for _ in order]
     triples = [[] for _ in order]
@@ -550,10 +538,10 @@ def _search_morphisms(src, tgt, kind, bound):
             if src.leq(a, b) or src.leq(b, a):
                 continue
             j = src.join[a][b]
-            triples[pos[j]].append((a, b, tgt.join_to()))
+            triples[pos[j]].append((a, b, join_to))
             if need_meet:
                 first, last = (a, b) if pos[a] < pos[b] else (b, a)
-                triples[pos[last]].append((first, src.meet[a][b], tgt.meet_to()))
+                triples[pos[last]].append((first, src.meet[a][b], meet_to))
     found = sorted(scheduled_search(order, tgt.n, start, pairs, triples, bound))
     return array("I", [v for f in found for v in f])
 

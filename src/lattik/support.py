@@ -66,13 +66,15 @@ def _sigma_lanes(maps, x, spectrum):
     """Σ of every map x -> spectrum at once: (sigmas, continuous, fibres, S, full).
 
     sigmas[k] is Σ(maps[k]) as a tuple, and the first ``continuous`` maps pull
-    every open back to an open of x.  fibres are pull_back_opens', full is X in
-    every lane, and lane k of S[a] is sigmas[k][a]."""
-    fibres, pulled = pull_back_opens(maps, x, spectrum.space)
+    every set of spectrum.basis, so every open, as preimage commutes with ∪ and
+    ∩, back to an open of x.  fibres are pull_back_opens', full is X in every
+    lane, and lane k of S[a], the pulled basis[a] (complemented for a closed
+    flavor), is sigmas[k][a]."""
+    fibres, pulled = pull_back_opens(maps, x, spectrum.space, spectrum.basis)
     count, size = len(maps), lane_bytes(x.n)
     full = int.from_bytes(x.full.to_bytes(size, "little") * count, "little")
     flip = full if FLAVORS[spectrum.supp.flavor].closed else 0
-    S = [pulled[k] ^ flip for k in spectrum.supp_opens]
+    S = [p ^ flip for p in pulled]
     sigmas = list(zip(*(read_lanes(s, count, size) for s in S)))
     return sigmas, _first_lane(x, count, pulled), fibres, S, full
 
@@ -159,10 +161,10 @@ def check_adjunction(l, x, flavor, guard=None):
     morphism search.  The maps are then certified in one bit-sliced pass:
     _sigma_lanes makes map k lane k of each int and reads its σ, and each
     test below is lane-local, so it holds at every lane iff the per-map test
-    holds at every map.  The tests are continuity (every lane of every
-    pull-back is open in X), which is also the validator's family check, as
-    S[a] is a pull-back, complemented for a closed flavor; the equations of
-    validate_support_datum, in _first_invalid_lane; the roundtrip
+    holds at every map.  The tests are continuity (every lane of each basis
+    set's pull-back is open in X), which is also the validator's family
+    check, as S[a] is a pull-back, complemented for a closed flavor; the
+    equations of validate_support_datum, in _first_invalid_lane; the roundtrip
     map_of_sigma(Σ(f)) = f, which sends a point p with f(p) = v back to v
     iff {a : p ∉ σ(a)} is the ideal I_v, that is iff S[a] & fibres[v] is 0
     for a in I_v and fibres[v] otherwise; and that each σ reaches a datum no
@@ -224,8 +226,8 @@ def _first_invalid_lane(l, x, flavor, S, count, full):
 
     ``full`` is X in every lane.  The validator's family check (each σ(a)
     closed, or open) is left out: in check_adjunction each S[a] ^ flip is
-    pulled[supp_opens[a]], which _sigma_lanes has checked for openness, so a
-    lane failing it is at or past ``continuous``, and stop cannot change.
+    the pull-back of basis[a], which _sigma_lanes has checked for openness, so
+    a lane failing it is at or past ``continuous``, and stop cannot change.
     """
     bad = 0
     for _, _, fault in _datum_faults(l, flavor, S, full):

@@ -265,7 +265,8 @@ def check_classification(t):
     S ↦ {[a] : a in S}; (iii) composing with the open-set description,
     radical tensor ideals ≅ Ω(Spc(L(⊗))^v).  The chain is stated for an
     associative product; without associativity the quotient formulas can
-    fail, and the certificate then reports that failure.
+    fail, and the certificate then reports that failure.  A failure of (iii)
+    nests the certificate of id_vs_omega_dual under "omega".
     """
     try:
         lattice, projection = quotient_lattice(t)
@@ -286,7 +287,7 @@ def check_classification(t):
     omega_cert = id_vs_omega_dual(lattice)
     if not omega_cert.ok:
         return Certificate(
-            False, {"reason": "open-set description fails", **omega_cert.detail}
+            False, {"reason": "open-set description fails", "omega": omega_cert.to_json()}
         )
     return Certificate(
         True,

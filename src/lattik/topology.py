@@ -27,6 +27,11 @@ class FiniteSpace:
     pairwise union and intersection.  The empty space has one open set,
     the mask 0, which is both empty and full.  ``minimal_opens[i]`` is U_i,
     the intersection of the opens containing point i.
+
+    A family holding ∅ and X is closed iff A ∪ U_i is in it for each open A
+    and point i.  Then every union of U_i is open, by induction from ∅, and
+    each open A is the union of the U_k for k in A, as k ∈ U_k ⊆ A; so A ∩ B
+    is the union of the U_k for k in A ∩ B.  The converse holds as U_i is open.
     """
 
     def __init__(self, points, opens):
@@ -38,16 +43,15 @@ class FiniteSpace:
         family = sorted_by_size(set(opens))
         if 0 not in family or full not in family:
             raise ValueError("opens must contain the empty and full sets")
+        if any(a & ~full for a in family):
+            raise ValueError("open set references unknown point")
         fam = frozenset(family)
         minimal = [full] * n
         for a in family:
-            if a & ~full:
-                raise ValueError("open set references unknown point")
             for i in bits(a):
                 minimal[i] &= a
-            for b in family:
-                if a | b not in fam or a & b not in fam:
-                    raise ValueError("opens are not closed under union/intersection")
+        if any(a | u not in fam for a in family for u in minimal):
+            raise ValueError("opens are not closed under union/intersection")
         self.points = points
         self.n = n
         self.full = full
@@ -239,9 +243,10 @@ class Spectrum:
     """The spectrum of the support-datum flavor on the ideals ``point_ideals`` of a lattice.
 
     The points are the ideals, labelled by their members, and
-    supp(a) = {I : a not in I}.  The open basis of the space is the supp sets,
-    by Hochster duality, for "lattice-open" (Spc^v), and their complements for
-    the closed flavors, "semilattice-closed" (Sp) and "lattice-closed" (Spc).
+    supp(a) = {I : a not in I}.  The open basis of the space, ``basis[a]`` for
+    each a, is the supp sets, by Hochster duality, for "lattice-open" (Spc^v),
+    and their complements for the closed flavors, "semilattice-closed" (Sp)
+    and "lattice-closed" (Spc).
     supp must then be a support datum of the flavor on that space;
     validate_support_datum checks it, and a failure raises InvalidDatum naming
     the axiom and its witness.  A point ideal that is not an int mask on the
@@ -256,13 +261,11 @@ class Spectrum:
         flip = (1 << len(self.point_ideals)) - 1 if flavor_of(flavor).closed else 0
         labels = [set_label(lattice.elements, m) for m in self.point_ideals]
         sigma = transpose([lattice.full ^ m for m in self.point_ideals], lattice.n)
-        basis = [s ^ flip for s in sigma]
-        self.lattice, self.space = lattice, space_from_open_basis(labels, basis)
+        self.basis = tuple(s ^ flip for s in sigma)
+        self.lattice, self.space = lattice, space_from_open_basis(labels, self.basis)
         self.supp = SupportDatum(lattice, self.space, sigma, flavor)
         _require_valid(self.supp)
         self._point = {m: p for p, m in enumerate(self.point_ideals)}
-        # per a, the index in space.opens of supp(a)'s basis set
-        self.supp_opens = tuple(map(self.space.opens.index, basis))
 
     def point_of_ideal(self, members):
         """The point whose ideal has the member mask; ValueError if there is none."""
@@ -334,15 +337,15 @@ def read_lanes(value, count, size):
     return [int.from_bytes(raw[k : k + size], "little") for k in range(0, len(raw), size)]
 
 
-def pull_back_opens(maps, x, y):
-    """(fibres, pulled): every open of y pulled back along each point map x -> y at once.
+def pull_back_opens(maps, x, y, opens):
+    """(fibres, pulled): each of the given opens of y pulled back along each point map x -> y.
 
     Point i of map k is bit k·w + i, in lanes of w = 8 · lane_bytes(x.n) bits
     that read_lanes reads at C speed.  ``fibres[v]`` holds the bits whose
     map sends the point to v, the transpose of the maps' one-hot rows, and
-    ``pulled[u]``, in y.opens order, the OR of the fibres of the open's
-    points, so its lane k is maps[k]⁻¹(open).  ValueError unless every map
-    is total on x with int values (a bool is none) among y's points.
+    ``pulled[u]``, in the order of ``opens``, the OR of the fibres of the
+    open's points, so its lane k is maps[k]⁻¹(opens[u]).  ValueError unless
+    every map is total on x with int values (a bool is none) among y's points.
     """
     if not {x.n}.issuperset(map(len, maps)):
         raise ValueError("map must be total on the points of the source")
@@ -360,12 +363,12 @@ def pull_back_opens(maps, x, y):
         int.from_bytes(b"".join(p[v].to_bytes(step // 8, "little") for p in parts), "little")
         for v in range(y.n)
     ]
-    return fibres, [sum(map(fibres.__getitem__, bits(u))) for u in y.opens]
+    return fibres, [sum(map(fibres.__getitem__, bits(u))) for u in opens]
 
 
 def is_continuous(f, x, y):
-    """True iff the preimage of every open of y is open in x."""
-    return x.openset.issuperset(pull_back_opens([tuple(f)], x, y)[1])
+    """True iff the preimage of each minimal open of y, so of each union of them, is open in x."""
+    return x.openset.issuperset(pull_back_opens([tuple(f)], x, y, y.minimal_opens)[1])
 
 
 def enumerate_continuous(x, y, guard=None):

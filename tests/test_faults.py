@@ -166,7 +166,7 @@ class TestCheckClassification:
 
     def test_swapped_supports_fail_the_open_set_description(self, monkeypatch):
         # the fault of TestIdVsOmegaDual, reached through the quotient; the
-        # detail of id_vs_omega_dual's failure replaces the outer reason
+        # certificate of id_vs_omega_dual is nested under the outer reason
         t = meet_tensor_on_b2()
         union_map = frames.support_union_map
         asked = []
@@ -179,5 +179,9 @@ class TestCheckClassification:
 
         monkeypatch.setattr(frames, "support_union_map", swapped)
         cert = check_classification(t)
-        assert cert.to_json() == {"ok": False, "reason": "inverse roundtrip fails"}
+        assert cert.to_json() == {
+            "ok": False,
+            "reason": "open-set description fails",
+            "omega": {"ok": False, "reason": "inverse roundtrip fails"},
+        }
         assert asked == [t._quotient[0]]

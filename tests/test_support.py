@@ -251,8 +251,8 @@ def test_sliced_validation_flags_the_lanes_the_validator_rejects(corpus5):
 
 
 def preimage_sigma(f, x, spectrum):
-    """Σ(f) by its definition, a ↦ f^{-1}(supp(a)), after the literal is_continuous."""
-    if not is_continuous(f, x, spectrum.space):
+    """Σ(f) by its definition, a ↦ f^{-1}(supp(a)), after pulling back every open one by one."""
+    if not all(preimage(f, u) in x.openset for u in spectrum.space.opens):
         raise NotContinuous("map into the spectrum is not continuous")
     return tuple(preimage(f, s) for s in spectrum.supp.sigma)
 
@@ -635,9 +635,9 @@ def bottomless_point(spectrum, *args):
 
 
 def swapped_supp(spectrum, *args):
-    """A copy of the spectrum whose last two elements swap the opens that σ pulls back."""
+    """A copy of the spectrum whose last two elements swap the basis sets that σ pulls back."""
     out = copy.copy(spectrum)
-    out.supp_opens = spectrum.supp_opens[:-2] + spectrum.supp_opens[:-3:-1]
+    out.basis = spectrum.basis[:-2] + spectrum.basis[:-3:-1]
     return out
 
 
@@ -701,11 +701,11 @@ PER_MAP_FAULTS = {
         ADJUNCTION_FAULTS["duplicate a datum"],
     ],
     "append a discontinuous map": [("enumerate_continuous", with_discontinuous_map)],
-    "swap two supp_opens": [("spectrum_for", swapped_supp)],
+    "swap two basis sets": [("spectrum_for", swapped_supp)],
     # a failed roundtrip whose value is no point raises InvalidDatum in _point_map
     "a point ideal without the bottom": [("spectrum_for", bottomless_point)],
     # the per-map pass meets the discontinuous map before any invalid datum
-    "prepend a discontinuous map, swap two supp_opens": [
+    "prepend a discontinuous map, swap two basis sets": [
         ("enumerate_continuous", discontinuous_map_first),
         ("spectrum_for", swapped_supp),
     ],
@@ -718,9 +718,9 @@ PER_MAP_FAULTS = {
 VERDICTS = {
     "none": {True},
     "append a discontinuous map": {True, NotContinuous},
-    "swap two supp_opens": {True, InvalidDatum},
+    "swap two basis sets": {True, InvalidDatum},
     "a point ideal without the bottom": {True, InvalidDatum},
-    "prepend a discontinuous map, swap two supp_opens": {True, InvalidDatum, NotContinuous},
+    "prepend a discontinuous map, swap two basis sets": {True, InvalidDatum, NotContinuous},
     "early roundtrip mismatch, then a raising map": {True, False, NotContinuous},
 }
 

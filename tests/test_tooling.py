@@ -204,6 +204,46 @@ def test_tables_are_read_by_their_owner():
     assert unread_tables() == ["order:BoundedLattice._spectra"]
 
 
+def first_use_tables():
+    """``module:Class._name`` for every ``self._name = None`` in the ``__init__`` of a
+    lattik class: a table that the object builds on first use, not with itself."""
+    out = []
+    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for init in cls.body:
+                if not (isinstance(init, ast.FunctionDef) and init.name == "__init__"):
+                    continue
+                for n in ast.walk(init):
+                    if (
+                        isinstance(n, ast.Assign)
+                        and isinstance(n.value, ast.Constant)
+                        and n.value.value is None
+                    ):
+                        out += [
+                            f"{path.stem}:{cls.name}.{t.attr}"
+                            for t in n.targets
+                            if isinstance(t, ast.Attribute)
+                            and isinstance(t.value, ast.Name)
+                            and t.value.id == "self"
+                            and t.attr.startswith("_")
+                        ]
+    return out
+
+
+def test_no_new_first_use_table():
+    # a table derived from an object's generators is built with it, or by its
+    # one reader; only the pair lists and the set lattices of a space, which
+    # cost memory and time on large objects that never need them, wait for use
+    assert first_use_tables() == [
+        "order:BoundedLattice._join_pairs",
+        "order:BoundedLattice._meet_pairs",
+        "topology:FiniteSpace._cl",
+        "topology:FiniteSpace._omega",
+    ]
+
+
 def innermost_defs(tree):
     """{node: the name of its innermost enclosing def} for every node in a def."""
     owner = {}

@@ -155,8 +155,7 @@ class TestSpaceConstruction:
         for l in lattice_corpus(7):
             for flavor in FLAVORS:
                 s = spectrum_for(l, flavor)
-                basis = [s.space.opens[k] for k in s.supp_opens]
-                self.assert_matches_the_literal_open_basis(s.space.points, basis)
+                self.assert_matches_the_literal_open_basis(s.space.points, s.basis)
                 spectra += 1
         assert spectra == 78 * 3
 
@@ -176,6 +175,42 @@ class TestSpaceConstruction:
     def test_rejects_an_open_off_the_points(self):
         with pytest.raises(ValueError, match="open set references unknown point"):
             FiniteSpace(["p"], [0, 0b01, 0b11])
+
+    def test_a_set_off_the_points_is_named_before_closure_is_checked(self):
+        # every family on 1 or 2 points that holds ∅ and X and a set off the
+        # points, of at most n + 1 bits; most, like {0, 0b1, 0b10} on one
+        # point, are not closed under union either, and the stray bit is named
+        families = 0
+        for n in (1, 2):
+            points, full = [f"p{i}" for i in range(n)], (1 << n) - 1
+            others = [m for m in range(1, 2 << n) if m != full]
+            for chosen in product((False, True), repeat=len(others)):
+                family = {0, full}.union(m for m, c in zip(others, chosen) if c)
+                if max(family) > full:
+                    families += 1
+                    with pytest.raises(ValueError, match="^open set references unknown point$"):
+                        FiniteSpace(points, family)
+        assert families == 63
+
+    def test_accepts_exactly_the_families_closed_under_union_and_intersection(self):
+        # the check reads the minimal opens; here every family of subsets of
+        # n <= 3 points that holds ∅ and X is tested pair by pair instead
+        families = accepted = 0
+        for n in range(4):
+            points, full = [f"p{i}" for i in range(n)], (1 << n) - 1
+            inner = range(1, full)  # the subsets but ∅ and X
+            for chosen in product((False, True), repeat=len(inner)):
+                family = {0, full}.union(m for m, c in zip(inner, chosen) if c)
+                closed = all(a | b in family and a & b in family for a in family for b in family)
+                try:
+                    FiniteSpace(points, family)
+                except ValueError as e:
+                    assert not closed and str(e) == "opens are not closed under union/intersection"
+                else:
+                    assert closed
+                    accepted += 1
+                families += 1
+        assert families == 1 + 1 + 4 + 64 and accepted == len(space_corpus(3))
 
     def test_minimal_opens_are_the_intersections_of_the_opens_around_each_point(self):
         for x in space_corpus(4):
@@ -419,6 +454,7 @@ class TestContinuity:
             assert enumerate_continuous(x, y) == expected
 
     def test_matches_the_literal_preimage_loop_on_every_map(self, spaces3):
+        # is_continuous pulls back the minimal opens only; the loop pulls back every open
         maps = continuous = 0
         for x in spaces3:
             for y in spaces3:
@@ -443,7 +479,7 @@ class TestContinuity:
             with pytest.raises(ValueError, match=message):
                 check((value, 0), d2, d2)
         with pytest.raises(ValueError, match=message):
-            pull_back_opens([(0, 1), (value, 0)], d2, d2)
+            pull_back_opens([(0, 1), (value, 0)], d2, d2, d2.opens)
 
     def test_pull_back_opens_reads_each_lane_as_one_map(self):
         # lane k of each pull-back is the preimage along map k, and lane k of
@@ -457,7 +493,7 @@ class TestContinuity:
         for x in (FiniteSpace([], [0]), sierpinski(), chain_space(9), chain_space(17)):
             drawn = [tuple(rng.randrange(y.n) for _ in range(x.n)) for _ in range(150)]
             for maps in ([], [(0,) * x.n], drawn):
-                fibres, pulled = pull_back_opens(maps, x, y)
+                fibres, pulled = pull_back_opens(maps, x, y, y.opens)
                 size = lane_bytes(x.n)
                 assert size == 1 + (x.n > 8) + (x.n > 16)
                 for u, p in zip(y.opens, pulled):
