@@ -72,18 +72,6 @@ def n5():
     )
 
 
-def b3():
-    """The eight-element Boolean lattice."""
-    names = ["0", "x", "y", "z", "xy", "xz", "yz", "1"]
-    pairs = [
-        ("0", "x"), ("0", "y"), ("0", "z"),
-        ("x", "xy"), ("x", "xz"), ("y", "xy"), ("y", "yz"),
-        ("z", "xz"), ("z", "yz"),
-        ("xy", "1"), ("xz", "1"), ("yz", "1"),
-    ]
-    return as_bounded_lattice(build_poset(names, pairs))
-
-
 def _extend(p, d):
     """p with a new maximal element e<p.n> over the down-set d."""
     return maximal_extension(p, d, f"e{p.n}")

@@ -324,7 +324,7 @@ def _cells(base):
 
 
 def _draw(base, cells, rng):
-    """Draw a candidate tensor structure on the lattice as (unit, product), before validation.
+    """Draw a candidate tensor structure on the lattice as (unit, product), or None.
 
     The unit is drawn first, then a value at each pair (i, j) of
     join-irreducibles, i outer and j inner, an order the fuzz stream rests on;
@@ -333,11 +333,25 @@ def _draw(base, cells, rng):
     unit row is the identity and column ``unit`` of every other row is a.
     Join is associative and commutative, so this equals joining, over
     i <= a, the join of the values at (i, j) over j <= b.
+
+    Every value is drawn before any is read, so a rejected draw moves the RNG
+    as far as a kept one.  None rejects a draw that validate_tensor_axioms
+    would reject.  As a ⊗ u = u ⊗ a = a for the unit u, each test below is the
+    zero law or join-distributivity at the pair (u, c):
+    - the unit is the bottom of a lattice of at least 2 elements: then
+      bottom ⊗ a = a for every a, and some a is not the bottom;
+    - a row a ≠ u, tested once it is folded, has a ⊗ (u ∨ c) ≠ a ∨ (a ⊗ c);
+    - once every row is kept, a column a ≠ u has
+      (u ∨ c) ⊗ a ≠ a ∨ (c ⊗ a).
+    The unit row and column pass the last two by the unit law.
     """
     n = base.n
     unit = rng.randrange(n)
     vals = list(map(rng.randrange, repeat(n, len(cells[base.top][base.top]))))
     z, join = base.bottom, base.join
+    if unit == z and n > 1:
+        return None
+    ju = join[unit]
     product = []
     for a, row in enumerate(cells):
         if a == unit:
@@ -350,7 +364,16 @@ def _draw(base, cells, rng):
                 acc = join[acc][vals[k]]
             pa.append(acc)
         pa[unit] = a
+        # a ⊗ (u ∨ c) against a ∨ (a ⊗ c), for every c
+        if list(map(pa.__getitem__, ju)) != list(map(join[a].__getitem__, pa)):
+            return None
         product.append(tuple(pa))
+    for a in range(n):
+        if a == unit:
+            continue
+        qa = [row[a] for row in product]
+        if list(map(qa.__getitem__, ju)) != list(map(join[a].__getitem__, qa)):
+            return None
     return unit, tuple(product)
 
 
@@ -365,11 +388,14 @@ def _tensor_or_none(base, product, unit):
 def random_tensor_lattice(base, rng):
     """Draw a candidate tensor structure on the given lattice, or None.
 
-    The draw is that of _draw, on a cell table built for this call; any
-    failure of the axioms rejects it.
+    The draw is that of _draw, on a cell table built for this call.  None if
+    _draw rejects it, which it does only where a ⊗ u = u ⊗ a = a forces the
+    zero law or join-distributivity at a pair (u, c) to fail, so
+    validate_tensor_axioms would reject it too; else None if the validation
+    fails.
     """
-    unit, product = _draw(base, _cells(base), rng)
-    return _tensor_or_none(base, product, unit)
+    drawn = _draw(base, _cells(base), rng)
+    return None if drawn is None else _tensor_or_none(base, drawn[1], drawn[0])
 
 
 def fuzz_tensor_lattices(bases, seed, count):
@@ -377,18 +403,24 @@ def fuzz_tensor_lattices(bases, seed, count):
 
     Deterministic for a fixed seed and base order.  Raises SizeGuardExceeded
     if the draw budget runs out before enough valid structures appear.  Every
-    draw is made, so the stream is that of random_tensor_lattice, but each
-    distinct draw (same base position, unit and product) is validated once:
-    a repeat gets the earlier verdict, and a valid repeat yields the earlier
-    TensorLattice, so the tables a structure is built with are built once per
-    distinct structure.  Each base's cell table is built once per call.
-    Raises ValueError, on the first next(), unless count is a positive int
-    (a bool is none).
+    draw is made, so the stream is that of random_tensor_lattice.  A draw that
+    _draw rejects is skipped before it is keyed: its unit is the bottom, or a
+    row or column fails a ⊗ (u ∨ c) = a ∨ (a ⊗ c) or its mirror, each an
+    instance of the zero law or of join-distributivity as a ⊗ u = u ⊗ a = a,
+    so validate_tensor_axioms would reject it too.  Each distinct kept draw
+    (same base position, unit and product) is validated once: a repeat gets
+    the earlier verdict, and a valid repeat yields the earlier TensorLattice,
+    so the tables a structure is built with are built once per distinct
+    structure.  Each base's cell table is built once per call.  Raises
+    ValueError, on the first next(), unless count is a positive int (a bool
+    is none) and there is at least one base.
     """
     if type(count) is not int or count < 1:
         raise ValueError(f"fuzz count must be a positive int, got {count!r}")
-    rng = random.Random(seed)
     bases = list(bases)
+    if not bases:
+        raise ValueError("fuzz needs at least one base lattice")
+    rng = random.Random(seed)
     budget = count * 10_000
     produced = 0
     draws = 0
@@ -404,7 +436,10 @@ def fuzz_tensor_lattices(bases, seed, count):
             )
         k = rng.randrange(len(bases))
         draws += 1
-        unit, product = _draw(bases[k], cells[k], rng)
+        drawn = _draw(bases[k], cells[k], rng)
+        if drawn is None:
+            continue
+        unit, product = drawn
         key = "".join(map(chr, chain((unit,), *product)))
         memo = seen[k]
         if key not in memo:

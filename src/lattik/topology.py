@@ -119,10 +119,6 @@ def space_from_open_basis(points, basis):
     return FiniteSpace(points, _union_closure(minimal))
 
 
-def discrete_space(points):
-    return FiniteSpace(points, range(1 << len(points)))
-
-
 def omega_lattice(x):
     """Ω(X): the open sets ordered by inclusion (join = union, meet = intersection).
 

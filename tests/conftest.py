@@ -2,7 +2,25 @@ import pytest
 
 from lattik import corpus
 from lattik.jsonio import lattice_to_json, space_to_json
-from lattik.order import two
+from lattik.order import as_bounded_lattice, build_poset, two
+from lattik.topology import FiniteSpace
+
+
+def b3():
+    """The eight-element Boolean lattice."""
+    names = ["0", "x", "y", "z", "xy", "xz", "yz", "1"]
+    pairs = [
+        ("0", "x"), ("0", "y"), ("0", "z"),
+        ("x", "xy"), ("x", "xz"), ("y", "xy"), ("y", "yz"),
+        ("z", "xz"), ("z", "yz"),
+        ("xy", "1"), ("xz", "1"), ("yz", "1"),
+    ]
+    return as_bounded_lattice(build_poset(names, pairs))
+
+
+def discrete_space(points):
+    """The space on the points in which every subset is open."""
+    return FiniteSpace(points, range(1 << len(points)))
 
 
 def datum_to_json(d):
@@ -28,7 +46,7 @@ def std():
         "B2": corpus.b2(),
         "M3": corpus.m3(),
         "N5": corpus.n5(),
-        "B3": corpus.b3(),
+        "B3": b3(),
     }
 
 

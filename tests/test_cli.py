@@ -10,13 +10,13 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import datum_to_json
+from conftest import b3, datum_to_json, discrete_space
 from lattik import corpus, support
 from lattik.cli import build_parser, main
-from lattik.corpus import b2, b3, chain, m3, n5
+from lattik.corpus import b2, chain, m3, n5
 from lattik.jsonio import lattice_from_json, lattice_to_json, space_to_json
 from lattik.support import SupportDatum, spectrum_for
-from lattik.topology import FLAVORS, discrete_space, space_from_closed_basis
+from lattik.topology import FLAVORS, space_from_closed_basis
 
 
 VERBS = next(

@@ -6,7 +6,8 @@ import pytest
 
 import lattik
 import lattik.frames
-from lattik.corpus import b2, b3, chain, lattice_corpus, m3, n5
+from conftest import b3
+from lattik.corpus import b2, chain, lattice_corpus, m3, n5
 from lattik.errors import NotAFrame, NotDistributive
 from lattik.frames import (
     as_frame,

@@ -6,6 +6,7 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import b3, discrete_space
 from lattik import corpus, order
 from lattik.corpus import (
     _extend,
@@ -14,7 +15,6 @@ from lattik.corpus import (
     all_lattices,
     all_posets,
     b2,
-    b3,
     chain,
     lattice_corpus,
     m3,
@@ -56,7 +56,7 @@ from lattik.order import (
     two,
 )
 from lattik.support import check_adjunction
-from lattik.topology import FLAVORS, cl_lattice, discrete_space, omega_lattice
+from lattik.topology import FLAVORS, cl_lattice, omega_lattice
 
 # Cl of the discrete 3-point space: the 8-element Boolean lattice of subsets
 CL_D3 = cl_lattice(discrete_space(["a", "b", "c"]))

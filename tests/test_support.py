@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from conftest import discrete_space
 from lattik import support
 from lattik.corpus import b2, chain, m3, n5, space_corpus
 from lattik.errors import InvalidDatum, NotContinuous
@@ -27,7 +28,6 @@ from lattik.support import (
 from lattik.topology import (
     FLAVORS,
     FiniteSpace,
-    discrete_space,
     enumerate_continuous,
     is_continuous,
     sp_space,

@@ -376,6 +376,12 @@ class TestFuzz:
         with pytest.raises(ValueError, match=f"fuzz count must be a positive int, got {count!r}"):
             next(stream)
 
+    def test_no_base_is_rejected(self):
+        # not the ValueError of random.randrange(0)
+        stream = fuzz_tensor_lattices(iter([]), seed=1, count=3)
+        with pytest.raises(ValueError, match="^fuzz needs at least one base lattice$"):
+            next(stream)
+
     def test_pinned_stream(self):
         # the structures the fuzzer draws, as (base index, unit, product) lines;
         # classify --fuzz prints only counts, so this pins the samples themselves
@@ -453,7 +459,7 @@ def full_scan_axioms(base, product, unit):
 
 
 def leq_draw(base, rng):
-    """The draw of random_tensor_lattice as (product, unit), before validation.
+    """The draw of random_tensor_lattice as (product, unit), before any rejection.
 
     Each cell a ⊗ b is read from the order: the join of the values at (i, j)
     over the join-irreducibles i <= a and j <= b.
@@ -486,7 +492,8 @@ def leq_draw(base, rng):
 
 
 def validate_every_draw(bases, seed, count):
-    """fuzz_tensor_lattices as a loop that validates every draw, repeats included."""
+    """fuzz_tensor_lattices as a loop that draws with leq_draw and validates every
+    draw, repeats included, through TensorLattice."""
     rng = random.Random(seed)
     bases = list(bases)
     budget = count * 10_000
@@ -500,10 +507,13 @@ def validate_every_draw(bases, seed, count):
             )
         k = rng.randrange(len(bases))
         draws += 1
-        t = random_tensor_lattice(bases[k], rng)
-        if t is not None:
-            produced += 1
-            yield seen.setdefault((k, t.unit, t.product), t)
+        product, unit = leq_draw(bases[k], rng)
+        try:
+            t = TensorLattice(bases[k], product, unit)
+        except TensorAxiomError:
+            continue
+        produced += 1
+        yield seen.setdefault((k, t.unit, t.product), t)
 
 
 def axiom_outcome(check, base, product, unit):
@@ -558,14 +568,39 @@ class TestOracles:
         assert seen["left"] and seen["right"], seen
 
     def test_row_extension_is_the_leq_extension(self):
-        # every draw, rejected or not, as its (product, unit) before validation
+        # a kept draw is leq_draw's (product, unit); a rejected one is a product
+        # of leq_draw that validation rejects at the zero law or a join
+        verdicts = Counter()
         for base in lattice_corpus(5):
             ours, theirs = random.Random(base.n), random.Random(base.n)
             cells = tensor._cells(base)
             for _ in range(200):
-                unit, product = tensor._draw(base, cells, ours)
+                drawn = tensor._draw(base, cells, ours)
                 theirs_product, theirs_unit = leq_draw(base, theirs)
-                assert (list(map(list, product)), unit) == (theirs_product, theirs_unit)
+                outcome = axiom_outcome(validate_tensor_axioms, base, theirs_product, theirs_unit)
+                if drawn is None:
+                    assert outcome is not None
+                    assert outcome[0] in (ZeroLawFails, NotDistributiveOverJoin)
+                    verdicts["rejected", outcome[0].__name__] += 1
+                else:
+                    unit, product = drawn
+                    assert (list(map(list, product)), unit) == (theirs_product, theirs_unit)
+                    verdicts["kept", outcome[0].__name__ if outcome else "valid"] += 1
+                assert ours.getstate() == theirs.getstate()
+        assert verdicts["rejected", "ZeroLawFails"], verdicts
+        assert verdicts["rejected", "NotDistributiveOverJoin"], verdicts
+        assert verdicts["kept", "valid"] and verdicts["kept", "NotDistributiveOverJoin"], verdicts
+
+    def test_random_tensor_lattice_is_the_validated_leq_draw(self):
+        for base in lattice_corpus(5):
+            ours, theirs = random.Random(base.n), random.Random(base.n)
+            for _ in range(100):
+                t = random_tensor_lattice(base, ours)
+                product, unit = leq_draw(base, theirs)
+                if axiom_outcome(validate_tensor_axioms, base, product, unit) is None:
+                    assert (t.product, t.unit) == (tuple(map(tuple, product)), unit)
+                else:
+                    assert t is None
             assert ours.getstate() == theirs.getstate()
 
     @pytest.mark.parametrize("seed, count", [(1, 1000), (7, 1000), (2026, 1000), (16, 2789)])
@@ -573,14 +608,16 @@ class TestOracles:
         bases = lattice_corpus(5)
         index = {id(l): k for k, l in enumerate(bases)}
         theirs = list(validate_every_draw(bases, seed, count))
-        drawn = []
+        drawn = []  # the draws _draw keeps
         validated = Counter()
         draw, validate = tensor._draw, tensor.validate_tensor_axioms
 
         def record(base, cells, rng):
-            unit, product = draw(base, cells, rng)
-            drawn.append((index[id(base)], unit, product))
-            return unit, product
+            kept = draw(base, cells, rng)
+            if kept is not None:
+                unit, product = kept
+                drawn.append((index[id(base)], unit, product))
+            return kept
 
         def spy(base, product, unit):
             validated[index[id(base)], unit, product] += 1
@@ -600,9 +637,11 @@ class TestOracles:
 
         assert structures(ours) == structures(theirs)
         assert identity_pattern(ours) == identity_pattern(theirs)
-        # one validation per distinct draw, and every draw gets the verdict
-        # of a fresh validation of it
+        # one validation per distinct kept draw, and every kept draw gets the
+        # verdict of a fresh validation of it
         assert set(validated) == set(drawn) and set(validated.values()) == {1}
+        # distinct kept draws, of 1592, 1651, 1647 and 3874 distinct draws
+        assert len(validated) == {1: 68, 7: 77, 2026: 78, 16: 127}[seed]
         fresh = [
             d for d in drawn if axiom_outcome(validate_tensor_axioms, bases[d[0]], d[2], d[1]) is None
         ]

@@ -7,6 +7,7 @@ from operator import and_
 
 import pytest
 
+from conftest import discrete_space
 from lattik.corpus import b2, chain, lattice_corpus, m3, n5, space_corpus
 from lattik.errors import InvalidDatum, NotT0, SizeGuardExceeded
 from lattik.ideals import all_ideals, ideal_masks
@@ -16,7 +17,6 @@ from lattik.topology import (
     FiniteSpace,
     Spectrum,
     cl_lattice,
-    discrete_space,
     enumerate_continuous,
     hochster_dual,
     is_continuous,
