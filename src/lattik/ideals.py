@@ -3,20 +3,17 @@
 from __future__ import annotations
 
 from .errors import KindMismatch
-from .order import SetLattice, bits, is_morphism, preimage, set_label, sorted_by_size, two
+from .order import SetLattice, is_morphism, preimage, set_label, sorted_by_size, two
 
 
 def is_ideal(l, mask):
-    """Within the carrier, contains bottom, downward closed, closed under binary joins."""
-    if mask & ~l.full or not mask >> l.bottom & 1:
-        return False
-    for i in bits(mask):
-        if l.down[i] & ~mask:
-            return False
-        for j in bits(mask):
-            if not mask >> l.join[i][j] & 1:
-                return False
-    return True
+    """Within the carrier and equal to ↓m, m being the join of its members.
+
+    An ideal holds m and so everything below m, and every member lies below
+    m, so it is ↓m; each ↓m is an ideal (ideal_masks).  The empty mask is
+    none: its join is the bottom, which ↓bottom holds.
+    """
+    return not mask & ~l.full and mask == l.down[l.join_of_mask(mask)]
 
 
 def ideal_masks(l):
@@ -35,25 +32,20 @@ def all_ideals(l):
 
 
 def is_prime(l, mask):
-    """Within the carrier, contains bottom, proper, and a ∧ b in I implies a in I or b in I.
+    """A proper ideal I whose complement U is a principal up-set ↑p.
 
-    Downward closure and joins are not checked: prime_masks passes ideals only.
+    U is a nonempty up-set, and I is prime (a ∧ b in I implies a in I or b
+    in I) iff U is closed under ∧.  Then U holds p, the meet of its members,
+    and so U = ↑p, as every member lies above p; and each ↑p is closed under ∧.
     """
-    if mask & ~l.full or not mask >> l.bottom & 1 or mask == l.full:
-        return False
-    for a in range(l.n):
-        if mask >> a & 1:
-            continue
-        for b in range(a, l.n):
-            if mask >> b & 1:
-                continue
-            if mask >> l.meet[a][b] & 1:
-                return False
-    return True
+    return is_ideal(l, mask) and mask != l.full and (l.full ^ mask) in l.up
 
 
 def prime_masks(l):
-    """Masks of the prime ideals of a bounded lattice, in ideal_masks order."""
+    """Masks of the prime ideals of a bounded lattice, in ideal_masks order.
+
+    Each is an l.down whose complement is an l.up (is_prime).
+    """
     return [m for m in ideal_masks(l) if is_prime(l, m)]
 
 

@@ -34,7 +34,8 @@ class TensorLattice:
     not validated, but the tensor lemma and the classification assume it.
 
     Every table is built here: the radical closure, ⟨a⟩ for each a, the
-    radical tensor ideal masks, and L(⊗) with its projection.  Building L(⊗)
+    radical tensor ideal masks (each a ↓m holding m ⊗ 1, 1 ⊗ m and its
+    square roots), and L(⊗) with its projection.  Building L(⊗)
     never raises, associative or not.  ⟨a⟩, the least radical tensor ideal
     holding a, exists: the carrier is one, and so is an intersection of them.
     ⟨0⟩ lies below every ⟨a⟩, which holds the bottom.  ⟨a ∨ b⟩ is the least
@@ -123,28 +124,25 @@ def validate_tensor_axioms(base, product, unit):
 
 
 def is_radical_tensor_ideal(t, mask):
-    """Ideal of the base, two-sided tensor-absorbing, and closed under square roots."""
+    """An ideal ↓m of the base that holds m ⊗ 1, 1 ⊗ m and every a with a ⊗ a in it.
+
+    ⊗ is monotone in each argument (validate_tensor_axioms), so a ⊗ b <= m ⊗ 1
+    and b ⊗ a <= 1 ⊗ m for every a <= m and every b: the down-set ↓m absorbs
+    every product on both sides iff it holds these two.
+    """
     if not is_ideal(t.base, mask):
         return False
-    for a in bits(mask):
-        for b in range(t.n):
-            if not mask >> t.product[a][b] & 1 or not mask >> t.product[b][a] & 1:
-                return False
-    for a in range(t.n):
-        if mask >> t.product[a][a] & 1 and not mask >> a & 1:
-            return False
-    return True
+    m, top, p = t.base.join_of_mask(mask), t.base.top, t.product
+    absorbs = mask >> p[m][top] & 1 and mask >> p[top][m] & 1
+    return absorbs and all(mask >> a & 1 for a in range(t.n) if mask >> p[a][a] & 1)
 
 
 def _closer(t):
     """The radical closure of a member mask, with the tables of t built once."""
-    base = t.base
-    # absorb[a]: every a ⊗ b and b ⊗ a; roots[c]: every a with a ⊗ a = c
-    absorb = [
-        image(row, base.full) | image(col, base.full)
-        for row, col in zip(t.product, zip(*t.product))
-    ]
-    roots = transpose([1 << row[a] for a, row in enumerate(t.product)], t.n)
+    base, p, top = t.base, t.product, t.base.top
+    # absorb[a]: a ⊗ 1 and 1 ⊗ a; roots[c]: every a with a ⊗ a = c
+    absorb = [1 << p[a][top] | 1 << p[top][a] for a in range(t.n)]
+    roots = transpose([1 << p[a][a] for a in range(t.n)], t.n)
 
     def close(mask):
         while True:
@@ -164,13 +162,15 @@ def _closer(t):
 def radical_closure(t, seeds):
     """Least radical tensor ideal containing the seeds, by fixpoint iteration.
 
-    Each round adds the members' products on both sides, then takes the least
+    Each round adds a ⊗ 1 and 1 ⊗ a for each member a, then takes the least
     ideal above them: ↓ of their join, as an ideal holds the join of its members
-    and every ↓m is an ideal.  It then adds every a with a ⊗ a in it.  A round
-    adds only what each radical tensor ideal above the seeds holds, and a mask
-    it keeps is such an ideal, so the fixpoint is the least.  A seed is an
-    element name or index; ValueError for any other seed, an index off the
-    carrier included.  An index is an int: a float or a bool is not.
+    and every ↓m is an ideal; ⊗ being monotone, it holds every a ⊗ b and b ⊗ a.
+    It then adds every a with a ⊗ a in it.  A round adds only what each radical
+    tensor ideal above the seeds holds, and a mask it keeps is such an ideal,
+    so the fixpoint is the least.  A seed is an element name or index: a name
+    that is no element raises UnknownName, as Poset.index does, and any other
+    seed ValueError, an index off the carrier included.  An index is an int:
+    a float or a bool is not.
     """
     base = t.base
     mask = 1 << base.bottom

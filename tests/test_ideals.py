@@ -156,10 +156,21 @@ class TestPrimeIdeals:
         for l in corpus5:
             assert prime_masks(l) == self.brute_primes(l)
 
-    @pytest.mark.parametrize("mask", [0b10011, 0b10000, -2, -1, 0])
+    def test_is_prime_is_the_brute_meet_scan_on_every_mask(self, corpus5):
+        # a mask that is no ideal is not prime, however its complement meets
+        checked = 0
+        for l in corpus5 + [dual(l) for l in corpus5]:
+            primes = set(self.brute_primes(l))
+            for mask in range(1 << l.n):
+                assert is_prime(l, mask) == (mask in primes), (l.elements, mask)
+                checked += 1
+        assert checked == 2 * sum(1 << l.n for l in corpus5)
+
+    @pytest.mark.parametrize("mask", [0b10011, 0b10000, -2, -1, 0, 0b0111])
     def test_mask_that_is_no_ideal_is_not_prime(self, mask):
         # off the carrier of B2 (0b10011 is {0, a} plus a fifth bit), negative,
-        # or without the bottom
+        # without the bottom, or {0, a, b}: a down-set whose complement is ↑1,
+        # without a ∨ b
         assert not is_prime(b2(), mask)
 
     def test_primes_of_dual_are_complements(self, corpus5):
@@ -319,6 +330,15 @@ class TestCompactElements:
     def test_compact_elements_recover_base(self, make):
         l = make()
         assert canonical_key(all_ideals(l)) == canonical_key(l)
+
+
+def test_is_ideal_is_the_subset_axioms_on_every_mask(corpus5):
+    for l in corpus5 + [dual(l) for l in corpus5]:
+        ideals = set(subset_filter_ideals(l))
+        for mask in range(1 << l.n):
+            assert is_ideal(l, mask) == (mask in ideals), (l.elements, mask)
+        # off the carrier, or negative
+        assert not any(is_ideal(l, m) for m in (l.full | 1 << l.n, 1 << l.n, -1, ~l.full))
 
 
 def test_is_ideal_rejects_non_downward_closed():

@@ -5,7 +5,6 @@ import json
 import random
 import re
 from collections import Counter
-from itertools import combinations
 
 import pytest
 
@@ -16,6 +15,7 @@ from lattik.errors import (
     SizeGuardExceeded,
     TensorAxiomError,
     UnitLawFails,
+    UnknownName,
     ZeroLawFails,
 )
 from lattik.ideals import join_irreducibles
@@ -54,6 +54,19 @@ def nilpotent_c3():
     product[m][m] = z
     product[z][z] = z
     return TensorLattice(l, product, u)
+
+
+@pytest.fixture(scope="module")
+def fuzz_structures():
+    """The 174 distinct structures of 1500 draws each, seeds 1, 7, 16 and 2026,
+    on the lattices of at most 5 elements; 116 are not associative."""
+    bases = lattice_corpus(5)
+    out = {}
+    for seed in (1, 7, 16, 2026):
+        for t in fuzz_tensor_lattices(bases, seed, 1500):
+            out.setdefault((id(t.base), t.unit, t.product), t)
+    assert len(out) == 174
+    return list(out.values())
 
 
 class TestConstruction:
@@ -140,6 +153,11 @@ class TestRadicalClosure:
         with pytest.raises(ValueError, match=re.escape(f"seed {seed!r} is not an element index")):
             radical_closure(meet_tensor(b2()), [seed])
 
+    def test_name_that_is_no_element_is_rejected(self):
+        # the UnknownName of Poset.index, an InputError and no ValueError
+        with pytest.raises(UnknownName, match="unknown element 'zz'"):
+            radical_closure(meet_tensor(b2()), ["zz"])
+
     def closure_examples(self):
         out = []
         for l in lattice_corpus(4):
@@ -185,12 +203,15 @@ class TestRadicalIdeals:
         lattice = all_radical_tensor_ideals(t)
         assert len(lattice.masks) == 2
 
-    def test_masks_are_the_radical_ideals(self):
-        # every subset of the carrier, in the (size, mask) order of ideal_masks
-        for t in fuzz_tensor_lattices(lattice_corpus(4), seed=3, count=30):
+    def test_masks_are_the_radical_ideals(self, fuzz_structures):
+        # every subset of the carrier, in the (size, mask) order of ideal_masks,
+        # filtered by the literal definition
+        structures = list(fuzz_tensor_lattices(lattice_corpus(4), seed=3, count=30))
+        for t in structures + fuzz_structures:
             subsets = sorted(range(1 << t.n), key=lambda m: (bin(m).count("1"), m))
-            expected = [m for m in subsets if is_radical_tensor_ideal(t, m)]
+            expected = [m for m in subsets if literal_radical(t, m)]
             assert radical_masks(t) == expected == list(all_radical_tensor_ideals(t).masks)
+            assert [m for m in subsets if is_radical_tensor_ideal(t, m)] == expected
 
     def test_join_is_radical_closure_of_union(self):
         for l in lattice_corpus(5):
@@ -426,6 +447,21 @@ def four_rule_closure(t, seeds):
         mask = new
 
 
+def literal_radical(t, mask):
+    """A radical tensor ideal by the literal definition: an ideal by the subset
+    axioms, absorbing at every pair (a, b) with a a member, and holding every a
+    with a ⊗ a in it."""
+    base, p = t.base, t.product
+    members = [a for a in range(t.n) if mask >> a & 1]
+    if mask & ~base.full or base.bottom not in members:
+        return False
+    below = all(mask >> a & 1 for b in members for a in range(t.n) if base.leq(a, b))
+    joins = all(mask >> base.join[a][b] & 1 for a in members for b in members)
+    absorbs = all(mask >> p[a][b] & 1 and mask >> p[b][a] & 1 for a in members for b in range(t.n))
+    roots = all(mask >> a & 1 for a in range(t.n) if mask >> p[a][a] & 1)
+    return below and joins and absorbs and roots
+
+
 def full_scan_axioms(base, product, unit):
     """The tensor axioms, with join-distributivity tested at every (a, b, c)."""
     n = base.n
@@ -530,13 +566,14 @@ class TestOracles:
             fuzz_tensor_lattices(lattice_corpus(5), 5, 300)
         )
 
-    def test_closure_is_the_four_rule_fixpoint(self):
-        structures = self.closure_structures()
+    def test_closure_is_the_four_rule_fixpoint(self, fuzz_structures):
+        # radical_closure absorbs a ⊗ 1 and 1 ⊗ a only; the literal closure
+        # absorbs the whole row and column of each member, from every seed set
+        structures = self.closure_structures() + fuzz_structures
         assert {is_associative(t) for t in structures} == {True, False}
         for t in structures:
-            for size in range(3):
-                for seeds in combinations(range(t.n), size):
-                    assert radical_closure(t, seeds) == four_rule_closure(t, seeds)
+            for mask in range(1 << t.n):
+                assert radical_closure(t, bits(mask)) == four_rule_closure(t, bits(mask))
             assert generated_ideals(t) == [four_rule_closure(t, [a]) for a in range(t.n)]
 
     def test_validator_is_the_full_scan(self):

@@ -4,7 +4,7 @@ import ast
 import contextlib
 import importlib
 import io
-from functools import reduce
+from functools import cache, reduce
 from pathlib import Path
 
 import lattik
@@ -14,12 +14,21 @@ ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "bench" / "tracer.py"
 
 
+@cache
+def lattik_modules():
+    """``(path, tree)`` for each module of lattik, in path order, each parsed once."""
+    return tuple(
+        (path, ast.parse(path.read_text()))
+        for path in sorted(Path(lattik.__file__).parent.glob("*.py"))
+    )
+
+
 def unread_parameters():
     """``module:function:parameter`` for every parameter of a def or lambda in lattik
     that its body never reads; a lambda's function is ``<lambda>``."""
     out = []
-    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for path, tree in lattik_modules():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Lambda):
                 name, body = "<lambda>", [node.body]
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -55,8 +64,8 @@ def test_every_guard_parameter_is_read():
 def function_imports():
     """``module:function`` for every def whose body holds an import statement."""
     out = []
-    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for path, tree in lattik_modules():
+        for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if any(
@@ -80,12 +89,11 @@ def unread_imports():
     and those of tests/ and demos/.  ``import a.b`` binds ``a``; a
     ``__future__`` import binds no name.
     """
-    package = Path(lattik.__file__).parent
-    paths = [path for path in sorted(package.glob("*.py")) if path.stem != "__init__"]
-    paths += sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+    files = [(path, tree) for path, tree in lattik_modules() if path.stem != "__init__"]
+    for path in sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py")):
+        files.append((path, ast.parse(path.read_text())))
     out = []
-    for path in paths:
-        tree = ast.parse(path.read_text())
+    for path, tree in files:
         read = {
             n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
         }
@@ -108,8 +116,8 @@ def test_every_import_is_read():
 def sigma_of_map_callers():
     """``module:function`` for every def in lattik whose body calls sigma_of_map."""
     out = []
-    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for path, tree in lattik_modules():
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
                 isinstance(n, ast.Call)
                 and getattr(n.func, "id", getattr(n.func, "attr", None)) == "sigma_of_map"
@@ -129,8 +137,8 @@ def test_no_function_calls_sigma_of_map():
 def instance_dict_reads():
     """``module:line`` for every call to ``vars`` and every ``__dict__`` in lattik."""
     out = []
-    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for path, tree in lattik_modules():
+        for node in ast.walk(tree):
             called = isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             if (called and node.func.id == "vars") or (
                 isinstance(node, ast.Attribute) and node.attr == "__dict__"
@@ -148,8 +156,8 @@ def test_no_instance_dict_is_read():
 def private_attribute_probes():
     """``module:line`` for every getattr or hasattr of an underscore-named attribute."""
     out = []
-    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for path, tree in lattik_modules():
+        for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Name)
@@ -172,8 +180,7 @@ def unread_tables():
     """``module:Class._name`` for every underscore attribute that a class's
     ``__init__`` sets on self and no code of the class's own module reads."""
     out = []
-    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for path, tree in lattik_modules():
         read = {
             n.attr
             for n in ast.walk(tree)
@@ -208,8 +215,8 @@ def first_use_tables():
     """``module:Class._name`` for every ``self._name = None`` in the ``__init__`` of a
     lattik class: a table that the object builds on first use, not with itself."""
     out = []
-    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
-        for cls in ast.walk(ast.parse(path.read_text())):
+    for path, tree in lattik_modules():
+        for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
             for init in cls.body:
@@ -256,8 +263,7 @@ def innermost_defs(tree):
 def low_bit_idioms():
     """``module:function`` for every ``x & -x`` in lattik, by its innermost def."""
     out = []
-    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for path, tree in lattik_modules():
         owner = innermost_defs(tree)
         for node in ast.walk(tree):
             if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitAnd)):
@@ -283,8 +289,7 @@ def test_one_bit_iterator():
 def unvalidated_constructions():
     """``module:function`` for every ``__new__`` in lattik, by its innermost def."""
     out = []
-    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for path, tree in lattik_modules():
         owner = innermost_defs(tree)
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node.attr == "__new__":
@@ -319,8 +324,7 @@ def mask_sums():
     ``m >> e & 1``, e being a subscript or a loop variable other than i.
     """
     out = []
-    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for path, tree in lattik_modules():
         owner = innermost_defs(tree)
         for node in ast.walk(tree):
             if not (
@@ -363,8 +367,7 @@ def test_one_mask_preimage():
 def fibre_loops():
     """``module:function`` for every one-hot ``t[k] |= 1 << e`` into a subscripted table."""
     out = []
-    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
+    for path, tree in lattik_modules():
         owner = innermost_defs(tree)
         for node in ast.walk(tree):
             if (
@@ -397,8 +400,8 @@ def flavor_comparisons():
         return isinstance(node, ast.Constant) and node.value in FLAVORS
 
     out = []
-    for path in sorted(Path(lattik.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for path, tree in lattik_modules():
+        for node in ast.walk(tree):
             if (
                 isinstance(node, ast.Compare)
                 and any(isinstance(op, (ast.Eq, ast.NotEq, ast.In, ast.NotIn)) for op in node.ops)
